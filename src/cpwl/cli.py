@@ -434,9 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: print-only for "
                              "reports; current directory for file products)")
     common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="max worker threads (all engines are "
-                             "deterministic for every value)")
 
     p = sub.add_parser("bound", parents=[common],
                        help="closed-form region bounds for architectures")
@@ -560,9 +557,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_join_box_args(argv))
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ValidationError as e:

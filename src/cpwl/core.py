@@ -124,12 +124,6 @@ def _canonical_pieces(bp: tuple[float, ...], sl: tuple[float, ...]
     return tuple(bp_l), tuple(sl_l)
 
 
-def canonicalize(f: ScalarCPWL) -> ScalarCPWL:
-    """Return the canonical representative (idempotent; construction already
-    canonicalizes, so this is a re-normalization hook)."""
-    return ScalarCPWL(f.breakpoints, f.slopes, f.anchor_value)
-
-
 def eval_scalar(f: ScalarCPWL, t: float) -> float:
     """Exact value of ``f`` at ``t`` (right-continuous piece selection)."""
     if not f.breakpoints:

@@ -351,10 +351,6 @@ def test_too_few_trials():
     assert main(["mc", "--family", "relu", "--trials", "50"]) == 2
 
 
-def test_threads_floor():
-    assert main(["bound", "--beta", "1", "2", "--threads", "0"]) == 2
-
-
 def test_construct_needs_exactly_one_kind(tmp_path):
     assert main(["construct", "--out", str(tmp_path)]) == 2
     assert main(["construct", "--sawtooth", "3", "--gp", "--d", "2",

@@ -1,4 +1,6 @@
 """Knots along polygonal paths: counting, attribution, density inequalities."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,12 @@ from cpwl import core
 from cpwl.bounds import ArchitectureDescriptor
 from cpwl.constructions import sawtooth, sawtooth_network
 from cpwl.core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
-                       eval_jacobian,
+                       eval_jacobian, PWLU2D,
                        Pointwise, ValidationError, abs_unit, relu_unit)
 from cpwl.paths import (PATH_VERTEX, InequalityReport, PolygonalPath,
                         check_composition_bound, check_subadditivity,
                         count_knots, image_length, image_path)
+from cpwl.stochastic import InitSpec, default_probe, sample_network
 
 
 def relu_net():
@@ -157,6 +160,152 @@ def test_knot_params_are_python_scalars():
     assert all(type(p) is float for p in rep.knot_params)
     assert all(type(l) is int for l in rep.layers)
     assert all(type(v) is bool for v in rep.at_vertex)
+
+
+# ---------------------------------------------------------------------------
+# Engine parity: knots, attribution and prefix counts pinned per trial
+# ---------------------------------------------------------------------------
+
+def _parity_cases():
+    """(name, [(net, path), ...]) with 20 trials per case, drawn from fixed seeds."""
+    fan_in = InitSpec(fan_in_mode="2/fan-in")
+    plain = InitSpec()
+
+    def sampled(dims, family, init, **kw):
+        arch = ArchitectureDescriptor(dims, tuple((2,) * w for w in dims[1:]), family=family)
+        out = []
+        for t in range(20):
+            net = sample_network(arch, init, seed=1000 + t, **kw)
+            out.append((net, default_probe(init, dims[0], np.random.default_rng([7, t]))))
+        return out
+
+    def pwlu(t):
+        rng = np.random.default_rng([11, t])
+        readins = tuple(AffineMap(rng.normal(size=(2, 3)), rng.normal(size=2)) for _ in range(2))
+        net = NetworkSpec(2, (Affine(AffineMap(rng.normal(size=(3, 2)), rng.normal(size=3))),
+                              PWLU2D(4, rng.normal(size=(2, 4, 4)), readins),
+                              Affine(AffineMap(rng.normal(size=(1, 2)), np.zeros(1)))))
+        return net, PolygonalPath.segment(*rng.uniform(-3, 3, size=(2, 2)))
+
+    def bent(t):
+        rng = np.random.default_rng([13, t])
+        net = NetworkSpec(2, (Affine(AffineMap(rng.normal(size=(4, 2)), rng.normal(size=4))),
+                              Pointwise((abs_unit(),) * 4),
+                              Affine(AffineMap(rng.normal(size=(1, 4)), rng.normal(size=1)))))
+        return net, PolygonalPath(rng.uniform(-2, 2, size=(3, 2)))
+
+    return [
+        ("abs-depth8", sampled((2,) + (4,) * 8, "abs", fan_in)),
+        ("deepspline-k3", sampled((2, 4, 4, 4), "deepspline", plain, kappa=3)),
+        ("maxout-rank2", sampled((2, 4, 4, 4), "maxout", plain, rank=2)),
+        ("maxout-rank3", sampled((3, 4, 2), "maxout", plain, rank=3)),
+        ("groupsort", sampled((4, 4, 4), "groupsort", plain)),
+        ("pwlu2d", [pwlu(t) for t in range(20)]),
+        ("bent-path", [bent(t) for t in range(20)]),
+    ]
+
+
+# Recorded with the per-interval engine this one replaced: per case, the knot
+# count of each trial and a digest of every trial's (count, layers,
+# at_vertex, prefix_counts).
+PINNED_PARITY = {
+    "abs-depth8": ([28, 52, 67, 19, 61, 19, 27, 30, 45, 24, 19, 21, 33, 28, 16, 30, 39, 30, 28, 18],
+                   "7593bdb48c1f6c80"),
+    "deepspline-k3": ([16, 26, 22, 15, 19, 12, 16, 14, 18, 18, 22, 27, 26, 9, 24, 11, 15, 15, 10, 19],
+                      "e61368789d8399ba"),
+    "maxout-rank2": ([10, 13, 13, 7, 15, 11, 11, 13, 11, 11, 13, 9, 14, 11, 9, 14, 6, 14, 11, 12],
+                     "2fe05bc274344121"),
+    "maxout-rank3": ([7, 8, 8, 5, 13, 8, 9, 6, 6, 5, 9, 5, 9, 8, 10, 8, 8, 8, 9, 7],
+                     "4b2abf482c58cf66"),
+    "groupsort": ([1, 2, 2, 1, 2, 2, 1, 2, 2, 2, 1, 2, 2, 2, 2, 2, 1, 1, 1, 2],
+                  "c63f9f4fa4bac928"),
+    "pwlu2d": ([21, 7, 0, 6, 3, 2, 12, 9, 12, 4, 6, 4, 10, 1, 1, 1, 14, 11, 15, 0],
+               "16e772a340c8a6c6"),
+    "bent-path": ([6, 4, 3, 4, 3, 4, 2, 8, 3, 1, 2, 5, 1, 4, 1, 3, 5, 5, 5, 4],
+                  "34c325cb16886072"),
+}
+
+
+def test_knot_engine_parity_pinned():
+    for name, trials in _parity_cases():
+        reps = [count_knots(net, path, prefixes=True) for net, path in trials]
+        record = [(r.count, r.layers, r.at_vertex, r.prefix_counts) for r in reps]
+        counts, digest = PINNED_PARITY[name]
+        assert [r.count for r in reps] == counts, name
+        assert hashlib.sha256(repr(record).encode()).hexdigest()[:16] == digest, name
+        if name == "bent-path":
+            assert all(PATH_VERTEX in r.layers and any(r.at_vertex) for r in reps)
+
+
+# ---------------------------------------------------------------------------
+# Array engine edge cases (a masked division must not warn)
+# ---------------------------------------------------------------------------
+
+def _kink(b, left=1.0, right=2.0):
+    return core.ScalarCPWL((b,), (left, right), 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("slope, expected", [(-1e-301, 0.4), (1e-301, 0.6)])
+def test_midpoint_on_breakpoint_takes_the_side_of_travel(slope, expected):
+    # |slope| < 1e-300 gives no crossing, so the midpoint of [0, 2] lands
+    # exactly on the breakpoint at 1: a decreasing profile takes the left
+    # piece (slope 2), an increasing one the right piece (slope 3). The last
+    # layer scales the resulting slope up to where it shows in the length.
+    net = NetworkSpec(1, (Affine(AffineMap(np.array([[slope]]), np.array([1.0]))),
+                          Pointwise((_kink(1.0, 2.0, 3.0),)),
+                          Affine(AffineMap(np.array([[1e300]]), np.zeros(1)))))
+    path = PolygonalPath.segment([0.0], [2.0])
+    assert count_knots(net, path).count == 0
+    assert image_length(net, path) == pytest.approx(expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("offsets, kept", [((0.6e-12, 1.5e-12), (1.5e-12,)),
+                                           ((2.0e-12, 2.5e-12), (2.0e-12,)),
+                                           ((2.0e-12, 3.5e-12, 4.0e-12), (2.0e-12, 3.5e-12)),
+                                           ((2.0e-12, 2.6e-12, 3.2e-12), (2.0e-12, 3.2e-12))])
+def test_near_coincident_cuts_merge_in_sorted_order(offsets, kept):
+    # Layer 1 cuts at 0.5. In layer 2, unit k crosses at 0.5 + offsets[k],
+    # within _CUT_MERGE_REL (times the length 1) of its neighbours. Taken in
+    # ascending order, a crossing that close to the previous cut kept is
+    # dropped: 0.6e-12 goes (near 0.5) and 1.5e-12 stays; 2.5e-12 goes (near
+    # 2.0e-12); 4.0e-12 goes (near 3.5e-12, which stayed); 3.2e-12 stays (near
+    # 2.6e-12 only, which went).
+    ident = core.identity_unit()
+    w = len(offsets) + 1
+    net = NetworkSpec(1, (Affine(AffineMap(np.ones((w, 1)), np.zeros(w))),
+                          Pointwise((_kink(0.5),) + (ident,) * len(offsets)),
+                          Pointwise((ident,) + tuple(_kink(0.5 + d) for d in offsets)),
+                          Affine(AffineMap(np.ones((1, w)), np.zeros(1)))))
+    rep = count_knots(net, PolygonalPath.segment([0.0], [1.0]), prefixes=True)
+    assert rep.knot_params == (0.5,) + tuple(0.5 + d for d in kept)
+    assert rep.layers == (1,) + (2,) * len(kept)
+    assert rep.prefix_counts == (0, 1, 1 + len(kept), 1 + len(kept))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_constant_preactivation_has_no_root():
+    # Unit 0 sees the constant 0, exactly its breakpoint, along the whole path.
+    net = NetworkSpec(2, (Affine(AffineMap(np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros(2))),
+                          Pointwise((relu_unit(), relu_unit())),
+                          Affine(AffineMap(np.ones((1, 2)), np.zeros(1)))))
+    rep = count_knots(net, PolygonalPath.segment([-1.0, 0.0], [1.0, 0.0]))
+    assert rep.knot_params == (1.0,)
+    assert rep.layers == (1,)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("slope, expected", [(1e-301, 0.2), (-1e-301, 0.0)])
+def test_maxout_tie_at_midpoint_breaks_by_directional_slope(slope, expected):
+    # The two pieces 1 and 1 + slope*x tie at every midpoint in floating
+    # point, and |slope| < 1e-300 gives no crossing: the larger directional
+    # slope wins the tie, and the first piece when it is not larger.
+    net = NetworkSpec(1, (Maxout(2, np.array([[[0.0], [slope]]]), np.ones((1, 2))),
+                          Affine(AffineMap(np.array([[1e300]]), np.zeros(1)))))
+    path = PolygonalPath.segment([0.0], [2.0])
+    assert count_knots(net, path).count == 0
+    assert image_length(net, path) == pytest.approx(expected)
 
 
 # ---------------------------------------------------------------------------
