@@ -9,7 +9,9 @@ cell's piece using the activation piece active at its witness.
 Backends: exact interval splitting (1 input), convex-polygon clipping
 (2 inputs), and an LP feasibility kernel (3+ inputs, with an exact fast path
 for axis-aligned cuts). Cell processing is pure and order-independent; the
-output ordering is canonicalized, so results are deterministic.
+output ordering is canonicalized, so results are deterministic. The LP kernel
+calls scipy's HiGHS bindings directly, with the options and the post-check of
+``scipy.optimize.linprog(method="highs")``, so it returns what linprog would.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 from .core import (Affine, AffineMap, GroupSort, Layer, Maxout, NetworkSpec,
                    Pointwise, PWLU2D, ValidationError, layer_piece)
@@ -102,6 +104,46 @@ class CountReport:
 # LP feasibility kernel
 # ---------------------------------------------------------------------------
 
+# The options scipy.optimize.linprog(method="highs") sets (scipy 1.17.1,
+# _linprog_highs); every other option keeps its HiGHS default.
+_HIGHS_OPTIONS = _highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.simplex_strategy = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_HIGHS_OPTIONS.highs_debug_level = int(_highs.HighsDebugLevel.kHighsDebugLevelNone)
+_HIGHS_OPTIONS.log_to_console = _HIGHS_OPTIONS.output_flag = False
+_LP_CHECK_TOL = math.sqrt(1e-9) * 10  # linprog's post-check (_check_result)
+
+
+def _highs_solve(c, A, lhs, rhs, lb, ub, n_ub: int) -> Optional[np.ndarray]:
+    """Minimize c.x s.t. lhs <= A x <= rhs (rows from ``n_ub`` on are
+    equalities) and lb <= x <= ub on a fresh HiGHS instance, as linprog does.
+    Returns x, or None where linprog reports no success: no optimum, or NaN
+    values, or bound, slack or equality residuals past its tolerance."""
+    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+        raise ValueError("witness LP rows must be finite")
+    col, row = np.nonzero(A.T)  # as csc_array(A): zeros dropped, column-major
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = A.shape[1]
+    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.searchsorted(col, np.arange(A.shape[1] + 1)).tolist()
+    lp.a_matrix_.index_ = row.tolist()
+    lp.a_matrix_.value_ = A.T[col, row]
+    lp.col_cost_, lp.row_lower_, lp.row_upper_ = c, lhs, rhs
+    lp.col_lower_, lp.col_upper_ = np.clip((lb, ub), -_highs.kHighsInf, _highs.kHighsInf)
+    h, error = _highs._Highs(), _highs.HighsStatus.kError
+    if (h.passOptions(_HIGHS_OPTIONS) == error or h.passModel(lp) == error
+            or h.run() == error or h.getModelStatus() != _highs.HighsModelStatus.kOptimal):
+        return None
+    sol, t = h.getSolution(), _LP_CHECK_TOL
+    x, slack = np.array(sol.col_value), rhs - sol.row_value
+    if (np.isnan(x).any() or np.isnan(slack).any() or math.isnan(h.getInfo().objective_function_value)
+            or (x < lb - t).any() or (x > ub + t).any() or (slack[:n_ub] < -t).any()
+            or (np.abs(slack[n_ub:]) > t).any()):
+        return None
+    return x
+
+
 def interior_witness_report(constraints: Sequence[HalfSpace | tuple],
                             cfg: GeometryConfig = DEFAULT_CONFIG,
                             bounds: Optional[tuple[np.ndarray, np.ndarray]] = None,
@@ -111,7 +153,10 @@ def interior_witness_report(constraints: Sequence[HalfSpace | tuple],
     |x_j| <= R_max (or the given bounds), eps <= R_max.
 
     Status "interior" iff eps* > eps_interior; "degenerate" for
-    0 <= eps* <= eps_interior; "empty" when infeasible or eps* < 0.
+    0 <= eps* <= eps_interior; "empty" when infeasible or eps* < 0. HiGHS
+    solves it as linprog(method="highs") would: presolve on, dual simplex, no
+    debug checks or output. As in linprog, an optimum that has NaNs or misses
+    a bound, inequality or equality by more than sqrt(1e-9) * 10 is "empty".
     """
     rows = []
     for h in constraints:
@@ -136,27 +181,22 @@ def interior_witness_report(constraints: Sequence[HalfSpace | tuple],
         hi = np.asarray(bounds[1], dtype=float)
     if not rows and equality is None:
         return Witness((lo + hi) / 2.0, cfg.r_max, "interior")
-    # Variables (x_1..x_d, eps); maximize eps.
-    A_ub, b_ub = [], []
-    for a, c in rows:
-        A_ub.append(np.concatenate([-a, [np.linalg.norm(a)]]))
-        b_ub.append(c)
-    A_eq = b_eq = None
+    # Variables (x_1..x_d, eps); maximize eps. Rows -a.x + ||a|| eps <= c,
+    # then the equality row a_eq.x = -c_eq.
+    A = [np.concatenate([-a, [np.linalg.norm(a)]]) for a, _ in rows]
+    rhs = [c for _, c in rows]
+    lhs = [-_highs.kHighsInf] * len(rows)
     if equality is not None:
-        a_eq, c_eq = equality
-        A_eq = [np.concatenate([np.asarray(a_eq, dtype=float), [0.0]])]
-        b_eq = [-float(c_eq)]
-    var_bounds = [(float(l), float(h)) for l, h in zip(lo, hi)] + [(None, cfg.r_max)]
-    res = linprog(c=np.concatenate([np.zeros(dim), [-1.0]]),
-                  A_ub=np.array(A_ub) if A_ub else None,
-                  b_ub=np.array(b_ub) if b_ub else None,
-                  A_eq=np.array(A_eq) if A_eq is not None else None,
-                  b_eq=np.array(b_eq) if b_eq is not None else None,
-                  bounds=var_bounds, method="highs")
-    if not res.success:
+        A.append(np.concatenate([np.asarray(equality[0], dtype=float), [0.0]]))
+        rhs.append(-float(equality[1]))
+        lhs.append(rhs[-1])
+    x = _highs_solve(np.concatenate([np.zeros(dim), [-1.0]]), np.array(A, dtype=float),
+                     np.array(lhs), np.array(rhs), np.append(lo, -math.inf),
+                     np.append(hi, cfg.r_max), len(rows))
+    if x is None:
         return Witness(np.zeros(dim), -math.inf, "empty")
-    eps = float(res.x[-1])
-    point = np.array(res.x[:-1])
+    eps = float(x[-1])
+    point = x[:-1]
     if eps > cfg.eps_interior:
         return Witness(point, eps, "interior")
     if eps >= 0.0:
@@ -581,14 +621,13 @@ def _facet_adjacent(p: Region, q: Region, rs: RegionSet, cfg: GeometryConfig) ->
     appears in both cells' constraint lists, so scanning one list suffices."""
     combined = [(h.normal, h.offset) for h in p.constraints + q.constraints]
     combined += _domain_halfspaces(rs)
+    keys = [_hyperplane_key(a, c, cfg.dedup_tol) for a, c in combined]
     tried = set()
-    for h in p.constraints:
-        key = _hyperplane_key(h.normal, h.offset, cfg.dedup_tol)
+    for h, key in zip(p.constraints, keys):  # p's rows come first in combined
         if key in tried:
             continue
         tried.add(key)
-        rest = [row for row in combined
-                if _hyperplane_key(row[0], row[1], cfg.dedup_tol) != key]
+        rest = [row for row, k in zip(combined, keys) if k != key]
         w = interior_witness_report(rest, cfg, equality=(h.normal, h.offset),
                                     dim=rs.input_dim)
         if w.status == "interior":

@@ -2,9 +2,12 @@
 
 Grid-Jacobian method: evaluate the network's one-sided affine piece
 (Jacobian + offset) on a dense sample grid, quantize into fingerprints, and
-count distinct fingerprints and 4-connected monochrome components. Both
-counts are lower estimates of the exact quantities and converge to them once
-the resolution separates all cells. A dense 1D variant counts knots along a
+count distinct fingerprints and 4-connected monochrome components. The
+distinct count misses the pieces of cells that no sample hits; it exceeds the
+exact distinct-piece count only if rounding gives one piece two labels. The
+component count bounds nothing: missed cells lower it, and 4-connectivity
+breaks a wedge tip thinner than a pixel into separate islands, which raises it
+above even the exact cell count. A dense 1D variant counts knots along a
 segment the same way.
 
 This module deliberately re-derives pieces by direct per-sample evaluation
@@ -164,7 +167,9 @@ def grid_fingerprint(net: NetworkSpec, box, resolution: int,
 def grid_region_count(net: NetworkSpec, box, resolution: int,
                       rel_tol: float = FINGERPRINT_REL_TOL) -> tuple[int, int]:
     """(distinct fingerprints, 4-connected components) on the sample grid.
-    Both are lower estimates of the exact distinct-piece and cell counts."""
+    The distinct count misses pieces that no sample hits. The component count
+    is no lower estimate: thin wedge tips split into pixel islands, so it can
+    exceed the exact cell count."""
     fp = grid_fingerprint(net, box, resolution, rel_tol)
     return fp.n_distinct, fp.n_components
 

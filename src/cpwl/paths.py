@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class KnotReport:
     count: int
     length: float
     density: float
-    prefix_counts: Optional[tuple] = None  # knot count after each layer prefix
+    prefix_counts: Optional[tuple] = None  # knot count after each requested layer prefix
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +277,15 @@ def _knots_after(segs: list, li: int, tol: float) -> tuple[list, list]:
 
 
 def count_knots(net: NetworkSpec, path: PolygonalPath, tol: float = KNOT_REL_TOL,
-                prefixes: bool = False) -> KnotReport:
+                prefixes: bool | Sequence[int] = False) -> KnotReport:
     """Exact knots of the network restricted to the path.
 
     Knots strictly inside a segment come from layer switching; knots at path
     vertices (direction changes) are flagged ``at_vertex`` and attributed to
     the earlier segment with layer ``PATH_VERTEX``. ``prefixes=True``
-    additionally reports the knot count of every depth-truncated network.
+    additionally reports the knot count of every depth-truncated network; a
+    sequence of layer indices reports the networks truncated after those
+    layers only, in its order.
     """
     if path.dim != net.input_dim:
         raise ValidationError("path dimension must match the network input")
@@ -296,9 +298,10 @@ def count_knots(net: NetworkSpec, path: PolygonalPath, tol: float = KNOT_REL_TOL
     knots += [(off, PATH_VERTEX, True) for off, bend in zip(offsets[1:], bends) if bend]
     knots.sort(key=lambda k: k[0])
     prefix_counts = None
-    if prefixes:
+    if prefixes is not False:
+        layers = range(len(net.layers)) if prefixes is True else prefixes
         prefix_counts = tuple(sum(map(len, hits)) + sum(turns) for hits, turns in
-                              (_knots_after(segs, li, tol) for li in range(len(net.layers))))
+                              (_knots_after(segs, li, tol) for li in layers))
     kt, length = len(knots), path.length
     return KnotReport(*(tuple(k[i] for k in knots) for i in range(3)), kt, length,
                       kt / length, prefix_counts)

@@ -321,12 +321,12 @@ def mc_knot_density_by_depth(arch: ArchitectureDescriptor, init: InitSpec,
         net = _sample_trial_network(arch, init, t, kappa, None, 2)
         rng = _trial_rng(init.seed, t, 1 << 20)
         path = path_sampler(rng) if path_sampler else default_probe(init, d, rng)
-        rep = count_knots(net, path, prefixes=True)
         if act_indices is None:
             act_indices = [i for i, l in enumerate(net.layers)
                            if not isinstance(l, Affine)]
             cols = np.empty((trials, len(act_indices)))
-        cols[t] = [rep.prefix_counts[i] / rep.length for i in act_indices]
+        rep = count_knots(net, path, prefixes=act_indices)
+        cols[t] = [count / rep.length for count in rep.prefix_counts]
     return [McEstimate.from_values(cols[:, j]) for j in range(cols.shape[1])]
 
 

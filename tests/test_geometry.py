@@ -71,6 +71,70 @@ def test_witness_accepts_halfspace_objects_and_equality():
     assert w.point[1] == pytest.approx(0.25, abs=1e-6)
 
 
+def _linprog_witness(rows, cfg, bounds, equality, dim):
+    """Reference: the witness LP of interior_witness_report through the
+    public scipy.optimize.linprog on the same model (no-row case excluded)."""
+    from scipy.optimize import linprog
+    lo, hi = bounds if bounds is not None else (np.full(dim, -cfg.r_max), np.full(dim, cfg.r_max))
+    A_ub = [np.concatenate([-a, [np.linalg.norm(a)]]) for a, _ in rows]
+    b_ub = [c for _, c in rows]
+    A_eq = b_eq = None
+    if equality is not None:
+        A_eq = [np.concatenate([equality[0], [0.0]])]
+        b_eq = [-float(equality[1])]
+    res = linprog(np.concatenate([np.zeros(dim), [-1.0]]),
+                  A_ub=np.array(A_ub) if A_ub else None, b_ub=np.array(b_ub) if b_ub else None,
+                  A_eq=A_eq, b_eq=b_eq, method="highs",
+                  bounds=[(float(l), float(h)) for l, h in zip(lo, hi)] + [(None, cfg.r_max)])
+    if not res.success:
+        return "empty", -np.inf, np.zeros(dim)
+    eps = float(res.x[-1])
+    status = "interior" if eps > cfg.eps_interior else "degenerate" if eps >= 0.0 else "empty"
+    return status, eps, np.array(res.x[:-1])
+
+
+def _witness_lp_case(i: int):
+    """Seeded witness LP number ``i``: (rows, bounds, equality, dim)."""
+    rng = np.random.default_rng(7000 + i)
+    dim = 2 + i % 3
+    m = int(rng.integers(1, 7))
+    N = rng.standard_normal((m, dim))
+    N[rng.random((m, dim)) < 0.3] = 0.0           # zero entries, dropped from the CSC
+    if i % 7 == 0:
+        N = np.round(N * 2)                        # integer normals, some all-zero rows
+    rows = [(N[k], float(rng.normal(0.5, 1.0))) for k in range(m)]
+    kind = (i // 3) % 4
+    if kind == 1:                                  # duplicate rows
+        rows += [rows[int(k)] for k in rng.integers(0, m, size=2)]
+    elif kind >= 2:                                # slab of width gap * ||a||
+        a = rng.standard_normal(dim)
+        c = float(rng.standard_normal())
+        gap = (0.0, 1e-8, -1e-3, -0.5)[int(rng.integers(0, 4))]
+        rows += [(a, c), (-a, -c + gap * float(np.linalg.norm(a)))]
+    equality = None
+    if i % 4 == 3:                                 # count_report form
+        equality = rows.pop(0)
+        if not rows:
+            rows = [(rng.standard_normal(dim), 1.0)]
+    bounds = None
+    if i % 3:
+        bounds = (-rng.uniform(0.5, 3.0, size=dim), rng.uniform(0.5, 3.0, size=dim))
+    return rows, bounds, equality, dim
+
+
+def test_witness_lp_matches_linprog():
+    statuses = set()
+    for i in range(300):
+        rows, bounds, equality, dim = _witness_lp_case(i)
+        w = interior_witness_report(rows, DEFAULT_CONFIG, bounds=bounds,
+                                    equality=equality, dim=dim)
+        status, margin, point = _linprog_witness(rows, DEFAULT_CONFIG, bounds, equality, dim)
+        assert (w.status, w.margin) == (status, margin), i
+        assert w.point.tobytes() == point.tobytes(), i
+        statuses.add((w.status, equality is not None))
+    assert statuses == {(s, e) for s in ("interior", "degenerate", "empty") for e in (False, True)}
+
+
 # ---------------------------------------------------------------------------
 # Enumeration anchors (each cross-checked against an independent count)
 # ---------------------------------------------------------------------------

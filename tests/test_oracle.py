@@ -120,6 +120,23 @@ def test_grid_distinct_never_exceeds_exact_distinct():
         assert n_distinct == exact.distinct_piece_count
 
 
+def test_grid_components_can_exceed_exact_cells():
+    # Two cells narrow to wedge tips thinner than a pixel; 4-connectivity
+    # breaks each tip into separate pixel islands, so the component count is
+    # no lower estimate of the exact counts.
+    rng = np.random.default_rng(9)
+    net = NetworkSpec(2, (Affine(AffineMap(rng.normal(size=(4, 2)), rng.normal(size=4))),
+                          Pointwise((relu_unit(),) * 4),
+                          Affine(AffineMap(rng.normal(size=(1, 4)), rng.normal(size=1)))))
+    box = (-2.0, 2.0)
+    exact = count_report(enumerate_regions(net, domain=box))
+    assert (exact.cell_count, exact.distinct_piece_count, exact.connected_piece_count) == (5, 5, 5)
+    for res in (64, 128, 256):
+        n_distinct, n_components = grid_region_count(net, box, res)
+        assert n_distinct == 5
+        assert n_components > exact.cell_count
+
+
 def test_mixed_net_grid_agrees_with_engine():
     assert grid_region_count(mixed_net(), (-2.0, 2.0), 512) == (12, 12)
 

@@ -88,6 +88,9 @@ def test_chained_sawtooth_knot_attribution():
     assert rep.density == pytest.approx(5.0)
     assert rep.prefix_counts == (0, 2, 2, 5)
     assert rep.prefix_counts[-1] == rep.count
+    some = count_knots(sw6_net(), PolygonalPath.segment([0.0], [1.0]), prefixes=[3, 1])
+    assert some.prefix_counts == (5, 2)
+    assert some.knot_params == rep.knot_params
 
 
 def test_vertex_knot_detection():
