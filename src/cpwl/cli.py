@@ -256,7 +256,8 @@ def cmd_count(args) -> int:
     for k in sorted(report.bounds):
         print(f"{k} = {report.bounds[k]}")
     _emit(args, "count_report.csv", geo.count_report_to_csv(report))
-    _emit(args, "regions.json", dumps_canonical(geo.region_set_to_json(rs)))
+    if args.out is not None:
+        _emit(args, "regions.json", dumps_canonical(geo.region_set_to_json(rs)))
     _write_config(args, "count")
     return 0
 

@@ -287,14 +287,15 @@ def _polygon_area_perimeter(verts: np.ndarray) -> tuple[float, float]:
     if len(verts) < 3:
         return 0.0, 0.0
     x, y = verts[:, 0], verts[:, 1]
-    area = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-    per = float(np.sum(np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)))
+    xr, yr = np.concatenate([x[1:], x[:1]]), np.concatenate([y[1:], y[:1]])
+    area = 0.5 * abs(np.dot(x, yr) - np.dot(y, xr))
+    per = float(np.sum(np.linalg.norm(np.concatenate([verts[1:], verts[:1]]) - verts, axis=1)))
     return float(area), per
 
 
 def _polygon_centroid(verts: np.ndarray) -> np.ndarray:
     x, y = verts[:, 0], verts[:, 1]
-    xr, yr = np.roll(x, -1), np.roll(y, -1)
+    xr, yr = np.concatenate([x[1:], x[:1]]), np.concatenate([y[1:], y[:1]])
     cross = x * yr - xr * y
     a = cross.sum() / 2.0
     if abs(a) < 1e-300:
@@ -397,12 +398,14 @@ def _backend_for(d: int, cfg: GeometryConfig):
 # Layer hyperplanes (pulled back to input space through the cell's piece)
 # ---------------------------------------------------------------------------
 
-def _hyperplane_key(a: np.ndarray, c: float, tol: float) -> tuple:
+def _hyperplane_key(a: np.ndarray, c: float, tol: float, signed: bool = False) -> tuple:
+    """(a, c) over ||a||, rounded at ``tol``; unless ``signed``, the sign is
+    fixed so that (a, c) and (-a, -c) share one key."""
     nrm = np.linalg.norm(a)
     v = np.concatenate([a, [c]]) / nrm
     for x in v[:-1]:
         if abs(x) > tol:
-            if x < 0:
+            if x < 0 and not signed:
                 v = -v
             break
     digits = max(0, int(round(-math.log10(tol))))
@@ -615,24 +618,28 @@ def _domain_halfspaces(rs: RegionSet) -> list[tuple[np.ndarray, float]]:
 
 
 def _facet_adjacent(p: Region, q: Region, rs: RegionSet, cfg: GeometryConfig) -> bool:
-    """Two cells share a (d-1)-face iff some constraint hyperplane of one,
-    taken as an equality, still leaves an interior point of the combined
-    constraint sets. The first hyperplane that split the two lineages apart
-    appears in both cells' constraint lists, so scanning one list suffices."""
-    combined = [(h.normal, h.offset) for h in p.constraints + q.constraints]
-    combined += _domain_halfspaces(rs)
-    keys = [_hyperplane_key(a, c, cfg.dedup_tol) for a, c in combined]
-    tried = set()
-    for h, key in zip(p.constraints, keys):  # p's rows come first in combined
-        if key in tried:
-            continue
-        tried.add(key)
-        rest = [row for row, k in zip(combined, keys) if k != key]
-        w = interior_witness_report(rest, cfg, equality=(h.normal, h.offset),
-                                    dim=rs.input_dim)
-        if w.status == "interior":
-            return True
-    return False
+    """Two cells share a (d-1)-face only if exactly one hyperplane separates
+    them: a row (a, c) of one cell whose negation (-a, -c) is a row of the
+    other. A split gives its two children exactly negated rows, so the split
+    that parted the two lineages always shows; two distinct separating
+    hyperplanes leave at most a (d-2)-flat in common. With exactly one, the
+    cells share a facet iff that hyperplane, taken as an equality, leaves an
+    interior point of every other row of both cells and the domain."""
+    q_keys = {_hyperplane_key(-h.normal, -h.offset, cfg.dedup_tol, signed=True)
+              for h in q.constraints}
+    seps = {}
+    for h in p.constraints:
+        key = _hyperplane_key(h.normal, h.offset, cfg.dedup_tol, signed=True)
+        if key in q_keys:
+            seps.setdefault(key, h)
+    if len(seps) != 1:
+        return False
+    (h,) = seps.values()
+    key = _hyperplane_key(h.normal, h.offset, cfg.dedup_tol)
+    rows = [(g.normal, g.offset) for g in p.constraints + q.constraints] + _domain_halfspaces(rs)
+    rest = [(a, c) for a, c in rows if _hyperplane_key(a, c, cfg.dedup_tol) != key]
+    w = interior_witness_report(rest, cfg, equality=(h.normal, h.offset), dim=rs.input_dim)
+    return w.status == "interior"
 
 
 def count_report(rs: RegionSet, net: Optional[NetworkSpec] = None,

@@ -248,6 +248,21 @@ def test_count_reruns_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_count_without_out_builds_no_region_json(tmp_path, capsys, monkeypatch):
+    main(["construct", "--gp", "--d", "2", "--ns", "3,3", "--out", str(tmp_path)])
+    argv = ["count", "--net", str(tmp_path / "gp_net.json"), "--box", "-2,2"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def unwanted(rs):
+        raise AssertionError("regions.json built without --out")
+    monkeypatch.setattr("cpwl.geometry.region_set_to_json", unwanted)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == expected and len(out.splitlines()) == 4
+
+
 def test_knots_csv(tmp_path, capsys):
     main(["construct", "--sawtooth-net", "--dims", "1,2,1", "--kappa", "2",
           "--out", str(tmp_path)])

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from cpwl import core, geometry
 from cpwl.bounds import beta
 from cpwl.constructions import (extremal_sum_network,
                                 general_position_partitions, sawtooth)
@@ -25,6 +26,30 @@ def mixed_net():
         GroupSort(2),
         Affine(AffineMap(rng.normal(size=(1, 4)), rng.normal(size=1))),
     ))
+
+
+def relu_dead_net(seed: int, dims: tuple, half: float, maxout: bool = False):
+    """Relu (or rank-2 maxout) net with a relu on its scalar output, shifted
+    so that the output is zero on half of the box [-half, half]^d: the dead
+    half is a group of cells with one piece."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for l in range(len(dims) - 1):
+        if maxout and l < len(dims) - 2:
+            layers.append(Maxout(2, rng.normal(size=(dims[l + 1], 2, dims[l])),
+                                 rng.normal(size=(dims[l + 1], 2))))
+            continue
+        layers.append(Affine(AffineMap(rng.normal(size=(dims[l + 1], dims[l])),
+                                       rng.normal(size=dims[l + 1]))))
+        if l < len(dims) - 2:
+            layers.append(Pointwise(tuple(relu_unit() for _ in range(dims[l + 1]))))
+    g = np.linspace(-half, half, 9)
+    X = np.stack(np.meshgrid(*([g] * dims[0]), indexing="ij"), -1).reshape(-1, dims[0])
+    net = NetworkSpec(dims[0], tuple(layers))
+    out = [core.eval(net, x)[0] for x in X]
+    last = layers[-1].map
+    layers[-1] = Affine(AffineMap(last.matrix, last.offset - np.median(out)))
+    return NetworkSpec(dims[0], tuple(layers) + (Pointwise((relu_unit(),)),))
 
 
 def tent_net():
@@ -227,6 +252,98 @@ def test_pwlu_counts_in_and_out_of_grid():
     # Off-grid the clamped strips and corners add 4(M-1) + 4 affine cells.
     assert len(enumerate_regions(net)) == 34
     assert network_arrangement_upper(net) == 34
+
+
+def test_polygon_measures_match_roll_formulas():
+    rng = np.random.default_rng(5)
+    for i in range(200):
+        n = 3 + i % 10
+        t = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+        verts = rng.normal(size=2) + rng.uniform(0.1, 10.0) * np.stack([np.cos(t), np.sin(t)], 1)
+        x, y = verts[:, 0], verts[:, 1]
+        xr, yr = np.roll(x, -1), np.roll(y, -1)
+        area = float(0.5 * abs(np.dot(x, yr) - np.dot(y, xr)))
+        per = float(np.sum(np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)))
+        cross = x * yr - xr * y
+        a = cross.sum() / 2.0
+        centroid = np.array([((x + xr) * cross).sum() / (6.0 * a),
+                             ((y + yr) * cross).sum() / (6.0 * a)])
+        got_area, got_per = geometry._polygon_area_perimeter(verts)
+        assert np.array([got_area, got_per]).tobytes() == np.array([area, per]).tobytes()
+        assert geometry._polygon_centroid(verts).tobytes() == centroid.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Facet adjacency of same-piece cells
+# ---------------------------------------------------------------------------
+
+def _exhaustive_adjacent(p, q, rs, cfg):
+    """Reference: try every constraint hyperplane of ``p`` as an equality
+    against the other rows of both cells and the domain."""
+    combined = [(h.normal, h.offset) for h in p.constraints + q.constraints]
+    combined += geometry._domain_halfspaces(rs)
+    keys = [geometry._hyperplane_key(a, c, cfg.dedup_tol) for a, c in combined]
+    tried = set()
+    for h, key in zip(p.constraints, keys):
+        if key in tried:
+            continue
+        tried.add(key)
+        rest = [row for row, k in zip(combined, keys) if k != key]
+        w = geometry.interior_witness_report(rest, cfg, equality=(h.normal, h.offset),
+                                             dim=rs.input_dim)
+        if w.status == "interior":
+            return True
+    return False
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    calls = [0]
+    solve = geometry.interior_witness_report
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(geometry, "interior_witness_report", counted)
+    return calls
+
+
+def test_facet_filter_matches_exhaustive_scan(lp_calls):
+    cases = [(relu_dead_net(s, (2, 3, 1), 3.0), (-3.0, 3.0)) for s in range(4)]
+    cases += [(relu_dead_net(4, (2, 4, 1), 10.0), (-10.0, 10.0)),
+              (relu_dead_net(5, (2, 3, 1), 3.0), None),
+              (relu_dead_net(6, (2, 3, 1), 3.0, maxout=True), (-3.0, 3.0)),
+              (relu_dead_net(7, (1, 4, 1), 3.0), (-3.0, 3.0)),
+              (relu_dead_net(8, (3, 3, 1), 3.0), (-3.0, 3.0))]
+    seen = set()
+    for net, domain in cases:
+        rs = enumerate_regions(net, domain=domain)
+        groups = {}
+        for r in rs.regions:
+            groups.setdefault(piece_fingerprint(r.piece), []).append(r)
+        pairs = [(p, q) for g in groups.values() for i, p in enumerate(g) for q in g[i + 1:]]
+        assert pairs
+        for p, q in pairs:
+            lp_calls[0] = 0
+            expected = _exhaustive_adjacent(p, q, rs, DEFAULT_CONFIG)
+            scan_lps, lp_calls[0] = lp_calls[0], 0
+            assert geometry._facet_adjacent(p, q, rs, DEFAULT_CONFIG) == expected
+            assert lp_calls[0] <= min(scan_lps, 1)
+            seen.add((net.input_dim, expected))
+    assert seen == {(d, adj) for d in (1, 2, 3) for adj in (False, True)}
+
+
+def test_two_separating_hyperplanes_need_no_lp(lp_calls):
+    # relu on both inputs: four quadrant cells; opposite quadrants meet only
+    # at the origin, neighbouring ones along an axis.
+    net = NetworkSpec(2, (Pointwise((relu_unit(), relu_unit())),))
+    rs = enumerate_regions(net, domain=(-1.0, 1.0))
+    quadrant = {tuple(np.sign(r.witness)): r for r in rs.regions}
+    assert not geometry._facet_adjacent(quadrant[1.0, 1.0], quadrant[-1.0, -1.0],
+                                        rs, DEFAULT_CONFIG)
+    assert lp_calls[0] == 0
+    assert geometry._facet_adjacent(quadrant[1.0, 1.0], quadrant[1.0, -1.0], rs, DEFAULT_CONFIG)
+    assert lp_calls[0] == 1
 
 
 # ---------------------------------------------------------------------------
