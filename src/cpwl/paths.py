@@ -1,17 +1,19 @@
 """Exact knot counting along 1D polygonal paths.
 
 A network restricted to a straight segment is a CPWL function of the arc
-parameter. Each segment is propagated layer by layer as a subdivision of the
-parameter interval: cut parameters ``cuts`` (n + 1) and the affine profiles
-``z(s) = Q + P*s`` of the n intervals as (n, width) arrays ``P`` and ``Q``.
-Each layer runs once on the whole arrays: one expression gives the exact cut
-points of all intervals and units (breakpoint crossings, envelope switches,
-grid/diagonal crossings), one sort merges them into ``cuts``, and the active
-piece of every interval is selected at its midpoint. An integer array beside
-``cuts`` holds the layer that introduced each cut. A cut is a knot iff the
-restricted affine piece (slope vector or value) actually differs on its two
-sides; cuts where nothing changes, including stretches that ride along a
-switching boundary, are discarded.
+parameter. Segments are propagated together, layer by layer, as subdivisions
+of their parameter intervals: the intervals ``[lo, hi]`` of all segments,
+the segment owning each, and the affine profiles ``z(s) = Q + P*s`` of the
+intervals as (n, width) arrays ``P`` and ``Q``. All segments share one
+network, or each has its own and parameters are gathered by owner. Each layer
+runs once on the whole arrays: one expression gives the exact cut points of
+all intervals and units (breakpoint crossings, envelope switches,
+grid/diagonal crossings), one sort merges them into the subdivision, and the
+active piece of every interval is selected at its midpoint. An integer array
+beside the intervals holds the layer that introduced each cut. A cut is a
+knot iff the restricted affine piece (slope vector or value) actually differs
+on its two sides; cuts where nothing changes, including stretches that ride
+along a switching boundary, are discarded.
 """
 from __future__ import annotations
 
@@ -80,75 +82,111 @@ class KnotReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-segment propagation
+# Batched propagation
+#
+# Networks enter the engine as raw layers, one tuple per layer:
+# ``(Affine, M, b)``, ``(Pointwise, units)``, ``(Maxout, W, o)``,
+# ``(GroupSort, g)`` and ``(PWLU2D, V, M, off)`` (values, stacked read-in
+# matrices and offsets). A batch of nets with the same layer structure is
+# stacked position by position, each array with a leading axis of 1 (one net
+# shared by every segment) or of the segment count (net t for segment t).
 # ---------------------------------------------------------------------------
 
-class _Segment:
-    """One straight segment under propagation: ``cuts`` (n + 1,), the layer
-    that introduced each cut (``layer_of``, ``PATH_VERTEX`` at both ends),
-    and the profiles ``Q + P*s`` of the n intervals as (n, width) arrays.
-    ``states`` keeps ``(cuts, P, Q)`` after every layer; no array is ever
-    written in place, so the states share them without copies."""
+class _Segments:
+    """Straight segments under propagation, all at once. The subdivision is
+    a list of intervals ``[lo, hi]``, grouped by segment (``owner``) and
+    ascending within it; ``layer_of`` is the layer that introduced each
+    interval's left end (``PATH_VERTEX`` at a segment start), and the
+    profiles ``Q + P*s`` of the intervals are (n, width) arrays."""
 
-    def __init__(self, p0: np.ndarray, p1: np.ndarray):
-        self.length = float(np.linalg.norm(p1 - p0))
-        self.cuts = np.array([0.0, self.length])
-        self.layer_of = np.array([PATH_VERTEX, PATH_VERTEX])
-        self.P = ((p1 - p0) / self.length)[None]
-        self.Q = p0[None]
-        self.tol = _CUT_MERGE_REL * max(1.0, self.length)
-        self.states: list = []
+    def __init__(self, starts: np.ndarray, ends: np.ndarray):
+        diff = ends - starts
+        # Row-wise np.linalg.norm of a 1-D vector (a dot product), bit for bit.
+        self.length = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+        self.tol = _CUT_MERGE_REL * np.maximum(1.0, self.length)
+        self.lo, self.hi = np.zeros(len(diff)), self.length
+        self.layer_of = np.full(len(diff), PATH_VERTEX)
+        self.owner = np.arange(len(diff))
+        self.P, self.Q = diff / self.length[:, None], starts
+
+    def bounds(self) -> np.ndarray:
+        """Index of each segment's first interval, and the interval count."""
+        return np.searchsorted(self.owner, np.arange(len(self.length) + 1))
+
+    def per_owner(self, a: np.ndarray) -> np.ndarray:
+        """Stacked parameters for every interval: a shared (1, ...) array as
+        it is, otherwise the rows of the intervals' segments."""
+        return a if len(a) == 1 else a[self.owner]
 
     def midpoints(self) -> np.ndarray:
-        mids = (self.cuts[:-1] + self.cuts[1:]) / 2.0
+        mids = (self.lo + self.hi) / 2.0
         return self.Q + self.P * mids[:, None]
 
     def refine(self, li: int, num: np.ndarray, den: np.ndarray) -> None:
         """Cut at the parameters ``num / den`` (first axis: interval) that lie
-        inside their interval by more than ``tol``; ``|den| < 1e-300`` gives
-        none. Candidates are taken in ascending order, and one within ``tol``
-        of the previous kept cut or of the next cut is dropped. Sub-intervals
-        inherit the profile."""
-        cuts, tol = self.cuts, self.tol
+        inside their interval by more than the segment's ``tol``;
+        ``|den| < 1e-300`` gives none. Candidates are taken in ascending
+        order per segment, and one within ``tol`` of the previous kept cut or
+        of the next cut is dropped. Sub-intervals inherit the profile."""
+        n, tol = len(self.lo), self.tol[self.owner]
         shape = (-1,) + (1,) * (num.ndim - 1)
-        lo, hi = cuts[:-1].reshape(shape), cuts[1:].reshape(shape)
         r = num / np.where(np.abs(den) < 1e-300, np.nan, den)
-        r = np.sort(r[(r > lo + tol) & (r < hi - tol)])
-        # In the window a candidate is also farther than tol from both ends of
-        # its interval (cuts >= 0; those differences round exactly), and close
-        # candidates share an interval: only the previous kept one can clash.
-        if r.size > 1 and (r[1:] - r[:-1] <= tol).any():
-            keep, last = np.ones(r.size, dtype=bool), r[0]
-            for k in range(1, r.size):
-                keep[k] = r[k] - last > tol
-                last = r[k] if keep[k] else last
-            r = r[keep]
+        inside = (r > (self.lo + tol).reshape(shape)) & (r < (self.hi - tol).reshape(shape))
+        iv, r = inside.nonzero()[0], r[inside]
         if not r.size:
             return
-        both = np.concatenate([cuts, r])
-        order = both.argsort(kind="stable")
-        self.cuts = both[order]
-        self.layer_of = np.concatenate([self.layer_of, np.full(r.size, li)])[order]
-        parent = np.searchsorted(cuts, self.cuts[:-1], side="right") - 1
-        self.P, self.Q = self.P[parent], self.Q[parent]
+        order = np.lexsort((r, iv))
+        iv, r = iv[order], r[order]
+        # In the window a candidate is also farther than tol from both ends of
+        # its interval (cuts >= 0; those differences round exactly), and close
+        # candidates share an interval: only the previous kept one of the same
+        # segment can clash, and the first of a run of close ones is kept.
+        owner = self.owner[iv]
+        close = ((r[1:] - r[:-1] <= tol[iv[1:]]) & (owner[1:] == owner[:-1])).nonzero()[0] + 1
+        if close.size:
+            keep = np.ones(r.size, dtype=bool)
+            for k in close:
+                j = k - 1
+                while not keep[j]:
+                    j -= 1
+                keep[k] = r[k] - r[j] > tol[iv[k]]
+            iv, r = iv[keep], r[keep]
+        # Interval i becomes itself and one interval per cut inside it; cut k
+        # starts new interval iv[k] + k + 1 and ends the one before.
+        parent = np.repeat(np.arange(n), np.bincount(iv, minlength=n) + 1)
+        at = iv + np.arange(1, r.size + 1)
+        self.lo, self.hi, self.layer_of = self.lo[parent], self.hi[parent], self.layer_of[parent]
+        self.lo[at], self.hi[at - 1], self.layer_of[at] = r, r, li
+        self.owner, self.P, self.Q = self.owner[parent], self.P[parent], self.Q[parent]
 
 
-def _pointwise(seg: _Segment, li: int, layer: Pointwise) -> None:
-    units = layer.units
-    if all(f is units[0] for f in units):
-        units = units[:1]  # one shared unit: its tables broadcast over the width
-    m = max(len(f.breakpoints) for f in units)
-    bps = np.array([f.breakpoints + (np.inf,) * (m - len(f.breakpoints)) for f in units])
-    lines = np.array([[f.piece_line(i) for i in range(len(f.slopes))]
-                      + [(0.0, 0.0)] * (m + 1 - len(f.slopes)) for f in units])
-    if m:
-        seg.refine(li, bps - seg.Q[..., None], seg.P[..., None])
+def _pointwise(seg: _Segments, li: int, bps: np.ndarray, lines: np.ndarray) -> None:
+    if bps.shape[-1]:
+        seg.refine(li, seg.per_owner(bps) - seg.Q[..., None], seg.P[..., None])
+    bps, lines = seg.per_owner(bps), seg.per_owner(lines)
     # Piece index at the midpoint: the breakpoints below it, plus one sitting
     # on it unless the profile decreases there.
     z = seg.midpoints()[..., None]
     idx = ((bps < z) | ((bps == z) & (seg.P >= 0)[..., None])).sum(axis=2)
-    line = lines[np.arange(len(units)), idx]
+    line = lines[np.arange(len(lines))[:, None], np.arange(lines.shape[1]), idx]
     seg.P, seg.Q = line[..., 0] * seg.P, line[..., 0] * seg.Q + line[..., 1]
+
+
+def _unit_tables(layers: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints (inf-padded) and piece lines ``(slope, intercept)`` of the
+    units of one pointwise layer per net, (nets, units, m) and
+    (nets, units, m + 1, 2); one row of one unit when every unit of every net
+    is the same object, so that its tables broadcast."""
+    first = layers[0][0]
+    if all(f is first for units in layers for f in units):
+        layers = [(first,)]
+    m = max(len(f.breakpoints) for units in layers for f in units)
+    bps = np.array([[f.breakpoints + (np.inf,) * (m - len(f.breakpoints)) for f in units]
+                    for units in layers])
+    lines = np.array([[[f.piece_line(i) for i in range(len(f.slopes))]
+                       + [(0.0, 0.0)] * (m + 1 - len(f.slopes)) for f in units]
+                      for units in layers])
+    return bps, lines
 
 
 def _pairs(k: int) -> np.ndarray:
@@ -156,28 +194,29 @@ def _pairs(k: int) -> np.ndarray:
     return np.array([(i, j) for j in range(k) for i in range(j)], dtype=int).reshape(-1, 2).T
 
 
-def _apply_rows(seg: _Segment, S: np.ndarray, c: np.ndarray) -> None:
+def _apply_rows(seg: _Segments, S: np.ndarray, c: np.ndarray) -> None:
     """Compose per-interval pieces ``S`` (n, out, width), ``c`` (n, out)."""
     seg.P = (S @ seg.P[..., None])[..., 0]
     seg.Q = (S @ seg.Q[..., None])[..., 0] + c
 
 
-def _maxout(seg: _Segment, li: int, layer: Maxout) -> None:
-    W, o = layer.weights, layer.offsets
-    ii, jj = _pairs(layer.rank)
-    a = (W @ seg.P[:, None, :, None])[..., 0]
-    b = (W @ seg.Q[:, None, :, None])[..., 0] + o
+def _maxout(seg: _Segments, li: int, W: np.ndarray, o: np.ndarray) -> None:
+    ii, jj = _pairs(W.shape[2])
+    Wn, on = seg.per_owner(W), seg.per_owner(o)
+    a = (Wn @ seg.P[:, None, :, None])[..., 0]
+    b = (Wn @ seg.Q[:, None, :, None])[..., 0] + on
     seg.refine(li, b[..., jj] - b[..., ii], a[..., ii] - a[..., jj])
+    Wn, on = seg.per_owner(W), seg.per_owner(o)
     # Lexicographic argmax on (value, directional slope).
-    vals = np.einsum("ukd,nd->nuk", W, seg.midpoints()) + o
-    dirs = np.einsum("ukd,nd->nuk", W, seg.P)
+    vals = np.einsum("...ukd,...d->...uk", Wn, seg.midpoints()) + on
+    dirs = np.einsum("...ukd,...d->...uk", Wn, seg.P)
     sel = np.where(vals == vals.max(axis=2, keepdims=True), dirs, -np.inf).argmax(axis=2)
-    units = np.arange(W.shape[0])
-    _apply_rows(seg, W[units, sel], o[units, sel])
+    rows, units = np.arange(len(Wn))[:, None], np.arange(Wn.shape[1])
+    _apply_rows(seg, Wn[rows, units, sel], on[rows, units, sel])
 
 
-def _groupsort(seg: _Segment, li: int, layer: GroupSort) -> None:
-    g, w = layer.group_size, seg.P.shape[1]
+def _groupsort(seg: _Segments, li: int, g: int) -> None:
+    w = seg.P.shape[1]
     starts = np.arange(0, w, g)[:, None]
     ii, jj = (_pairs(g)[:, None] + starts).reshape(2, -1)
     seg.refine(li, seg.Q[:, jj] - seg.Q[:, ii], seg.P[:, ii] - seg.P[:, jj])
@@ -198,82 +237,138 @@ def _grid_locate(u: np.ndarray, du: np.ndarray, m: int, h: float):
     return i.astype(int), np.where(low, -1.0, np.where(high, 1.0, u)), low | high
 
 
-def _pwlu2d(seg: _Segment, li: int, layer: PWLU2D) -> None:
-    m, h, V = layer.grid_m, layer.grid_step, layer.values
-    M = np.stack([r.matrix for r in layer.readins])
-    off = np.stack([r.offset for r in layer.readins])
+def _pwlu2d(seg: _Segments, li: int, V: np.ndarray, M: np.ndarray, off: np.ndarray) -> None:
+    m = V.shape[-1]
+    h = 2.0 / (m - 1)
     nodes = -1.0 + np.arange(m) * h
     diag = np.arange(-(m - 2), m - 1) * h
-    ap = (M @ seg.P[:, None, :, None])[..., 0]
-    aq = (M @ seg.Q[:, None, :, None])[..., 0] + off
+    Mn, offn = seg.per_owner(M), seg.per_owner(off)
+    ap = (Mn @ seg.P[:, None, :, None])[..., 0]
+    aq = (Mn @ seg.Q[:, None, :, None])[..., 0] + offn
     # Crossings of u and v with the grid lines and of u - v with the diagonals.
     levels = [nodes - aq[..., :1], nodes - aq[..., 1:], diag - (aq[..., :1] - aq[..., 1:])]
     slopes = np.stack([ap[..., 0], ap[..., 1], ap[..., 0] - ap[..., 1]], axis=2)
     seg.refine(li, np.concatenate(levels, axis=2), np.repeat(slopes, [m, m, 2 * m - 3], axis=2))
-    uv = (M @ seg.midpoints()[:, None, :, None])[..., 0] + off
-    duv = (M @ seg.P[:, None, :, None])[..., 0]
+    Mn, offn, V = seg.per_owner(M), seg.per_owner(off), seg.per_owner(V)
+    uv = (Mn @ seg.midpoints()[:, None, :, None])[..., 0] + offn
+    duv = (Mn @ seg.P[:, None, :, None])[..., 0]
     i, uc, ucl = _grid_locate(uv[..., 0], duv[..., 0], m, h)
     j, vc, vcl = _grid_locate(uv[..., 1], duv[..., 1], m, h)
     s, s0 = uc - vc, nodes[i] - nodes[j]
     lower = np.where((s == s0) & ~(ucl & vcl), (duv[..., 0] - duv[..., 1]) > 0, s >= s0)
-    k = np.arange(V.shape[0])
-    v00, v01, v10, v11 = V[k, i, j], V[k, i, j + 1], V[k, i + 1, j], V[k, i + 1, j + 1]
+    rows, k = np.arange(len(V))[:, None], np.arange(V.shape[1])
+    v00, v01 = V[rows, k, i, j], V[rows, k, i, j + 1]
+    v10, v11 = V[rows, k, i + 1, j], V[rows, k, i + 1, j + 1]
     a = np.where(lower, (v10 - v00) / h, (v11 - v01) / h)
     b = np.where(lower, (v11 - v10) / h, (v01 - v00) / h)
     c = v00 - a * nodes[i] - b * nodes[j]
     # Value a*u + b*v + c, a clamped coordinate entering as a constant.
-    row = np.where(ucl[..., None], 0.0, 0.0 + a[..., None] * M[:, 0])
-    row = np.where(vcl[..., None], row, row + b[..., None] * M[:, 1])
-    c = np.where(ucl, c + a * uc, c + a * off[:, 0])
-    c = np.where(vcl, c + b * vc, c + b * off[:, 1])
+    row = np.where(ucl[..., None], 0.0, 0.0 + a[..., None] * Mn[..., 0, :])
+    row = np.where(vcl[..., None], row, row + b[..., None] * Mn[..., 1, :])
+    c = np.where(ucl, c + a * uc, c + a * offn[..., 0])
+    c = np.where(vcl, c + b * vc, c + b * offn[..., 1])
     _apply_rows(seg, row, c)
 
 
-def _affine(seg: _Segment, li: int, layer: Affine) -> None:
-    M = layer.map.matrix.T
-    seg.P, seg.Q = seg.P @ M, seg.Q @ M + layer.map.offset
+def _affine(seg: _Segments, li: int, M: np.ndarray, b: np.ndarray) -> None:
+    # One product per segment (a product over the rows of several segments
+    # rounds differently), stacked over the segments with as many intervals.
+    bounds = seg.bounds()
+    first, count = bounds[:-1], np.diff(bounds)
+    P, Q = np.empty((len(seg.P), M.shape[1])), np.empty((len(seg.P), M.shape[1]))
+    for n in np.unique(count):
+        same = (count == n).nonzero()[0]
+        rows = first[same, None] + np.arange(n)
+        Mt = (M if len(M) == 1 else M[same]).swapaxes(1, 2)
+        P[rows] = seg.P[rows] @ Mt
+        Q[rows] = seg.Q[rows] @ Mt + (b if len(b) == 1 else b[same])[:, None]
+    seg.P, seg.Q = P, Q
 
 
 _LAYER_STEPS = {Affine: _affine, Pointwise: _pointwise, Maxout: _maxout,
                 GroupSort: _groupsort, PWLU2D: _pwlu2d}
 
-
-def _propagate(net: NetworkSpec, path: PolygonalPath) -> list[_Segment]:
-    segs = [_Segment(p0, p1) for p0, p1 in zip(path.vertices[:-1], path.vertices[1:])]
-    for seg in segs:
-        for li, layer in enumerate(net.layers):
-            _LAYER_STEPS[type(layer)](seg, li, layer)
-            seg.states.append((seg.cuts, seg.P, seg.Q))
-    return segs
+_RAW = {Affine: lambda l: (l.map.matrix, l.map.offset),
+        Pointwise: lambda l: (l.units,),
+        Maxout: lambda l: (l.weights, l.offsets),
+        GroupSort: lambda l: (l.group_size,),
+        PWLU2D: lambda l: (l.values, np.stack([r.matrix for r in l.readins]),
+                           np.stack([r.offset for r in l.readins]))}
 
 
-def _piece_changes(cuts: np.ndarray, P: np.ndarray, Q: np.ndarray,
-                   tol: float) -> np.ndarray:
-    """Indices i of interior cuts where the restricted piece differs between
-    intervals i and i+1: the slope vectors, or the values at the cut, differ
-    by more than ``tol`` times the larger of them and 1."""
-    if len(cuts) < 3:
-        return np.zeros(0, dtype=int)
-    s = cuts[1:-1, None]
-    sides = np.concatenate([P[:-1], P[1:], Q[:-1] + P[:-1] * s, Q[1:] + P[1:] * s]
-                           ).reshape(4, len(s), -1)
-    size = np.maximum.reduce(np.abs(sides), axis=2, initial=0.0)
-    gap = np.maximum.reduce(np.abs(sides[0::2] - sides[1::2]), axis=2, initial=0.0)
-    changed = gap > tol * np.maximum(1.0, np.maximum(size[0::2], size[1::2]))
-    return (changed[0] | changed[1]).nonzero()[0]
+def _stack(nets: Sequence[Sequence[tuple]]) -> list[tuple]:
+    """Steps and stacked parameters of a batch of nets given as raw layers."""
+    layers = []
+    for l, (kind, *params) in enumerate(nets[0]):
+        if kind is Pointwise:
+            params = _unit_tables([net[l][1] for net in nets])
+        elif kind is not GroupSort:
+            params = [np.stack([net[l][i] for net in nets]) for i in range(1, len(params) + 1)]
+        layers.append((_LAYER_STEPS[kind], *params))
+    return layers
 
 
-def _knots_after(segs: list, li: int, tol: float) -> tuple[list, list]:
-    """Knots of the network truncated after layer ``li``: the interior cut
-    indices of each segment, and per path vertex whether the slope changes
-    there (both slopes are per unit arc length)."""
-    inner = [_piece_changes(*seg.states[li], tol) + 1 for seg in segs]
-    bends = []
-    for left, right in zip(segs, segs[1:]):
-        pl, pr = left.states[li][1][-1], right.states[li][1][0]
-        scale = max(1.0, np.abs(pl).max(initial=0.0), np.abs(pr).max(initial=0.0))
-        bends.append(bool(np.abs(pl - pr).max(initial=0.0) > tol * scale))
-    return inner, bends
+def _propagate(nets: Sequence[Sequence[tuple]], seg: _Segments):
+    """Run the segments through the stacked nets, yielding each layer index
+    once that layer is applied."""
+    for li, (step, *params) in enumerate(_stack(nets)):
+        step(seg, li, *params)
+        yield li
+
+
+def _raw_layers(net: NetworkSpec) -> list[tuple]:
+    return [(type(layer), *_RAW[type(layer)](layer)) for layer in net.layers]
+
+
+def _differ(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Rows where ``a`` and ``b`` differ by more than ``tol`` times the
+    larger of their largest entries and 1."""
+    def size(x):
+        return np.maximum.reduce(np.abs(x), axis=1, initial=0.0)
+    return size(a - b) > tol * np.maximum(1.0, np.maximum(size(a), size(b)))
+
+
+def _piece_changes(seg: _Segments, tol: float) -> np.ndarray:
+    """Mask over adjacent intervals i, i+1 of one segment where the restricted
+    piece differs between them: the slope vectors, or the values at the cut."""
+    P, Q, s = seg.P, seg.Q, seg.hi[:-1, None]
+    changed = _differ(P[:-1], P[1:], tol) | _differ(Q[:-1] + P[:-1] * s, Q[1:] + P[1:] * s, tol)
+    return changed & (seg.owner[1:] == seg.owner[:-1])
+
+
+def _bends(seg: _Segments, tol: float) -> list[bool]:
+    """Whether the slope (per unit arc length) changes where each segment
+    meets the next one, for segments that form one path."""
+    k = seg.bounds()[1:-1]
+    return _differ(seg.P[k - 1], seg.P[k], tol).tolist()
+
+
+def segment_knot_counts(nets: Sequence[Sequence[tuple]], starts: np.ndarray,
+                        ends: np.ndarray, after: Sequence[int]) -> np.ndarray:
+    """Knots of each net along its own straight segment, from ``starts[t]``
+    to ``ends[t]`` under net t (given as raw layers, one layer structure for
+    all): a (len(after), T) array of the knot counts of the nets truncated
+    after each layer index in ``after``."""
+    seg = _Segments(starts, ends)
+    after = np.asarray(after)
+    counts = np.zeros((len(after), len(starts)), dtype=int)
+    for li in _propagate(nets, seg):
+        for k in (after == li).nonzero()[0]:
+            counts[k] = np.bincount(seg.owner[1:][_piece_changes(seg, KNOT_REL_TOL)],
+                                    minlength=len(starts))
+    return counts
+
+
+def segment_image_lengths(nets: Sequence[Sequence[tuple]], starts: np.ndarray,
+                          ends: np.ndarray) -> list[float]:
+    """Arc length of the image of each straight segment under its own net
+    (raw layers, as for ``segment_knot_counts``)."""
+    seg = _Segments(starts, ends)
+    for _ in _propagate(nets, seg):
+        pass
+    w = np.linalg.norm(seg.P, axis=1) * (seg.hi - seg.lo)
+    bounds = seg.bounds()
+    return [float(np.sum(w[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def count_knots(net: NetworkSpec, path: PolygonalPath, tol: float = KNOT_REL_TOL,
@@ -289,19 +384,19 @@ def count_knots(net: NetworkSpec, path: PolygonalPath, tol: float = KNOT_REL_TOL
     """
     if path.dim != net.input_dim:
         raise ValidationError("path dimension must match the network input")
-    segs = _propagate(net, path)
-    offsets = [0.0, *accumulate(seg.length for seg in segs)]
-    inner, bends = _knots_after(segs, -1, tol)
-    knots = []  # (parameter, layer, at_vertex), stably sorted by parameter
-    for off, seg, hit in zip(offsets, segs, inner):
-        knots += zip((off + seg.cuts[hit]).tolist(), seg.layer_of[hit].tolist(), repeat(False))
-    knots += [(off, PATH_VERTEX, True) for off, bend in zip(offsets[1:], bends) if bend]
-    knots.sort(key=lambda k: k[0])
-    prefix_counts = None
-    if prefixes is not False:
-        layers = range(len(net.layers)) if prefixes is True else prefixes
-        prefix_counts = tuple(sum(map(len, hits)) + sum(turns) for hits, turns in
-                              (_knots_after(segs, li, tol) for li in layers))
+    layers = range(len(net.layers))
+    asked = () if prefixes is False else layers if prefixes is True else [layers[i] for i in prefixes]
+    seg, found = _Segments(path.vertices[:-1], path.vertices[1:]), {}
+    for li in _propagate([_raw_layers(net)], seg):
+        if li in asked:
+            found[li] = int(_piece_changes(seg, tol).sum()) + sum(_bends(seg, tol))
+    hits = _piece_changes(seg, tol).nonzero()[0]
+    offsets = [0.0, *accumulate(seg.length.tolist())]
+    params = np.array(offsets)[seg.owner[hits]] + seg.hi[hits]
+    knots = list(zip(params.tolist(), seg.layer_of[hits + 1].tolist(), repeat(False)))
+    knots += [(off, PATH_VERTEX, True) for off, bend in zip(offsets[1:], _bends(seg, tol)) if bend]
+    knots.sort(key=lambda k: k[0])  # stable: (parameter, layer, at_vertex)
+    prefix_counts = None if prefixes is False else tuple(found[li] for li in asked)
     kt, length = len(knots), path.length
     return KnotReport(*(tuple(k[i] for k in knots) for i in range(3)), kt, length,
                       kt / length, prefix_counts)
@@ -314,10 +409,14 @@ def count_knots(net: NetworkSpec, path: PolygonalPath, tol: float = KNOT_REL_TOL
 def image_path(net: NetworkSpec, path: PolygonalPath) -> PolygonalPath:
     """The image polyline: the network maps each segment to a polyline with
     vertices at the restriction's cut parameters."""
+    seg = _Segments(path.vertices[:-1], path.vertices[1:])
+    for _ in _propagate([_raw_layers(net)], seg):
+        pass
     verts = []
-    for seg in _propagate(net, path):
-        cuts, P, Q = seg.states[-1]
-        verts += [Q + P * cuts[:-1, None], Q[-1:] + P[-1:] * cuts[-1]]
+    bounds = seg.bounds()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        P, Q = seg.P[a:b], seg.Q[a:b]
+        verts += [Q + P * seg.lo[a:b, None], Q[-1:] + P[-1:] * seg.hi[b - 1]]
     verts = np.concatenate(verts)
     out = verts[np.concatenate([[True], np.any(verts[1:] != verts[:-1], axis=1)])]
     if len(out) < 2:
@@ -328,9 +427,9 @@ def image_path(net: NetworkSpec, path: PolygonalPath) -> PolygonalPath:
 def image_length(net: NetworkSpec, path: PolygonalPath) -> float:
     """Arc length of the image polyline (0 when the image is a point)."""
     total = 0.0
-    for seg in _propagate(net, path):
-        cuts, P, _ = seg.states[-1]
-        total += float(np.sum(np.linalg.norm(P, axis=1) * np.diff(cuts)))
+    for length in segment_image_lengths([_raw_layers(net)], path.vertices[:-1],
+                                        path.vertices[1:]):
+        total += length
     return total
 
 

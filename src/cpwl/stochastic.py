@@ -2,15 +2,20 @@
 directional expansion, and image length, against the closed-form bounds.
 
 Determinism: every random object derives from a counter-based splitter
-(SeedSequence -> Philox). Layer l of the network for trial t uses the child
-sequence (seed; t, l), so results are independent across layers and identical
-regardless of trial execution order or thread count.
+(SeedSequence -> Philox). Trial t of an estimate draws its network from the
+trial seed (seed; t), layer l from the child sequence (seed_t; l), and its
+probe from (seed; t, 1 << 20): one generator per (seed, trial, layer) and one
+per probe, so every value depends only on the seed and its trial. The Monte
+Carlo drivers draw the trials of a block as raw arrays and propagate all of
+their probes through one batch of the knot engine; the block size does not
+change any result.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import integrate, stats
@@ -19,10 +24,16 @@ from .bounds import ArchitectureDescriptor
 from .core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
                    Pointwise, ScalarCPWL, ValidationError, abs_unit,
                    leaky_relu_unit, relu_unit)
-from .paths import PolygonalPath, count_knots, image_length
+# count_knots is not called here; it stays importable as stochastic.count_knots,
+# which bench/spans.py wraps.
+from .paths import (PolygonalPath, count_knots, segment_image_lengths,  # noqa: F401
+                    segment_knot_counts)
 
 SAMPLED_FAMILIES = ("relu", "leaky", "abs", "deepspline", "maxout", "groupsort")
 LEAKY_SLOPE = 0.1
+# Trials drawn and propagated together by the Monte Carlo drivers; it bounds
+# the engine's arrays for any trial count.
+TRIAL_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -116,19 +127,17 @@ def _draw_bias(rng: np.random.Generator, n: int, dist: str, sigma: float) -> np.
     return rng.uniform(-r, r, size=n)
 
 
-def sample_network(arch: ArchitectureDescriptor, init: InitSpec,
-                   seed: Optional[int] = None, *, kappa: Optional[int] = None,
-                   rank: Optional[int] = None, group_size: int = 2) -> NetworkSpec:
-    """Random network for the descriptor's family; deterministic given seed.
+@functools.cache
+def _fixed_unit(family: str) -> ScalarCPWL:
+    return {"relu": relu_unit, "abs": abs_unit,
+            "leaky": lambda: leaky_relu_unit(LEAKY_SLOPE)}[family]()
 
-    relu/leaky/abs: every non-input width (including a scalar output) gets an
-    affine layer followed by its activation. deepspline: units with kappa-1
-    random breakpoints and random slopes. maxout: rank-``rank`` maxout layers
-    (the affine map lives inside the layer). groupsort: affine + groupsort
-    blocks on divisible widths; the final readout stays affine-only.
-    """
-    if seed is None:
-        seed = init.seed
+
+def _draw_layers(arch: ArchitectureDescriptor, init: InitSpec, seed: int,
+                 kappa: Optional[int], rank: Optional[int], group_size: int) -> list:
+    """The random layers of ``sample_network`` as raw layers (see
+    ``paths.segment_knot_counts``), drawn in order from one generator per
+    layer."""
     fam = arch.family
     if fam not in SAMPLED_FAMILIES:
         raise ValidationError(f"unsupported family {fam!r}")
@@ -144,37 +153,54 @@ def sample_network(arch: ArchitectureDescriptor, init: InitSpec,
                               ).reshape(width, K, fan_in)
             o = _draw_bias(rng, width * K, init.bias_dist, init.sigma_b
                            ).reshape(width, K)
-            layers.append(Maxout(K, W, o))
+            layers.append((Maxout, W, o))
             continue
         M = _draw_weights(rng, (width, fan_in), init.weight_dist, sw)
         b = _draw_bias(rng, width, init.bias_dist, init.sigma_b)
-        layers.append(Affine(AffineMap(M, b)))
+        layers.append((Affine, M, b))
         last = l == len(dims) - 2
         if fam == "groupsort":
             if not last and width % group_size == 0:
-                layers.append(GroupSort(group_size))
+                layers.append((GroupSort, group_size))
             continue
-        if fam == "relu":
-            layers.append(Pointwise((relu_unit(),) * width))
-        elif fam == "leaky":
-            layers.append(Pointwise((leaky_relu_unit(LEAKY_SLOPE),) * width))
-        elif fam == "abs":
-            layers.append(Pointwise((abs_unit(),) * width))
-        elif fam == "deepspline":
-            units = []
-            for k in range(width):
-                kap = kappa if kappa is not None else arch.kappas[l][k]
-                if kap <= 1:
-                    units.append(ScalarCPWL((), (1.0,), 0.0))
-                    continue
+        if fam != "deepspline":
+            layers.append((Pointwise, (_fixed_unit(fam),) * width))
+            continue
+        units = []
+        for k in range(width):
+            kap = kappa if kappa is not None else arch.kappas[l][k]
+            if kap <= 1:
+                units.append(ScalarCPWL((), (1.0,), 0.0))
+                continue
+            bps = np.sort(init.sigma_b * rng.standard_normal(kap - 1))
+            while np.any(np.diff(bps) <= 1e-9):
                 bps = np.sort(init.sigma_b * rng.standard_normal(kap - 1))
-                while np.any(np.diff(bps) <= 1e-9):
-                    bps = np.sort(init.sigma_b * rng.standard_normal(kap - 1))
-                slopes = rng.standard_normal(kap)
-                units.append(ScalarCPWL(tuple(bps.tolist()), tuple(slopes.tolist()),
-                                        float(rng.standard_normal())))
-            layers.append(Pointwise(tuple(units)))
-    return NetworkSpec(dims[0], tuple(layers))
+            slopes = rng.standard_normal(kap)
+            units.append(ScalarCPWL(tuple(bps.tolist()), tuple(slopes.tolist()),
+                                    float(rng.standard_normal())))
+        layers.append((Pointwise, tuple(units)))
+    return layers
+
+
+_LAYER_OF_RAW = {Affine: lambda M, b: Affine(AffineMap(M, b)),
+                 Maxout: lambda W, o: Maxout(W.shape[1], W, o),
+                 GroupSort: GroupSort, Pointwise: Pointwise}
+
+
+def sample_network(arch: ArchitectureDescriptor, init: InitSpec,
+                   seed: Optional[int] = None, *, kappa: Optional[int] = None,
+                   rank: Optional[int] = None, group_size: int = 2) -> NetworkSpec:
+    """Random network for the descriptor's family; deterministic given seed.
+
+    relu/leaky/abs: every non-input width (including a scalar output) gets an
+    affine layer followed by its activation. deepspline: units with kappa-1
+    random breakpoints and random slopes. maxout: rank-``rank`` maxout layers
+    (the affine map lives inside the layer). groupsort: affine + groupsort
+    blocks on divisible widths; the final readout stays affine-only.
+    """
+    layers = _draw_layers(arch, init, init.seed if seed is None else seed,
+                          kappa, rank, group_size)
+    return NetworkSpec(arch.dims[0], tuple(_LAYER_OF_RAW[kind](*args) for kind, *args in layers))
 
 
 # ---------------------------------------------------------------------------
@@ -245,47 +271,70 @@ def relu_crossing_density_oracle(sigma_w: float, sigma_b: float,
 # Monte Carlo drivers
 # ---------------------------------------------------------------------------
 
-def default_probe(init: InitSpec, d: int, rng: np.random.Generator) -> PolygonalPath:
-    """Straight segment of length 10*sigma_b/sigma_w centered at the origin in
-    a uniformly random direction — long enough to cross many expected knots
-    while staying where the bias density has its mass."""
+def _probe_ends(init: InitSpec, d: int, rng: np.random.Generator):
     sw = init.sigma_w_for(d)
     length = 10.0 * init.sigma_b / sw
     u = rng.standard_normal(d)
     u /= np.linalg.norm(u)
-    return PolygonalPath.segment(-(length / 2.0) * u, (length / 2.0) * u)
+    return -(length / 2.0) * u, (length / 2.0) * u
 
 
-def mc_knot_density(arch: ArchitectureDescriptor, init: InitSpec,
-                    path_sampler: Optional[Callable] = None, trials: int = 1000,
+def default_probe(init: InitSpec, d: int, rng: np.random.Generator) -> PolygonalPath:
+    """Straight segment of length 10*sigma_b/sigma_w centered at the origin in
+    a uniformly random direction — long enough to cross many expected knots
+    while staying where the bias density has its mass."""
+    return PolygonalPath.segment(*_probe_ends(init, d, rng))
+
+
+def _trial_seed(seed: int, trial: int) -> int:
+    return int(np.random.SeedSequence(seed, spawn_key=(trial,))
+               .generate_state(1, dtype=np.uint64)[0])
+
+
+def _trial_blocks(arch, init, trials, kappa, rank, group_size):
+    """Each block of trials: its trial indices and their networks as raw layers."""
+    for first in range(0, trials, TRIAL_BLOCK):
+        block = range(first, min(first + TRIAL_BLOCK, trials))
+        yield block, [_draw_layers(arch, init, _trial_seed(init.seed, t), kappa, rank, group_size)
+                      for t in block]
+
+
+def _probe_densities(arch, init, trials, kappa, rank, group_size, after) -> np.ndarray:
+    """(trials, k) knot densities along each trial's default probe of its
+    network truncated after the layers ``after(layers)`` picks from the raw
+    layers of the first trial."""
+    d = arch.dims[0]
+    out = []
+    for block, nets in _trial_blocks(arch, init, trials, kappa, rank, group_size):
+        ends = np.array([_probe_ends(init, d, _trial_rng(init.seed, t, 1 << 20)) for t in block])
+        p0, p1 = ends[:, 0], ends[:, 1]
+        counts = segment_knot_counts(nets, p0, p1, after(nets[0]))
+        # The length as PolygonalPath.length computes it.
+        out.append((counts / np.linalg.norm(p1 - p0, axis=1)).T)
+    return np.concatenate(out)
+
+
+def mc_knot_density(arch: ArchitectureDescriptor, init: InitSpec, trials: int = 1000,
                     bound: Optional[float] = None, *, kappa: Optional[int] = None,
                     rank: Optional[int] = None, group_size: int = 2) -> McEstimate:
-    """Mean exact knot density of random networks along random probe paths.
-
-    ``path_sampler(rng) -> PolygonalPath`` defaults to ``default_probe``.
-    ``bound`` defaults to the per-unit closed form times the layer width for
-    single-activation-layer networks, and must be supplied for deep ones.
+    """Mean exact knot density of random networks along ``default_probe``
+    paths. ``bound`` defaults to the per-unit closed form times the layer
+    width for single-activation-layer networks, and must be supplied for deep
+    ones.
     """
     if trials < 100:
         raise ValidationError("density estimation needs at least 100 trials")
-    d = arch.dims[0]
-    vals = np.empty(trials)
-    for t in range(trials):
-        net = _sample_trial_network(arch, init, t, kappa, rank, group_size)
-        rng = _trial_rng(init.seed, t, 1 << 20)
-        path = path_sampler(rng) if path_sampler else default_probe(init, d, rng)
-        vals[t] = count_knots(net, path).density
+    vals = _probe_densities(arch, init, trials, kappa, rank, group_size,
+                            lambda layers: [len(layers) - 1])
     if bound is None:
         bound = _auto_bound(arch, init, rank, group_size)
-    return McEstimate.from_values(vals, bound)
+    return McEstimate.from_values(vals[:, 0], bound)
 
 
 def _sample_trial_network(arch, init, trial, kappa, rank, group_size):
     """Trial t uses seed child (init.seed; t), then per-layer children."""
-    seed_t = int(np.random.SeedSequence(init.seed, spawn_key=(trial,))
-                 .generate_state(1, dtype=np.uint64)[0])
-    return sample_network(arch, init, seed=seed_t, kappa=kappa, rank=rank,
-                          group_size=group_size)
+    return sample_network(arch, init, seed=_trial_seed(init.seed, trial), kappa=kappa,
+                          rank=rank, group_size=group_size)
 
 
 def _auto_bound(arch, init, rank, group_size) -> Optional[float]:
@@ -305,8 +354,7 @@ def _auto_bound(arch, init, rank, group_size) -> Optional[float]:
 
 
 def mc_knot_density_by_depth(arch: ArchitectureDescriptor, init: InitSpec,
-                             trials: int = 2000, *, kappa: Optional[int] = None,
-                             path_sampler: Optional[Callable] = None
+                             trials: int = 2000, *, kappa: Optional[int] = None
                              ) -> list[McEstimate]:
     """Knot densities of every depth prefix of the sampled networks, one
     propagation per trial (prefix l reuses the work of prefix l+1). Returns
@@ -314,19 +362,9 @@ def mc_knot_density_by_depth(arch: ArchitectureDescriptor, init: InitSpec,
     aligned across depths so paired comparisons are valid."""
     if trials < 100:
         raise ValidationError("density estimation needs at least 100 trials")
-    d = arch.dims[0]
-    act_indices: Optional[list[int]] = None
-    cols: Optional[np.ndarray] = None
-    for t in range(trials):
-        net = _sample_trial_network(arch, init, t, kappa, None, 2)
-        rng = _trial_rng(init.seed, t, 1 << 20)
-        path = path_sampler(rng) if path_sampler else default_probe(init, d, rng)
-        if act_indices is None:
-            act_indices = [i for i, l in enumerate(net.layers)
-                           if not isinstance(l, Affine)]
-            cols = np.empty((trials, len(act_indices)))
-        rep = count_knots(net, path, prefixes=act_indices)
-        cols[t] = [count / rep.length for count in rep.prefix_counts]
+    cols = _probe_densities(arch, init, trials, kappa, None, 2,
+                            lambda layers: [i for i, (kind, *_) in enumerate(layers)
+                                            if kind is not Affine])
     return [McEstimate.from_values(cols[:, j]) for j in range(cols.shape[1])]
 
 
@@ -392,10 +430,16 @@ def mc_image_length(arch: ArchitectureDescriptor, init: InitSpec,
     """Mean arc length of the image of ``path`` under random networks."""
     if trials < 2:
         raise ValidationError("an estimate needs at least 2 trials")
-    vals = np.empty(trials)
-    for t in range(trials):
-        net = _sample_trial_network(arch, init, t, kappa, rank, group_size)
-        vals[t] = image_length(net, path)
+    p0, p1 = path.vertices[:-1], path.vertices[1:]
+    vals = []
+    for _, nets in _trial_blocks(arch, init, trials, kappa, rank, group_size):
+        lengths = segment_image_lengths([net for net in nets for _ in p0],
+                                        np.tile(p0, (len(nets), 1)), np.tile(p1, (len(nets), 1)))
+        for t in range(len(nets)):
+            total = 0.0  # summed as image_length sums its segments
+            for length in lengths[t * len(p0):(t + 1) * len(p0)]:
+                total += length
+            vals.append(total)
     return McEstimate.from_values(vals, bound)
 
 

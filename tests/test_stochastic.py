@@ -1,12 +1,15 @@
 """Random-network sampling, density bounds, and Monte Carlo estimators."""
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from cpwl import stochastic
 from cpwl.bounds import ArchitectureDescriptor
 from cpwl.core import (Affine, GroupSort, Maxout, Pointwise, ValidationError)
-from cpwl.paths import PolygonalPath, count_knots
+from cpwl.paths import PolygonalPath, count_knots, image_length
 from cpwl.serial import network_to_json
 from cpwl.stochastic import (MC_CSV_COLUMNS, CompositionalBound, InitSpec,
                              McEstimate, compositional_density_bound,
@@ -175,6 +178,34 @@ def test_sample_orthogonal_weights_are_orthonormal():
     assert np.allclose(M @ M.T, np.eye(4), atol=1e-10)
 
 
+# Recorded with the sampler that built each network directly, before the draw
+# moved into raw arrays: per family, a digest of the networks drawn for three
+# architectures, three initialisations and three seeds (one a 64-bit trial seed).
+PINNED_SAMPLER_STREAMS = {
+    "relu": "649e8d84f9bc1fdb",
+    "leaky": "11100a839139c9cc",
+    "abs": "348ac83c28db62c7",
+    "deepspline": "37b9c81c0a58b018",
+    "maxout": "cdcc0cb4dbc66c40",
+    "groupsort": "a8bee0004ea5f1a6",
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_SAMPLER_STREAMS))
+def test_sampler_streams_pinned(family):
+    per_unit = {"deepspline": 3, "maxout": 3}.get(family, 2)
+    h = hashlib.sha256()
+    for dims in ((4, 1), (2, 4, 4, 4), (3, 6, 2)):
+        arch = ArchitectureDescriptor(dims, tuple((per_unit,) * w for w in dims[1:]),
+                                      family=family)
+        for init in (InitSpec(sigma_b=0.5), InitSpec(weight_dist="uniform", bias_dist="uniform"),
+                     InitSpec(weight_dist="orthogonal", fan_in_mode="2/fan-in")):
+            for seed in (0, 7, 2 ** 63 + 5):
+                net = sample_network(arch, init, seed=seed)
+                h.update(json.dumps(network_to_json(net), sort_keys=True).encode())
+    assert h.hexdigest()[:16] == PINNED_SAMPLER_STREAMS[family]
+
+
 def test_sample_rejects_unknown_family():
     with pytest.raises(ValidationError):
         sample_network(ArchitectureDescriptor((2, 2), ((2, 2),), family="generic"),
@@ -235,6 +266,61 @@ def test_mc_by_depth_alignment():
     for sh, de in zip(ests, ests[1:]):
         diffs = np.array(de.values) - np.array(sh.values)
         assert np.all(diffs >= 0)
+
+
+def _reference_trials(arch, init, trials):
+    """Trial t as one network and one probe, by the documented streams: the
+    network from the trial seed (seed; t), the probe from (seed; t, 1 << 20)."""
+    for t in range(trials):
+        seed_t = np.random.SeedSequence(init.seed, spawn_key=(t,)).generate_state(1, np.uint64)[0]
+        net = sample_network(arch, init, seed=int(seed_t))
+        ss = np.random.SeedSequence(init.seed, spawn_key=(t, 1 << 20))
+        yield net, default_probe(init, arch.dims[0], np.random.Generator(np.random.Philox(ss)))
+
+
+_BATCH_ARCHS = {  # (one activation layer, deep)
+    "relu": ((4, 1), (2, 3, 3, 2)),
+    "leaky": ((3, 2), (2, 4, 4, 1)),
+    "abs": ((2, 4), (2, 3, 3, 3, 3)),
+    "deepspline": ((4, 1), (2, 3, 3, 2)),
+    "maxout": ((4, 1), (2, 3, 3, 2)),
+    "groupsort": ((4, 4, 4), (2, 4, 4, 4)),
+}
+
+
+def _bytes(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(_BATCH_ARCHS))
+def test_batched_trials_match_per_trial_loop(family, monkeypatch):
+    default_block = stochastic.TRIAL_BLOCK
+    per_unit = {"deepspline": 3, "maxout": 3}.get(family, 2)
+    path = PolygonalPath(np.array([[0.5, -1.0], [-1.0, 0.25], [2.0, 0.5]]))
+    for dims in _BATCH_ARCHS[family]:
+        arch = ArchitectureDescriptor(dims, tuple((per_unit,) * w for w in dims[1:]),
+                                      family=family)
+        img_path = PolygonalPath(path.vertices @ np.eye(2, dims[0]))
+        for dist, seed in (("normal", 11), ("uniform", 12), ("orthogonal", 13)):
+            init = InitSpec(weight_dist=dist, bias_dist="uniform" if dist == "uniform"
+                            else "normal", sigma_b=0.7, seed=seed)
+            trials = list(_reference_trials(arch, init, 100))
+            acts = [i for i, l in enumerate(trials[0][0].layers) if not isinstance(l, Affine)]
+            density, by_depth = [], []
+            for net, p in trials:
+                rep = count_knots(net, p, prefixes=acts)
+                density.append(rep.density)
+                by_depth.append([c / rep.length for c in rep.prefix_counts])
+            images = [image_length(net, img_path) for net, _ in trials[:20]]
+            for block in (default_block, 1, 7):
+                monkeypatch.setattr(stochastic, "TRIAL_BLOCK", block)
+                key = (family, dims, dist, block)
+                got = mc_knot_density(arch, init, trials=100, bound=1.0).values
+                assert _bytes(got) == _bytes(density), key
+                got = [e.values for e in mc_knot_density_by_depth(arch, init, trials=100)]
+                assert _bytes(got) == _bytes(np.array(by_depth).T), key
+                got = mc_image_length(arch, init, img_path, trials=20).values
+                assert _bytes(got) == _bytes(images), key
 
 
 def test_directional_expansion_orthogonal_abs_is_exactly_one():
