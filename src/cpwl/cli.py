@@ -8,6 +8,7 @@ them, and identical seed + configuration reproduce every CSV byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -424,6 +425,7 @@ def cmd_construct(args) -> int:
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on first use, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpwl",

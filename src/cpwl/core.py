@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -21,14 +21,6 @@ MERGE_TOL = 1e-12
 
 class ValidationError(ValueError):
     """Raised when a network, layer, or function description is malformed."""
-
-
-def _merge_close(values: Sequence[float], tol: float = MERGE_TOL) -> bool:
-    """True if any two adjacent sorted values are closer than the relative tol."""
-    for a, b in zip(values, values[1:]):
-        if b - a <= tol * max(1.0, abs(a), abs(b)):
-            return True
-    return False
 
 
 @dataclass(frozen=True)

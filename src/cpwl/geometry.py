@@ -1,17 +1,18 @@
 """Exact enumeration of the convex cells induced by a CPWL network.
 
 Recursive polyhedral subdivision: start from the whole domain with the
-identity piece; per layer, pull the layer's switching hyperplanes back
-through each cell's composed affine map, split the cell by each hyperplane
-(keeping sides that pass an interior test), then update every surviving
-cell's piece using the activation piece active at its witness.
+identity piece; per layer, take the layer's switching rows (``switching``)
+pulled back through every cell's composed affine map, split each cell by its
+rows in order (keeping sides that pass an interior test), then compose every
+surviving cell's piece with the layer piece active at its witness, selected
+for all of the layer's cells at once.
 
 Backends: exact interval splitting (1 input), convex-polygon clipping
-(2 inputs), and an LP feasibility kernel (3+ inputs, with an exact fast path
-for axis-aligned cuts). Cell processing is pure and order-independent; the
-output ordering is canonicalized, so results are deterministic. The LP kernel
-calls scipy's HiGHS bindings directly, with the options and the post-check of
-``scipy.optimize.linprog(method="highs")``, so it returns what linprog would.
+(2 inputs), and an LP feasibility kernel (3+ inputs). Cell processing is
+pure and order-independent; the output ordering is canonicalized, so results
+are deterministic. The LP kernel calls scipy's HiGHS bindings directly, with
+the options and the post-check of ``scipy.optimize.linprog(method="highs")``,
+so it returns what linprog would.
 """
 from __future__ import annotations
 
@@ -25,8 +26,11 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
 
-from .core import (Affine, AffineMap, GroupSort, Layer, Maxout, NetworkSpec,
-                   Pointwise, PWLU2D, ValidationError, layer_piece)
+# layer_piece is not called here; it stays importable as geometry.layer_piece,
+# where bench/spans.py counts the calls made through this module.
+from .core import (Affine, AffineMap, Maxout, NetworkSpec, Pointwise,  # noqa: F401
+                   ValidationError, layer_piece)
+from .switching import raw_layers, stack, unit_pieces
 
 
 @dataclass(frozen=True)
@@ -219,8 +223,6 @@ def interior_witness(constraints: Sequence[HalfSpace | tuple],
 
 @dataclass
 class _Cell:
-    A: np.ndarray
-    b: np.ndarray
     constraints: list
     witness: np.ndarray
     geom: object
@@ -340,50 +342,21 @@ class _PolygonBackend:
 
 
 class _LPBackend:
-    """d >= 3: cells tracked by constraint lists + an outer bounding box.
-
-    Axis-aligned cuts on cells whose constraints are all axis-aligned are
-    resolved exactly on the box; everything else goes through the witness LP.
-    """
+    """d >= 3: a cell is its constraint list inside the domain box; a split
+    solves the witness LP on both sides."""
 
     def __init__(self, cfg: GeometryConfig):
         self.cfg = cfg
 
     def root(self, lo, hi):
-        return {"lo": lo.copy(), "hi": hi.copy(), "axis_exact": True}, (lo + hi) / 2.0
+        return (lo, hi), (lo + hi) / 2.0
 
     def split(self, cell: _Cell, a: np.ndarray, c: float):
-        cfg = self.cfg
-        geom = cell.geom
-        nz = np.flatnonzero(np.abs(a) > cfg.zero_normal_tol * max(1.0, np.abs(a).max()))
-        if len(nz) == 1:
-            j = nz[0]
-            t = -c / a[j]
-            lo_j, hi_j = geom["lo"][j], geom["hi"][j]
-            eps = cfg.eps_interior * max(1.0, abs(t))
-            if t <= lo_j + eps or t >= hi_j - eps:
-                if geom["axis_exact"]:
-                    return None  # box is exact: no split
-                if t <= lo_j or t >= hi_j:
-                    return None  # outer box already excludes one side
-            elif geom["axis_exact"]:
-                g_lo = {"lo": geom["lo"].copy(), "hi": geom["hi"].copy(), "axis_exact": True}
-                g_hi = {"lo": geom["lo"].copy(), "hi": geom["hi"].copy(), "axis_exact": True}
-                g_lo["hi"][j] = t
-                g_hi["lo"][j] = t
-                w_lo, w_hi = (g_lo["lo"] + g_lo["hi"]) / 2.0, (g_hi["lo"] + g_hi["hi"]) / 2.0
-                low_side = (g_lo, w_lo)
-                high_side = (g_hi, w_hi)
-                return (high_side, low_side) if a[j] < 0 else (low_side, high_side)
-        # General LP split.
-        box = (geom["lo"], geom["hi"])
-        pos_w = interior_witness_report(cell.constraints + [(a, c)], cfg, bounds=box)
-        neg_w = interior_witness_report(cell.constraints + [(-a, -c)], cfg, bounds=box)
+        pos_w = interior_witness_report(cell.constraints + [(a, c)], self.cfg, bounds=cell.geom)
+        neg_w = interior_witness_report(cell.constraints + [(-a, -c)], self.cfg, bounds=cell.geom)
         if pos_w.status != "interior" or neg_w.status != "interior":
             return None
-        def shrink(g):
-            return {"lo": g["lo"].copy(), "hi": g["hi"].copy(), "axis_exact": False}
-        return ((shrink(geom), neg_w.point), (shrink(geom), pos_w.point))
+        return (cell.geom, neg_w.point), (cell.geom, pos_w.point)
 
 
 def _backend_for(d: int, cfg: GeometryConfig):
@@ -395,7 +368,7 @@ def _backend_for(d: int, cfg: GeometryConfig):
 
 
 # ---------------------------------------------------------------------------
-# Layer hyperplanes (pulled back to input space through the cell's piece)
+# Splitting a cell by one layer
 # ---------------------------------------------------------------------------
 
 def _hyperplane_key(a: np.ndarray, c: float, tol: float, signed: bool = False) -> tuple:
@@ -412,66 +385,6 @@ def _hyperplane_key(a: np.ndarray, c: float, tol: float, signed: bool = False) -
     return tuple(np.round(v, digits))
 
 
-def _layer_hyperplanes(layer: Layer, A: np.ndarray, b: np.ndarray,
-                       cfg: GeometryConfig) -> list[tuple[np.ndarray, float, object]]:
-    """Candidate switching hyperplanes of one layer on one cell, pulled back
-    through the cell's composed piece (A, b). Entries are (normal, offset,
-    guard); a guard is a predicate on the witness pre-activation that limits
-    where the hyperplane can switch anything (used by PWLU diagonals, which
-    only act inside the clamp box)."""
-    out = []
-    if isinstance(layer, Pointwise):
-        for k, f in enumerate(layer.units):
-            for brk in f.breakpoints:
-                out.append((A[k], float(b[k] - brk), None))
-    elif isinstance(layer, GroupSort):
-        g = layer.group_size
-        n = A.shape[0]
-        for start in range(0, n, g):
-            for i in range(start, start + g):
-                for j in range(i + 1, start + g):
-                    out.append((A[i] - A[j], float(b[i] - b[j]), None))
-    elif isinstance(layer, PWLU2D):
-        m = layer.grid_m
-        h = layer.grid_step
-        for k, rmap in enumerate(layer.readins):
-            R = rmap.matrix @ A
-            s = rmap.matrix @ b + rmap.offset
-            for i in range(m):
-                g = layer.grid_node(i)
-                out.append((R[0], float(s[0] - g), None))
-                out.append((R[1], float(s[1] - g), None))
-            diag = R[0] - R[1]
-            ds = float(s[0] - s[1])
-
-            def make_guard(rm):
-                def guard(Ac, bc, w):
-                    uv = rm.matrix @ (Ac @ w + bc) + rm.offset
-                    return abs(uv[0]) < 1.0 and abs(uv[1]) < 1.0
-                return guard
-            guard = make_guard(rmap)
-            for k2 in range(-(m - 2), m - 1):
-                out.append((diag, float(ds - k2 * h), guard))
-    elif isinstance(layer, Affine):
-        pass
-    else:
-        raise ValidationError(f"unknown layer type {type(layer).__name__}")
-    # Near-zero normals are skipped: the activation piece on such a unit is
-    # constant over the cell and gets picked by the witness sign.
-    filtered = []
-    seen = set()
-    for a, c, guard in out:
-        scale = float(np.abs(a).max()) if a.size else 0.0
-        if scale < cfg.zero_normal_tol:
-            continue
-        key = _hyperplane_key(a, c, cfg.dedup_tol)
-        if key in seen:
-            continue
-        seen.add(key)
-        filtered.append((a, c, guard))
-    return filtered
-
-
 def _clip_positive(backend, p: "_Cell", a: np.ndarray, c: float):
     """Clip cell ``p`` to the side {a.x + c >= 0}: returns ``p`` itself when
     the cell (up to slivers) already lies there, ``None`` when essentially
@@ -481,54 +394,76 @@ def _clip_positive(backend, p: "_Cell", a: np.ndarray, c: float):
     if res is None:
         return p if float(a @ p.witness + c) > 0.0 else None
     (_, _), (g_pos, w_pos) = res
-    return _Cell(p.A, p.b, p.constraints + [(a, c)], w_pos, g_pos)
+    return _Cell(p.constraints + [(a, c)], w_pos, g_pos)
 
 
-def _maxout_parts(backend, cell: "_Cell", layer: Maxout,
+def _maxout_parts(backend, cell: "_Cell", R: np.ndarray, s: np.ndarray,
                   cfg: GeometryConfig) -> list["_Cell"]:
-    """Subdivide a cell into the argmax regions of every maxout unit.
+    """Subdivide a cell into the argmax regions of every maxout unit, given
+    the units' candidates pulled back through the cell's piece, ``R``
+    (units, rank, d) and ``s`` (units, rank).
 
     Each unit contributes at most ``rank`` subcells per part (one per
     candidate attaining the max somewhere), so the subdivision never refines
     beyond the unit's actual fold set — pairwise tie hyperplanes where
     neither candidate attains the max are not folds and must not split."""
     parts = [cell]
-    for u in range(layer.weights.shape[0]):
-        W, o = layer.weights[u], layer.offsets[u]
-        K = layer.rank
+    for Ru, su in zip(R, s):
+        tol = cfg.zero_normal_tol * max(1.0, float(np.abs(Ru).max()))
         new_parts = []
         for p in parts:
-            R = W @ p.A
-            s = W @ p.b + o
-            scale = max(1.0, float(np.abs(R).max()))
             kept = []
-            for j in range(K):
+            for j in range(len(su)):
                 q = p
-                dead = False
-                for i in range(K):
+                for i in range(len(su)):
                     if i == j:
                         continue
-                    a = R[j] - R[i]
-                    c = float(s[j] - s[i])
-                    if np.abs(a).max() < cfg.zero_normal_tol * scale:
-                        if c < -cfg.zero_normal_tol * scale:
-                            dead = True          # dominated everywhere
-                        elif abs(c) <= cfg.zero_normal_tol * scale and i < j:
-                            dead = True          # identical candidate: first wins
-                        if dead:
+                    a, c = Ru[j] - Ru[i], float(su[j] - su[i])
+                    if np.abs(a).max() < tol:
+                        # Dominated everywhere, or an identical candidate: first wins.
+                        if c < -tol or (abs(c) <= tol and i < j):
                             break
                         continue
                     q = _clip_positive(backend, q, a, c)
                     if q is None:
-                        dead = True
                         break
-                if not dead:
+                else:
                     kept.append(q)
-            if len(kept) <= 1:
-                new_parts.append(p)  # unit is affine on this part
-            else:
-                new_parts.extend(kept)
+            new_parts += kept if len(kept) > 1 else [p]  # else the unit is affine on p
         parts = new_parts
+    return parts
+
+
+def _split_by_rows(backend, cell: "_Cell", N: np.ndarray, C: np.ndarray, layer,
+                   piece: tuple, cfg: GeometryConfig, done: int) -> list["_Cell"]:
+    """Split a cell by its switching rows ``N x + C = 0`` in order, skipping
+    near-zero normals (the piece is then constant on the cell), padding rows
+    and repeats. A guarded row splits only parts whose witness the cell's
+    ``piece`` maps inside its unit's clamp box. ``done`` cells of the layer
+    count against the budget already."""
+    guard = layer.guard
+    live = (np.abs(N).max(axis=1) >= cfg.zero_normal_tol) & np.isfinite(C)
+    parts, seen = [cell], set()
+    for r in live.nonzero()[0]:
+        a, c = N[r], float(C[r])
+        key = _hyperplane_key(a, c, cfg.dedup_tol)
+        if key in seen:
+            continue
+        seen.add(key)
+        new_parts = []
+        for p in parts:
+            blocked = guard is not None and guard[r] >= 0 and \
+                not layer.inside((piece[0] @ p.witness + piece[1])[None])[0, guard[r]]
+            res = None if blocked else backend.split(p, a, c)
+            if res is None:
+                new_parts.append(p)
+            else:
+                (g_neg, w_neg), (g_pos, w_pos) = res
+                new_parts += [_Cell(p.constraints + [(-a, -c)], w_neg, g_neg),
+                              _Cell(p.constraints + [(a, c)], w_pos, g_pos)]
+        parts = new_parts
+        if done + len(parts) > cfg.cell_budget:
+            raise BudgetExceeded(done + len(parts), cfg.cell_budget)
     return parts
 
 
@@ -548,50 +483,29 @@ def enumerate_regions(net: NetworkSpec, domain=None,
     lo, hi, bounded = _normalize_domain(domain, d, cfg.r_max)
     backend = _backend_for(d, cfg)
     geom, w = backend.root(lo, hi)
-    cells = [_Cell(np.eye(d), np.zeros(d), [], w, geom)]
-    for layer in net.layers:
-        if isinstance(layer, Affine):
-            for cell in cells:
-                cell.A = layer.map.matrix @ cell.A
-                cell.b = layer.map.matrix @ cell.b + layer.map.offset
-            continue
-        out_cells: list[_Cell] = []
-        for cell in cells:
-            if isinstance(layer, Maxout):
-                parts = _maxout_parts(backend, cell, layer, cfg)
+    cells = [_Cell([], w, geom)]
+    A, b = np.eye(d)[None], np.zeros((1, d))  # every cell's piece, stacked
+    for layer in stack([raw_layers(net)]):
+        maxout = layer.kind is Maxout  # per cell: its candidates, or else its rows
+        N, C = layer.candidates(A, b) if maxout else layer.rows(A, b)
+        out_cells, parent = [], []
+        for i, cell in enumerate(cells):
+            if maxout:
+                parts = _maxout_parts(backend, cell, N[i], C[i], cfg)
                 if len(out_cells) + len(parts) > cfg.cell_budget:
                     raise BudgetExceeded(len(out_cells) + len(parts), cfg.cell_budget)
-                out_cells.extend(parts)
-                continue
-            hps = _layer_hyperplanes(layer, cell.A, cell.b, cfg)
-            parts = [cell]
-            for a, c, guard in hps:
-                new_parts = []
-                for p in parts:
-                    if guard is not None and not guard(p.A, p.b, p.witness):
-                        new_parts.append(p)
-                        continue
-                    res = backend.split(p, a, c)
-                    if res is None:
-                        new_parts.append(p)
-                        continue
-                    (g_neg, w_neg), (g_pos, w_pos) = res
-                    new_parts.append(_Cell(p.A, p.b, p.constraints + [(-a, -c)], w_neg, g_neg))
-                    new_parts.append(_Cell(p.A, p.b, p.constraints + [(a, c)], w_pos, g_pos))
-                parts = new_parts
-                if len(out_cells) + len(parts) > cfg.cell_budget:
-                    raise BudgetExceeded(len(out_cells) + len(parts), cfg.cell_budget)
+            else:
+                parts = _split_by_rows(backend, cell, N[i], C[i], layer, (A[i], b[i]), cfg,
+                                       len(out_cells))
             out_cells.extend(parts)
-        for cell in out_cells:
-            z = cell.A @ cell.witness + cell.b
-            S, c0 = layer_piece(layer, z)
-            cell.A = S @ cell.A
-            cell.b = S @ cell.b + c0
-        cells = out_cells
-    cells.sort(key=lambda cell: (tuple(np.round(cell.witness, 9)), len(cell.constraints)))
-    regions = [Region(tuple(HalfSpace(a, c) for a, c in cell.constraints),
-                      AffineMap(cell.A, cell.b), cell.witness.copy())
-               for cell in cells]
+            parent += [i] * len(parts)
+        cells, A, b = out_cells, A[parent], b[parent]
+        Z = (A @ np.array([cell.witness for cell in cells])[..., None])[..., 0] + b
+        A, b = layer.compose(A, b, Z, np.zeros_like(Z))
+    order = sorted(range(len(cells)), key=lambda i: (tuple(np.round(cells[i].witness, 9)),
+                                                     len(cells[i].constraints)))
+    regions = [Region(tuple(HalfSpace(a, c) for a, c in cells[i].constraints),
+                      AffineMap(A[i], b[i]), cells[i].witness.copy()) for i in order]
     return RegionSet(d, regions, (lo, hi) if bounded else None)
 
 
@@ -681,23 +595,9 @@ def network_arrangement_upper(net: NetworkSpec) -> int:
     """Layer-by-layer arrangement bound: product over non-affine layers of
     beta(min prefix dim, effective per-unit region counts)."""
     from .bounds import beta
-    dims = net.dims
     total = 1
-    for l, layer in enumerate(net.layers):
-        d_eff = min(dims[: l + 1])
-        if isinstance(layer, Pointwise):
-            ns = [f.region_count for f in layer.units]
-        elif isinstance(layer, Maxout):
-            ns = [layer.rank] * layer.weights.shape[0]
-        elif isinstance(layer, GroupSort):
-            ns = [math.factorial(layer.group_size)] * (dims[l + 1] // layer.group_size)
-        elif isinstance(layer, PWLU2D):
-            # Grid pieces plus the clamped edge strips and constant corners.
-            m = layer.grid_m
-            ns = [2 * (m - 1) ** 2 + 4 * (m - 1) + 4] * layer.values.shape[0]
-        else:
-            continue
-        total *= beta(d_eff, ns)
+    for l, ns in enumerate(unit_pieces(net)):
+        total *= beta(min(net.dims[: l + 1]), ns)
     return total
 
 

@@ -6,14 +6,14 @@ of their parameter intervals: the intervals ``[lo, hi]`` of all segments,
 the segment owning each, and the affine profiles ``z(s) = Q + P*s`` of the
 intervals as (n, width) arrays ``P`` and ``Q``. All segments share one
 network, or each has its own and parameters are gathered by owner. Each layer
-runs once on the whole arrays: one expression gives the exact cut points of
-all intervals and units (breakpoint crossings, envelope switches,
-grid/diagonal crossings), one sort merges them into the subdivision, and the
-active piece of every interval is selected at its midpoint. An integer array
-beside the intervals holds the layer that introduced each cut. A cut is a
-knot iff the restricted affine piece (slope vector or value) actually differs
-on its two sides; cuts where nothing changes, including stretches that ride
-along a switching boundary, are discarded.
+runs once on the whole arrays: its switching rows (``switching``, with d = 1)
+give the exact cut points ``-c / N`` of all intervals and units, one sort
+merges them into the subdivision, and its piece selection picks the active
+piece of every interval at its midpoint. An integer array beside the
+intervals holds the layer that introduced each cut. A cut is a knot iff the
+restricted affine piece (slope vector or value) actually differs on its two
+sides; cuts where nothing changes, including stretches that ride along a
+switching boundary, are discarded.
 """
 from __future__ import annotations
 
@@ -25,9 +25,9 @@ import numpy as np
 
 # layer_piece is not called here; it stays importable as paths.layer_piece,
 # where bench/spans.py counts the calls made through this module.
-from .core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,  # noqa: F401
-                   Pointwise, PWLU2D, ValidationError, compose, identity_unit,
-                   layer_piece)
+from .core import (Affine, AffineMap, NetworkSpec, Pointwise,  # noqa: F401
+                   ValidationError, compose, identity_unit, layer_piece)
+from .switching import raw_layers, stack
 
 KNOT_REL_TOL = 1e-9
 _CUT_MERGE_REL = 1e-12
@@ -84,13 +84,16 @@ class KnotReport:
 # ---------------------------------------------------------------------------
 # Batched propagation
 #
-# Networks enter the engine as raw layers, one tuple per layer:
-# ``(Affine, M, b)``, ``(Pointwise, units)``, ``(Maxout, W, o)``,
-# ``(GroupSort, g)`` and ``(PWLU2D, V, M, off)`` (values, stacked read-in
-# matrices and offsets). A batch of nets with the same layer structure is
-# stacked position by position, each array with a leading axis of 1 (one net
-# shared by every segment) or of the segment count (net t for segment t).
+# Networks enter the engine as raw layers (see ``switching``), stacked
+# position by position with a leading axis of 1 (one net shared by every
+# segment) or of the segment count (net t for segment t).
 # ---------------------------------------------------------------------------
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit as ``np.linalg.norm`` of the
+    row alone gives it (a dot product; ``norm(axis=1)`` rounds differently)."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
 
 class _Segments:
     """Straight segments under propagation, all at once. The subdivision is
@@ -101,8 +104,7 @@ class _Segments:
 
     def __init__(self, starts: np.ndarray, ends: np.ndarray):
         diff = ends - starts
-        # Row-wise np.linalg.norm of a 1-D vector (a dot product), bit for bit.
-        self.length = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+        self.length = row_norms(diff)
         self.tol = _CUT_MERGE_REL * np.maximum(1.0, self.length)
         self.lo, self.hi = np.zeros(len(diff)), self.length
         self.layer_of = np.full(len(diff), PATH_VERTEX)
@@ -112,11 +114,6 @@ class _Segments:
     def bounds(self) -> np.ndarray:
         """Index of each segment's first interval, and the interval count."""
         return np.searchsorted(self.owner, np.arange(len(self.length) + 1))
-
-    def per_owner(self, a: np.ndarray) -> np.ndarray:
-        """Stacked parameters for every interval: a shared (1, ...) array as
-        it is, otherwise the rows of the intervals' segments."""
-        return a if len(a) == 1 else a[self.owner]
 
     def midpoints(self) -> np.ndarray:
         mids = (self.lo + self.hi) / 2.0
@@ -160,114 +157,13 @@ class _Segments:
         self.owner, self.P, self.Q = self.owner[parent], self.P[parent], self.Q[parent]
 
 
-def _pointwise(seg: _Segments, li: int, bps: np.ndarray, lines: np.ndarray) -> None:
-    if bps.shape[-1]:
-        seg.refine(li, seg.per_owner(bps) - seg.Q[..., None], seg.P[..., None])
-    bps, lines = seg.per_owner(bps), seg.per_owner(lines)
-    # Piece index at the midpoint: the breakpoints below it, plus one sitting
-    # on it unless the profile decreases there.
-    z = seg.midpoints()[..., None]
-    idx = ((bps < z) | ((bps == z) & (seg.P >= 0)[..., None])).sum(axis=2)
-    line = lines[np.arange(len(lines))[:, None], np.arange(lines.shape[1]), idx]
-    seg.P, seg.Q = line[..., 0] * seg.P, line[..., 0] * seg.Q + line[..., 1]
-
-
-def _unit_tables(layers: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints (inf-padded) and piece lines ``(slope, intercept)`` of the
-    units of one pointwise layer per net, (nets, units, m) and
-    (nets, units, m + 1, 2); one row of one unit when every unit of every net
-    is the same object, so that its tables broadcast."""
-    first = layers[0][0]
-    if all(f is first for units in layers for f in units):
-        layers = [(first,)]
-    m = max(len(f.breakpoints) for units in layers for f in units)
-    bps = np.array([[f.breakpoints + (np.inf,) * (m - len(f.breakpoints)) for f in units]
-                    for units in layers])
-    lines = np.array([[[f.piece_line(i) for i in range(len(f.slopes))]
-                       + [(0.0, 0.0)] * (m + 1 - len(f.slopes)) for f in units]
-                      for units in layers])
-    return bps, lines
-
-
-def _pairs(k: int) -> np.ndarray:
-    """(2, k*(k-1)/2) index array of all pairs i < j below k."""
-    return np.array([(i, j) for j in range(k) for i in range(j)], dtype=int).reshape(-1, 2).T
-
-
-def _apply_rows(seg: _Segments, S: np.ndarray, c: np.ndarray) -> None:
-    """Compose per-interval pieces ``S`` (n, out, width), ``c`` (n, out)."""
-    seg.P = (S @ seg.P[..., None])[..., 0]
-    seg.Q = (S @ seg.Q[..., None])[..., 0] + c
-
-
-def _maxout(seg: _Segments, li: int, W: np.ndarray, o: np.ndarray) -> None:
-    ii, jj = _pairs(W.shape[2])
-    Wn, on = seg.per_owner(W), seg.per_owner(o)
-    a = (Wn @ seg.P[:, None, :, None])[..., 0]
-    b = (Wn @ seg.Q[:, None, :, None])[..., 0] + on
-    seg.refine(li, b[..., jj] - b[..., ii], a[..., ii] - a[..., jj])
-    Wn, on = seg.per_owner(W), seg.per_owner(o)
-    # Lexicographic argmax on (value, directional slope).
-    vals = np.einsum("...ukd,...d->...uk", Wn, seg.midpoints()) + on
-    dirs = np.einsum("...ukd,...d->...uk", Wn, seg.P)
-    sel = np.where(vals == vals.max(axis=2, keepdims=True), dirs, -np.inf).argmax(axis=2)
-    rows, units = np.arange(len(Wn))[:, None], np.arange(Wn.shape[1])
-    _apply_rows(seg, Wn[rows, units, sel], on[rows, units, sel])
-
-
-def _groupsort(seg: _Segments, li: int, g: int) -> None:
-    w = seg.P.shape[1]
-    starts = np.arange(0, w, g)[:, None]
-    ii, jj = (_pairs(g)[:, None] + starts).reshape(2, -1)
-    seg.refine(li, seg.Q[:, jj] - seg.Q[:, ii], seg.P[:, ii] - seg.P[:, jj])
-    n = len(seg.P)  # stable ascending sort by (value, directional slope)
-    order = np.lexsort((seg.P.reshape(n, -1, g), seg.midpoints().reshape(n, -1, g)), axis=2)
-    src = (order + starts).reshape(n, w)
-    rows = np.arange(n)[:, None]
-    seg.P, seg.Q = seg.P[rows, src], seg.Q[rows, src]
-
-
-def _grid_locate(u: np.ndarray, du: np.ndarray, m: int, h: float):
-    """Array form of ``core._pwlu_locate``: column, clamped coordinate, clamped."""
-    low = (u < -1.0) | ((u == -1.0) & (du < 0))
-    high = ~low & ((u > 1.0) | ((u == 1.0) & (du > 0)))
-    i = np.floor((u + 1.0) / h)
-    i = np.where((i * h - 1.0 == u) & (du < 0), i - 1, i)
-    i = np.where(low, 0, np.where(high, m - 2, np.clip(i, 0, m - 2)))
-    return i.astype(int), np.where(low, -1.0, np.where(high, 1.0, u)), low | high
-
-
-def _pwlu2d(seg: _Segments, li: int, V: np.ndarray, M: np.ndarray, off: np.ndarray) -> None:
-    m = V.shape[-1]
-    h = 2.0 / (m - 1)
-    nodes = -1.0 + np.arange(m) * h
-    diag = np.arange(-(m - 2), m - 1) * h
-    Mn, offn = seg.per_owner(M), seg.per_owner(off)
-    ap = (Mn @ seg.P[:, None, :, None])[..., 0]
-    aq = (Mn @ seg.Q[:, None, :, None])[..., 0] + offn
-    # Crossings of u and v with the grid lines and of u - v with the diagonals.
-    levels = [nodes - aq[..., :1], nodes - aq[..., 1:], diag - (aq[..., :1] - aq[..., 1:])]
-    slopes = np.stack([ap[..., 0], ap[..., 1], ap[..., 0] - ap[..., 1]], axis=2)
-    seg.refine(li, np.concatenate(levels, axis=2), np.repeat(slopes, [m, m, 2 * m - 3], axis=2))
-    Mn, offn, V = seg.per_owner(M), seg.per_owner(off), seg.per_owner(V)
-    uv = (Mn @ seg.midpoints()[:, None, :, None])[..., 0] + offn
-    duv = (Mn @ seg.P[:, None, :, None])[..., 0]
-    i, uc, ucl = _grid_locate(uv[..., 0], duv[..., 0], m, h)
-    j, vc, vcl = _grid_locate(uv[..., 1], duv[..., 1], m, h)
-    s, s0 = uc - vc, nodes[i] - nodes[j]
-    lower = np.where((s == s0) & ~(ucl & vcl), (duv[..., 0] - duv[..., 1]) > 0, s >= s0)
-    rows, k = np.arange(len(V))[:, None], np.arange(V.shape[1])
-    v00, v01 = V[rows, k, i, j], V[rows, k, i, j + 1]
-    v10, v11 = V[rows, k, i + 1, j], V[rows, k, i + 1, j + 1]
-    a = np.where(lower, (v10 - v00) / h, (v11 - v01) / h)
-    b = np.where(lower, (v11 - v10) / h, (v01 - v00) / h)
-    c = v00 - a * nodes[i] - b * nodes[j]
-    # Value a*u + b*v + c, a clamped coordinate entering as a constant.
-    row = np.where(ucl[..., None], 0.0, 0.0 + a[..., None] * Mn[..., 0, :])
-    row = np.where(vcl[..., None], row, row + b[..., None] * Mn[..., 1, :])
-    c = np.where(ucl, c + a * uc, c + a * offn[..., 0])
-    c = np.where(vcl, c + b * vc, c + b * offn[..., 1])
-    _apply_rows(seg, row, c)
+def _switch(seg: _Segments, li: int, layer) -> None:
+    """A non-affine layer: cut every interval where the layer switches, then
+    compose each interval's profile with the piece active at its midpoint."""
+    N, c = layer.per(seg.owner).rows(seg.P[..., None], seg.Q)
+    seg.refine(li, -c, N[..., 0])
+    A, seg.Q = layer.per(seg.owner).compose(seg.P[..., None], seg.Q, seg.midpoints(), seg.P)
+    seg.P = A[..., 0]
 
 
 def _affine(seg: _Segments, li: int, M: np.ndarray, b: np.ndarray) -> None:
@@ -285,39 +181,15 @@ def _affine(seg: _Segments, li: int, M: np.ndarray, b: np.ndarray) -> None:
     seg.P, seg.Q = P, Q
 
 
-_LAYER_STEPS = {Affine: _affine, Pointwise: _pointwise, Maxout: _maxout,
-                GroupSort: _groupsort, PWLU2D: _pwlu2d}
-
-_RAW = {Affine: lambda l: (l.map.matrix, l.map.offset),
-        Pointwise: lambda l: (l.units,),
-        Maxout: lambda l: (l.weights, l.offsets),
-        GroupSort: lambda l: (l.group_size,),
-        PWLU2D: lambda l: (l.values, np.stack([r.matrix for r in l.readins]),
-                           np.stack([r.offset for r in l.readins]))}
-
-
-def _stack(nets: Sequence[Sequence[tuple]]) -> list[tuple]:
-    """Steps and stacked parameters of a batch of nets given as raw layers."""
-    layers = []
-    for l, (kind, *params) in enumerate(nets[0]):
-        if kind is Pointwise:
-            params = _unit_tables([net[l][1] for net in nets])
-        elif kind is not GroupSort:
-            params = [np.stack([net[l][i] for net in nets]) for i in range(1, len(params) + 1)]
-        layers.append((_LAYER_STEPS[kind], *params))
-    return layers
-
-
 def _propagate(nets: Sequence[Sequence[tuple]], seg: _Segments):
     """Run the segments through the stacked nets, yielding each layer index
     once that layer is applied."""
-    for li, (step, *params) in enumerate(_stack(nets)):
-        step(seg, li, *params)
+    for li, layer in enumerate(stack(nets)):
+        if layer.kind is Affine:
+            _affine(seg, li, *layer.params)
+        else:
+            _switch(seg, li, layer)
         yield li
-
-
-def _raw_layers(net: NetworkSpec) -> list[tuple]:
-    return [(type(layer), *_RAW[type(layer)](layer)) for layer in net.layers]
 
 
 def _differ(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -387,7 +259,7 @@ def count_knots(net: NetworkSpec, path: PolygonalPath, tol: float = KNOT_REL_TOL
     layers = range(len(net.layers))
     asked = () if prefixes is False else layers if prefixes is True else [layers[i] for i in prefixes]
     seg, found = _Segments(path.vertices[:-1], path.vertices[1:]), {}
-    for li in _propagate([_raw_layers(net)], seg):
+    for li in _propagate([raw_layers(net)], seg):
         if li in asked:
             found[li] = int(_piece_changes(seg, tol).sum()) + sum(_bends(seg, tol))
     hits = _piece_changes(seg, tol).nonzero()[0]
@@ -410,7 +282,7 @@ def image_path(net: NetworkSpec, path: PolygonalPath) -> PolygonalPath:
     """The image polyline: the network maps each segment to a polyline with
     vertices at the restriction's cut parameters."""
     seg = _Segments(path.vertices[:-1], path.vertices[1:])
-    for _ in _propagate([_raw_layers(net)], seg):
+    for _ in _propagate([raw_layers(net)], seg):
         pass
     verts = []
     bounds = seg.bounds()
@@ -427,7 +299,7 @@ def image_path(net: NetworkSpec, path: PolygonalPath) -> PolygonalPath:
 def image_length(net: NetworkSpec, path: PolygonalPath) -> float:
     """Arc length of the image polyline (0 when the image is a point)."""
     total = 0.0
-    for length in segment_image_lengths([_raw_layers(net)], path.vertices[:-1],
+    for length in segment_image_lengths([raw_layers(net)], path.vertices[:-1],
                                         path.vertices[1:]):
         total += length
     return total

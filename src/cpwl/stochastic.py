@@ -21,13 +21,14 @@ import numpy as np
 from scipy import integrate, stats
 
 from .bounds import ArchitectureDescriptor
-from .core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
-                   Pointwise, ScalarCPWL, ValidationError, abs_unit,
-                   leaky_relu_unit, relu_unit)
+from .core import (Affine, GroupSort, Maxout, NetworkSpec, Pointwise,
+                   ScalarCPWL, ValidationError, abs_unit, leaky_relu_unit,
+                   relu_unit)
 # count_knots is not called here; it stays importable as stochastic.count_knots,
 # which bench/spans.py wraps.
-from .paths import (PolygonalPath, count_knots, segment_image_lengths,  # noqa: F401
-                    segment_knot_counts)
+from .paths import (PolygonalPath, count_knots, row_norms,  # noqa: F401
+                    segment_image_lengths, segment_knot_counts)
+from .switching import LAYER_OF_RAW, stack
 
 SAMPLED_FAMILIES = ("relu", "leaky", "abs", "deepspline", "maxout", "groupsort")
 LEAKY_SLOPE = 0.1
@@ -136,8 +137,7 @@ def _fixed_unit(family: str) -> ScalarCPWL:
 def _draw_layers(arch: ArchitectureDescriptor, init: InitSpec, seed: int,
                  kappa: Optional[int], rank: Optional[int], group_size: int) -> list:
     """The random layers of ``sample_network`` as raw layers (see
-    ``paths.segment_knot_counts``), drawn in order from one generator per
-    layer."""
+    ``switching``), drawn in order from one generator per layer."""
     fam = arch.family
     if fam not in SAMPLED_FAMILIES:
         raise ValidationError(f"unsupported family {fam!r}")
@@ -182,11 +182,6 @@ def _draw_layers(arch: ArchitectureDescriptor, init: InitSpec, seed: int,
     return layers
 
 
-_LAYER_OF_RAW = {Affine: lambda M, b: Affine(AffineMap(M, b)),
-                 Maxout: lambda W, o: Maxout(W.shape[1], W, o),
-                 GroupSort: GroupSort, Pointwise: Pointwise}
-
-
 def sample_network(arch: ArchitectureDescriptor, init: InitSpec,
                    seed: Optional[int] = None, *, kappa: Optional[int] = None,
                    rank: Optional[int] = None, group_size: int = 2) -> NetworkSpec:
@@ -200,7 +195,7 @@ def sample_network(arch: ArchitectureDescriptor, init: InitSpec,
     """
     layers = _draw_layers(arch, init, init.seed if seed is None else seed,
                           kappa, rank, group_size)
-    return NetworkSpec(arch.dims[0], tuple(_LAYER_OF_RAW[kind](*args) for kind, *args in layers))
+    return NetworkSpec(arch.dims[0], tuple(LAYER_OF_RAW[kind](*args) for kind, *args in layers))
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +326,6 @@ def mc_knot_density(arch: ArchitectureDescriptor, init: InitSpec, trials: int = 
     return McEstimate.from_values(vals[:, 0], bound)
 
 
-def _sample_trial_network(arch, init, trial, kappa, rank, group_size):
-    """Trial t uses seed child (init.seed; t), then per-layer children."""
-    return sample_network(arch, init, seed=_trial_seed(init.seed, trial), kappa=kappa,
-                          rank=rank, group_size=group_size)
-
-
 def _auto_bound(arch, init, rank, group_size) -> Optional[float]:
     fam = arch.family
     if fam not in ("relu", "leaky", "abs", "maxout", "groupsort"):
@@ -378,23 +367,19 @@ def estimate_directional_expansion(arch: ArchitectureDescriptor, init: InitSpec,
     prefixes l (each trial contributes its average over prefixes)."""
     if trials < 100:
         raise ValidationError("expansion estimation needs at least 100 trials")
-    from .core import layer_piece
     d = arch.dims[0]
-    vals = np.empty(trials)
-    for t in range(trials):
-        net = _sample_trial_network(arch, init, t, kappa, rank, group_size)
-        rng = _trial_rng(init.seed, t, 1 << 21)
-        x = rng.standard_normal(d)
-        u = rng.standard_normal(d)
-        u /= np.linalg.norm(u)
-        z, dz = x.copy(), u.copy()
+    vals = []
+    for block, nets in _trial_blocks(arch, init, trials, kappa, rank, group_size):
+        rngs = [_trial_rng(init.seed, t, 1 << 21) for t in block]
+        Z = np.array([rng.standard_normal(d) for rng in rngs])  # each trial's x, then its u
+        dZ = np.array([rng.standard_normal(d) for rng in rngs])
+        dZ /= row_norms(dZ)[:, None]
         norms = []
-        for layer in net.layers:
-            S, c = layer_piece(layer, z, dz=dz)
-            dz = S @ dz
-            z = S @ z + c
-            norms.append(float(np.linalg.norm(dz)))
-        vals[t] = float(np.mean(norms))
+        for layer in stack(nets):
+            A, Z = layer.compose(dZ[..., None], Z, Z, dZ)
+            dZ = A[..., 0]
+            norms.append(row_norms(dZ))
+        vals += np.stack(norms, axis=1).mean(axis=1).tolist()
     return McEstimate.from_values(vals)
 
 

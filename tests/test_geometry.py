@@ -350,15 +350,61 @@ def test_two_separating_hyperplanes_need_no_lp(lp_calls):
 # Region data: witnesses, pieces, containment, coverage
 # ---------------------------------------------------------------------------
 
+def _witness_nets():
+    """(net, box half-width): one net per layer type on 2 inputs, the mixed
+    net, and a 3-input net (LP backend)."""
+    rng = np.random.default_rng(21)
+
+    def affine(m, n):
+        return Affine(AffineMap(rng.normal(size=(m, n)), rng.normal(size=m)))
+
+    spline = core.ScalarCPWL((-0.5, 0.4), (0.3, -1.2, 0.8), 0.1)
+    readins = tuple(AffineMap(0.5 * rng.normal(size=(2, 3)), 0.2 * rng.normal(size=2))
+                    for _ in range(2))
+    return [
+        (NetworkSpec(2, (affine(3, 2), Pointwise((relu_unit(), abs_unit(), spline)),
+                         affine(1, 3))), 2.0),
+        (NetworkSpec(2, (Maxout(3, rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3))),
+                         affine(1, 2))), 2.0),
+        (NetworkSpec(2, (affine(4, 2), GroupSort(2), affine(1, 4))), 2.0),
+        (NetworkSpec(2, (affine(3, 2), PWLU2D(3, rng.normal(size=(2, 3, 3)), readins),
+                         affine(1, 2))), 3.0),
+        (mixed_net(), 2.0),
+        (NetworkSpec(3, (affine(3, 3), Pointwise((abs_unit(), relu_unit(), spline)),
+                         affine(2, 3), GroupSort(2))), 1.5),
+    ]
+
+
 def test_every_region_piece_matches_network_at_witness():
-    net = mixed_net()
-    rs = enumerate_regions(net, domain=(-2.0, 2.0))
-    for r in rs.regions:
-        z, A, b = eval_jacobian(net, r.witness)
-        assert np.allclose(r.piece.matrix, A, atol=1e-8)
-        assert np.allclose(r.piece.offset, b, atol=1e-8)
-        for h in r.constraints:
-            assert h.normal @ r.witness + h.offset > 0
+    # Enumeration selects pieces with the array definitions of every layer
+    # type; core.layer_piece (through eval_jacobian) is the reference.
+    for k, (net, half) in enumerate(_witness_nets()):
+        rs = enumerate_regions(net, domain=(-half, half))
+        assert len(rs) >= 4, k
+        for r in rs.regions:
+            z, A, b = eval_jacobian(net, r.witness)
+            assert np.allclose(r.piece.matrix, A, atol=1e-8), k
+            assert np.allclose(r.piece.offset, b, atol=1e-8), k
+            for h in r.constraints:
+                assert h.normal @ r.witness + h.offset > 0, k
+        if any(isinstance(layer, PWLU2D) for layer in net.layers):
+            # Cells both inside and outside the first unit's clamp box.
+            layer = net.layers[1]
+            uv = [layer.readins[0](net.layers[0].map(r.witness)) for r in rs.regions]
+            inside = [bool(np.all(np.abs(p) < 1.0)) for p in uv]
+            assert any(inside) and not all(inside)
+
+
+def test_coordinate_planes_cut_the_cube_through_lp_splits():
+    # Thresholds inside [-1, 1]^3: each relu's plane splits every cell it
+    # crosses, 2 * 2 * 2 cells with distinct pieces.
+    net = NetworkSpec(3, (Affine(AffineMap(np.eye(3), np.array([0.2, -0.3, 0.1]))),
+                          Pointwise((relu_unit(),) * 3)))
+    rs = enumerate_regions(net, domain=(-1.0, 1.0))
+    rep = count_report(rs, net)
+    assert (rep.cell_count, rep.distinct_piece_count, rep.connected_piece_count) == (8, 8, 8)
+    signs = {tuple(np.sign(r.witness + [0.2, -0.3, 0.1]).tolist()) for r in rs.regions}
+    assert len(signs) == 8
 
 
 def test_regions_cover_the_domain_uniquely():
