@@ -125,19 +125,6 @@ def eval_scalar(f: ScalarCPWL, t: float) -> float:
     return f._bp_values[j] + f.slopes[i] * (t - f.breakpoints[j])
 
 
-def scalar_values_at(f: ScalarCPWL, ts: np.ndarray) -> np.ndarray:
-    """Vectorized ``eval_scalar`` over an array of parameters."""
-    ts = np.asarray(ts, dtype=float)
-    if not f.breakpoints:
-        return f.anchor_value + f.slopes[0] * ts
-    bp = np.asarray(f.breakpoints)
-    sl = np.asarray(f.slopes)
-    bv = np.asarray(f._bp_values)
-    idx = np.searchsorted(bp, ts, side="right")
-    j = np.maximum(idx - 1, 0)
-    return bv[j] + sl[idx] * (ts - bp[j])
-
-
 def sum_scalar(f: ScalarCPWL, g: ScalarCPWL) -> ScalarCPWL:
     """Pointwise sum, canonical. Breakpoints are merged sorted unions;
     exact cancellation of slope jumps removes the breakpoint."""
@@ -222,6 +209,12 @@ def identity_unit() -> ScalarCPWL:
 
 def zero_unit() -> ScalarCPWL:
     return ScalarCPWL((), (0.0,), 0.0)
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit as ``np.linalg.norm`` of the
+    row alone gives it (a dot product; ``norm(axis=1)`` rounds differently)."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

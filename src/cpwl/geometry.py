@@ -8,11 +8,13 @@ surviving cell's piece with the layer piece active at its witness, selected
 for all of the layer's cells at once.
 
 Backends: exact interval splitting (1 input), convex-polygon clipping
-(2 inputs), and an LP feasibility kernel (3+ inputs). Cell processing is
-pure and order-independent; the output ordering is canonicalized, so results
-are deterministic. The LP kernel calls scipy's HiGHS bindings directly, with
-the options and the post-check of ``scipy.optimize.linprog(method="highs")``,
-so it returns what linprog would.
+(2 inputs), and, for 3+ inputs, cells that keep an inscribed (Chebyshev)
+ball: a hyperplane cuts the ball in closed form, and only a side whose ball
+is too small, off the box or missed by the hyperplane solves the witness
+LP. Cell processing is pure and order-independent; the output ordering is
+canonicalized, so results are deterministic. The LP kernel calls scipy's
+HiGHS bindings directly, with the options and the post-check of
+``scipy.optimize.linprog(method="highs")``, so it returns what linprog would.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from scipy.optimize._highspy import _core as _highs
 # layer_piece is not called here; it stays importable as geometry.layer_piece,
 # where bench/spans.py counts the calls made through this module.
 from .core import (Affine, AffineMap, Maxout, NetworkSpec, Pointwise,  # noqa: F401
-                   ValidationError, layer_piece)
+                   ValidationError, layer_piece, row_norms)
 from .switching import raw_layers, stack, unit_pieces
 
 
@@ -162,15 +164,13 @@ def interior_witness_report(constraints: Sequence[HalfSpace | tuple],
     debug checks or output. As in linprog, an optimum that has NaNs or misses
     a bound, inequality or equality by more than sqrt(1e-9) * 10 is "empty".
     """
-    rows = []
-    for h in constraints:
-        if isinstance(h, HalfSpace):
-            rows.append((np.asarray(h.normal, dtype=float), float(h.offset)))
-        else:
-            rows.append((np.asarray(h[0], dtype=float), float(h[1])))
+    N = np.array([h.normal if isinstance(h, HalfSpace) else h[0] for h in constraints],
+                 dtype=float)
+    C = np.array([h.offset if isinstance(h, HalfSpace) else h[1] for h in constraints],
+                 dtype=float)
     if dim is None:
-        if rows:
-            dim = rows[0][0].shape[0]
+        if len(N):
+            dim = N.shape[1]
         elif bounds is not None:
             dim = np.asarray(bounds[0]).shape[0]
         elif equality is not None:
@@ -183,20 +183,19 @@ def interior_witness_report(constraints: Sequence[HalfSpace | tuple],
     else:
         lo = np.asarray(bounds[0], dtype=float)
         hi = np.asarray(bounds[1], dtype=float)
-    if not rows and equality is None:
+    if not len(N) and equality is None:
         return Witness((lo + hi) / 2.0, cfg.r_max, "interior")
     # Variables (x_1..x_d, eps); maximize eps. Rows -a.x + ||a|| eps <= c,
     # then the equality row a_eq.x = -c_eq.
-    A = [np.concatenate([-a, [np.linalg.norm(a)]]) for a, _ in rows]
-    rhs = [c for _, c in rows]
-    lhs = [-_highs.kHighsInf] * len(rows)
+    N = N.reshape(len(N), dim)
+    A = np.hstack([-N, row_norms(N)[:, None]])
+    lhs = np.full(len(N), -_highs.kHighsInf)
     if equality is not None:
-        A.append(np.concatenate([np.asarray(equality[0], dtype=float), [0.0]]))
-        rhs.append(-float(equality[1]))
-        lhs.append(rhs[-1])
-    x = _highs_solve(np.concatenate([np.zeros(dim), [-1.0]]), np.array(A, dtype=float),
-                     np.array(lhs), np.array(rhs), np.append(lo, -math.inf),
-                     np.append(hi, cfg.r_max), len(rows))
+        A = np.vstack([A, np.append(np.asarray(equality[0], dtype=float), 0.0)])
+        C = np.append(C, -float(equality[1]))
+        lhs = np.append(lhs, C[-1])
+    x = _highs_solve(np.concatenate([np.zeros(dim), [-1.0]]), A, lhs, C,
+                     np.append(lo, -math.inf), np.append(hi, cfg.r_max), len(N))
     if x is None:
         return Witness(np.zeros(dim), -math.inf, "empty")
     eps = float(x[-1])
@@ -341,22 +340,61 @@ class _PolygonBackend:
         return (neg, _polygon_centroid(neg)), (pos, _polygon_centroid(pos))
 
 
+# A closed-form ball certifies its side of a split only when its radius
+# exceeds this many eps_interior, so that the witness LP would surely agree.
+_BALL_MARGIN = 10.0
+
+
+def _inscribed_radius(rows: list, x: np.ndarray) -> float:
+    """Radius of the largest ball about ``x`` inside every row a.x + c >= 0
+    (negative when ``x`` violates one), from the rows' own normalised slack."""
+    N = np.array([a for a, _ in rows])
+    return float(np.min((N @ x + np.array([c for _, c in rows])) / row_norms(N)))
+
+
 class _LPBackend:
-    """d >= 3: a cell is its constraint list inside the domain box; a split
-    solves the witness LP on both sides."""
+    """d >= 3: a cell is its constraint list inside the domain box, with an
+    inscribed ball: the cell's witness is its centre, ``geom`` is
+    ``(lo, hi, radius)``. The root's ball is the box's inscribed ball.
+
+    A split cuts the ball in closed form (Chebyshev-ball subdivision, as in
+    edge-subdivision region extraction): a hyperplane through the ball
+    leaves each side the largest ball inside its part of the ball, and a
+    missed ball stays whole on its side. A side whose ball clears ``_BALL_MARGIN``
+    eps_interior with its centre in the box is interior without an LP;
+    every other side solves the witness LP, whose point, with the radius of
+    the rows' slack there, becomes the child's ball. A split needs both
+    sides interior, so the first side that is not ends it. Only the box
+    bounds the centre, as in the LP, so balls are not capped at its faces.
+    """
 
     def __init__(self, cfg: GeometryConfig):
         self.cfg = cfg
 
     def root(self, lo, hi):
-        return (lo, hi), (lo + hi) / 2.0
+        return (lo, hi, float(np.min(hi - lo)) / 2.0), (lo + hi) / 2.0
 
     def split(self, cell: _Cell, a: np.ndarray, c: float):
-        pos_w = interior_witness_report(cell.constraints + [(a, c)], self.cfg, bounds=cell.geom)
-        neg_w = interior_witness_report(cell.constraints + [(-a, -c)], self.cfg, bounds=cell.geom)
-        if pos_w.status != "interior" or neg_w.status != "interior":
-            return None
-        return (cell.geom, neg_w.point), (cell.geom, pos_w.point)
+        lo, hi, r = cell.geom
+        x0 = cell.witness
+        norm = float(np.linalg.norm(a))
+        u, delta = a / norm, (float(a @ x0) + c) / norm
+        balls = []
+        for s in (1.0, -1.0):  # the side s * (a.x + c) >= 0
+            ds = s * delta
+            if ds >= r:
+                centre, radius = x0, r
+            else:
+                centre, radius = x0 + (s * (r - ds) / 2.0) * u, (r + ds) / 2.0
+            if not (ds > -r and radius > _BALL_MARGIN * self.cfg.eps_interior
+                    and np.all(lo <= centre) and np.all(centre <= hi)):
+                rows = cell.constraints + [(s * a, s * c)]
+                w = interior_witness_report(rows, self.cfg, bounds=(lo, hi))
+                if w.status != "interior":
+                    return None
+                centre, radius = w.point, _inscribed_radius(rows, w.point)
+            balls.append(((lo, hi, radius), centre))
+        return balls[1], balls[0]
 
 
 def _backend_for(d: int, cfg: GeometryConfig):

@@ -26,7 +26,8 @@ import numpy as np
 # layer_piece is not called here; it stays importable as paths.layer_piece,
 # where bench/spans.py counts the calls made through this module.
 from .core import (Affine, AffineMap, NetworkSpec, Pointwise,  # noqa: F401
-                   ValidationError, compose, identity_unit, layer_piece)
+                   ValidationError, compose, identity_unit, layer_piece,
+                   row_norms)
 from .switching import raw_layers, stack
 
 KNOT_REL_TOL = 1e-9
@@ -88,12 +89,6 @@ class KnotReport:
 # position by position with a leading axis of 1 (one net shared by every
 # segment) or of the segment count (net t for segment t).
 # ---------------------------------------------------------------------------
-
-def row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit for bit as ``np.linalg.norm`` of the
-    row alone gives it (a dot product; ``norm(axis=1)`` rounds differently)."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
 
 class _Segments:
     """Straight segments under propagation, all at once. The subdivision is

@@ -23,10 +23,10 @@ from scipy import integrate, stats
 from .bounds import ArchitectureDescriptor
 from .core import (Affine, GroupSort, Maxout, NetworkSpec, Pointwise,
                    ScalarCPWL, ValidationError, abs_unit, leaky_relu_unit,
-                   relu_unit)
+                   relu_unit, row_norms)
 # count_knots is not called here; it stays importable as stochastic.count_knots,
 # which bench/spans.py wraps.
-from .paths import (PolygonalPath, count_knots, row_norms,  # noqa: F401
+from .paths import (PolygonalPath, count_knots,  # noqa: F401
                     segment_image_lengths, segment_knot_counts)
 from .switching import LAYER_OF_RAW, stack
 

@@ -1,4 +1,6 @@
 """Exact region enumeration: witnesses, subdivision, counting, rendering."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -395,16 +397,145 @@ def test_every_region_piece_matches_network_at_witness():
             assert any(inside) and not all(inside)
 
 
-def test_coordinate_planes_cut_the_cube_through_lp_splits():
+def test_coordinate_planes_cut_the_cube_through_lp_splits(lp_calls):
     # Thresholds inside [-1, 1]^3: each relu's plane splits every cell it
-    # crosses, 2 * 2 * 2 cells with distinct pieces.
+    # crosses, 2 * 2 * 2 cells with distinct pieces. Every plane passes
+    # through the cell's inscribed ball, so the balls certify nearly every
+    # side (two witness LPs per split would make 14).
     net = NetworkSpec(3, (Affine(AffineMap(np.eye(3), np.array([0.2, -0.3, 0.1]))),
                           Pointwise((relu_unit(),) * 3)))
     rs = enumerate_regions(net, domain=(-1.0, 1.0))
+    assert 1 <= lp_calls[0] <= 2
     rep = count_report(rs, net)
     assert (rep.cell_count, rep.distinct_piece_count, rep.connected_piece_count) == (8, 8, 8)
     signs = {tuple(np.sign(r.witness + [0.2, -0.3, 0.1]).tolist()) for r in rs.regions}
     assert len(signs) == 8
+
+
+def test_plane_missing_the_ball_needs_one_lp(lp_calls):
+    # The box's inscribed ball (centre 0, radius 1) lies wholly on the side
+    # x1 < 2, which it certifies; only the far side solves a witness LP.
+    net = NetworkSpec(3, (Affine(AffineMap(np.array([[1.0, 0.0, 0.0]]), np.array([-2.0]))),
+                          Pointwise((relu_unit(),))))
+    rs = enumerate_regions(net, domain=(np.array([-4.0, -1.0, -1.0]), np.array([4.0, 1.0, 1.0])))
+    assert len(rs) == 2
+    assert lp_calls[0] == 1
+    assert sorted(r.witness[0] > 2.0 for r in rs.regions) == [False, True]
+
+
+def _two_lp_split(self, cell, a, c):
+    """Reference: the LP backend's split without inscribed balls, one witness
+    LP per side, both always solved (the box is ``cell.geom[:2]``)."""
+    box = cell.geom[:2]
+    pos_w = geometry.interior_witness_report(cell.constraints + [(a, c)], self.cfg, bounds=box)
+    neg_w = geometry.interior_witness_report(cell.constraints + [(-a, -c)], self.cfg, bounds=box)
+    if pos_w.status != "interior" or neg_w.status != "interior":
+        return None
+    return (cell.geom, neg_w.point), (cell.geom, pos_w.point)
+
+
+def _lp_parity_nets():
+    """3- and 4-input nets of every layer type, integer-weight nets with
+    parallel and concurrent planes, a plane 1e-8 inside a face of the box
+    ±2 (its thin side is degenerate, though the ball leaves it a radius of
+    5e-9) and a net with first-layer rows scaled by 1e-8 to 1e-6 (cell rows
+    of norm down to about 6e-8, where the witness LP's objective overstates
+    the rows' slack)."""
+    rng = np.random.default_rng(31)
+
+    def affine(m, n):
+        return Affine(AffineMap(rng.normal(size=(m, n)), rng.normal(size=m)))
+
+    def spline():
+        return core.ScalarCPWL(tuple(np.sort(rng.normal(size=2))), tuple(rng.normal(size=3)),
+                               float(rng.normal()))
+
+    readins = tuple(AffineMap(0.6 * rng.normal(size=(2, 3)), 0.2 * rng.normal(size=2))
+                    for _ in range(2))
+    nets = [
+        NetworkSpec(3, (affine(4, 3), Pointwise((relu_unit(),) * 4), affine(3, 4),
+                        Pointwise((relu_unit(),) * 3), affine(1, 3))),
+        NetworkSpec(3, (affine(4, 3), Pointwise((abs_unit(),) * 4), affine(1, 4))),
+        NetworkSpec(3, (affine(3, 3), Pointwise(tuple(spline() for _ in range(3))),
+                        affine(1, 3))),
+        NetworkSpec(4, (affine(4, 4), Pointwise((relu_unit(),) * 4), affine(1, 4))),
+        NetworkSpec(3, (Maxout(2, rng.normal(size=(3, 2, 3)), rng.normal(size=(3, 2))),
+                        affine(1, 3))),
+        NetworkSpec(4, (Maxout(3, rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3))),
+                        affine(1, 2))),
+        NetworkSpec(3, (affine(4, 3), GroupSort(2), affine(4, 4), GroupSort(2),
+                        affine(1, 4))),
+        NetworkSpec(3, (affine(3, 3), PWLU2D(3, rng.normal(size=(2, 3, 3)), readins),
+                        affine(1, 2))),
+    ]
+    # Parallel planes (x1 = 0, 1/2, 1) and planes through the x3 axis.
+    W = np.array([[1, 0, 0], [2, 0, 0], [1, 0, 0], [1, 1, 0], [1, -1, 0], [0, 1, 0],
+                  [0, 1, 1], [0, 2, 2]], dtype=float)
+    o = np.array([0, -1, -1, 0, 0, 0, 0, 1], dtype=float)
+    nets += [NetworkSpec(3, (Affine(AffineMap(W, o)), Pointwise((relu_unit(),) * 8),
+                             Affine(AffineMap(np.array([[1, -1, 1, 0, 2, 0, -1, 1]], float),
+                                              np.zeros(1))),
+                             Pointwise((abs_unit(),)))),
+             NetworkSpec(3, (Affine(AffineMap(np.array([[1.0, 0.0, 0.0]]), np.array([-2.0 + 1e-8]))),
+                             Pointwise((relu_unit(),))))]
+    rng = np.random.default_rng(25)
+    W, b = rng.standard_normal((5, 3)), rng.standard_normal(5)
+    scale = np.where(rng.random(5) < 0.5, 10.0 ** rng.uniform(-8, -6, 5), 1.0)
+    nets.append(NetworkSpec(3, (Affine(AffineMap(W * scale[:, None], b * scale)),
+                                Pointwise((relu_unit(),) * 5),
+                                Affine(AffineMap(rng.standard_normal((3, 5)),
+                                                 1e-7 * rng.standard_normal(3))),
+                                Pointwise((relu_unit(),) * 3))))
+    return nets
+
+
+def _cell_keys(rs):
+    """Every cell as the set of its signed constraint keys."""
+    return Counter(frozenset(geometry._hyperplane_key(h.normal, h.offset, DEFAULT_CONFIG.dedup_tol,
+                                                      signed=True) for h in r.constraints)
+                   for r in rs.regions)
+
+
+def test_ball_splits_decide_as_two_witness_lps(monkeypatch):
+    # Inscribed balls change which LPs run and the witnesses, never a split:
+    # the same counts and cells as the two-LP split, and every side a ball
+    # certifies (no LP solved for it) is interior by the witness LP.
+    ball_split, solve = geometry._LPBackend.split, geometry.interior_witness_report
+    certified = []
+
+    def checked(self, cell, a, c):
+        solved = []  # the sides, +1 or -1, that went to an LP, in order
+
+        def recording(rows, *args, **kwargs):
+            solved.append(1.0 if np.array_equal(rows[-1][0], a) else -1.0)
+            return solve(rows, *args, **kwargs)
+        geometry.interior_witness_report = recording
+        try:
+            res = ball_split(self, cell, a, c)
+        finally:
+            geometry.interior_witness_report = solve
+        # The positive side comes first, and a side that is not interior
+        # ends the split: one that fails reached the sides up to its last LP.
+        order = [1.0, -1.0]
+        reached = order if res is not None else order[:order.index(solved[-1]) + 1]
+        for s in set(reached) - set(solved):
+            w = solve(cell.constraints + [(s * a, s * c)], self.cfg, bounds=cell.geom[:2])
+            assert w.status == "interior"
+            certified.append(s)
+        return res
+
+    for k, net in enumerate(_lp_parity_nets()):
+        for domain in ((-2.0, 2.0), None):
+            monkeypatch.setattr(geometry._LPBackend, "split", checked)
+            rs = enumerate_regions(net, domain=domain)
+            monkeypatch.setattr(geometry._LPBackend, "split", _two_lp_split)
+            ref = enumerate_regions(net, domain=domain)
+            rep, ref_rep = count_report(rs), count_report(ref)
+            assert (rep.cell_count, rep.distinct_piece_count, rep.connected_piece_count) == \
+                (ref_rep.cell_count, ref_rep.distinct_piece_count,
+                 ref_rep.connected_piece_count), (k, domain)
+            assert _cell_keys(rs) == _cell_keys(ref), (k, domain)
+    assert len(certified) > 100
 
 
 def test_regions_cover_the_domain_uniquely():
