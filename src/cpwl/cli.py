@@ -4,17 +4,21 @@ Exit codes: 0 success, 1 I/O error, 2 validation error (also used by argparse
 for bad flags), 3 cell budget exceeded. Every run that writes outputs also
 writes its resolved configuration as ``<subcommand>_config.json`` next to
 them, and identical seed + configuration reproduce every CSV byte for byte.
+The configuration also records the package version and the sha256 of each
+input file (``--net``, ``--path``).
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import os
 import sys
 
 import numpy as np
 
+from . import __version__
 from . import bounds as bnd
 from . import constructions as cons
 from . import geometry as geo
@@ -62,11 +66,18 @@ def _write(out_dir: str, name: str, text: str) -> str:
     return path
 
 
+def _sha256(file_path: str) -> str:
+    with open(file_path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 def _write_config(args: argparse.Namespace, name: str) -> None:
     if args.out is None:
         return
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k != "func" and not k.startswith("_")}
+    cfg["cpwl_version"] = __version__
+    cfg["input_sha256"] = {k: _sha256(cfg[k]) for k in ("net", "path") if k in cfg}
     _write(args.out, name + "_config.json", dumps_canonical(cfg))
 
 

@@ -15,10 +15,13 @@ LP. Cell processing is pure and order-independent; the output ordering is
 canonicalized, so results are deterministic. The LP kernel calls scipy's
 HiGHS bindings directly, with the options and the post-check of
 ``scipy.optimize.linprog(method="highs")``, so it returns what linprog would.
+The binding loads on the first LP, so runs that solve none never import
+scipy, and one HiGHS solver serves every LP of the process.
 """
 from __future__ import annotations
 
 import colorsys
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -26,7 +29,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highs
 
 # layer_piece is not called here; it stays importable as geometry.layer_piece,
 # where bench/spans.py counts the calls made through this module.
@@ -110,23 +112,37 @@ class CountReport:
 # LP feasibility kernel
 # ---------------------------------------------------------------------------
 
-# The options scipy.optimize.linprog(method="highs") sets (scipy 1.17.1,
-# _linprog_highs); every other option keeps its HiGHS default.
-_HIGHS_OPTIONS = _highs.HighsOptions()
-_HIGHS_OPTIONS.presolve = "on"
-_HIGHS_OPTIONS.simplex_strategy = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-_HIGHS_OPTIONS.highs_debug_level = int(_highs.HighsDebugLevel.kHighsDebugLevelNone)
-_HIGHS_OPTIONS.log_to_console = _HIGHS_OPTIONS.output_flag = False
+@functools.cache
+def _highs_core():
+    """(binding, solver) of HiGHS, made on the first LP. The solver holds the
+    options scipy.optimize.linprog(method="highs") sets (scipy 1.17.1,
+    _linprog_highs); every other option keeps its HiGHS default. Each
+    passModel clears the previous model, basis and solution, so reusing the
+    solver gives what a fresh one would. The solver is not safe to share
+    between threads; every LP of cpwl runs on the calling thread."""
+    from scipy.optimize._highspy import _core
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.highs_debug_level = int(_core.HighsDebugLevel.kHighsDebugLevelNone)
+    options.log_to_console = options.output_flag = False
+    solver = _core._Highs()
+    if solver.passOptions(options) == _core.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected linprog's options")
+    return _core, solver
+
+
 _LP_CHECK_TOL = math.sqrt(1e-9) * 10  # linprog's post-check (_check_result)
 
 
 def _highs_solve(c, A, lhs, rhs, lb, ub, n_ub: int) -> Optional[np.ndarray]:
     """Minimize c.x s.t. lhs <= A x <= rhs (rows from ``n_ub`` on are
-    equalities) and lb <= x <= ub on a fresh HiGHS instance, as linprog does.
+    equalities) and lb <= x <= ub with linprog's HiGHS options.
     Returns x, or None where linprog reports no success: no optimum, or NaN
     values, or bound, slack or equality residuals past its tolerance."""
     if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
         raise ValueError("witness LP rows must be finite")
+    _highs, h = _highs_core()
     col, row = np.nonzero(A.T)  # as csc_array(A): zeros dropped, column-major
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = A.shape[1]
@@ -137,9 +153,9 @@ def _highs_solve(c, A, lhs, rhs, lb, ub, n_ub: int) -> Optional[np.ndarray]:
     lp.a_matrix_.value_ = A.T[col, row]
     lp.col_cost_, lp.row_lower_, lp.row_upper_ = c, lhs, rhs
     lp.col_lower_, lp.col_upper_ = np.clip((lb, ub), -_highs.kHighsInf, _highs.kHighsInf)
-    h, error = _highs._Highs(), _highs.HighsStatus.kError
-    if (h.passOptions(_HIGHS_OPTIONS) == error or h.passModel(lp) == error
-            or h.run() == error or h.getModelStatus() != _highs.HighsModelStatus.kOptimal):
+    error = _highs.HighsStatus.kError
+    if (h.passModel(lp) == error or h.run() == error
+            or h.getModelStatus() != _highs.HighsModelStatus.kOptimal):
         return None
     sol, t = h.getSolution(), _LP_CHECK_TOL
     x, slack = np.array(sol.col_value), rhs - sol.row_value
@@ -189,7 +205,7 @@ def interior_witness_report(constraints: Sequence[HalfSpace | tuple],
     # then the equality row a_eq.x = -c_eq.
     N = N.reshape(len(N), dim)
     A = np.hstack([-N, row_norms(N)[:, None]])
-    lhs = np.full(len(N), -_highs.kHighsInf)
+    lhs = np.full(len(N), -math.inf)
     if equality is not None:
         A = np.vstack([A, np.append(np.asarray(equality[0], dtype=float), 0.0)])
         C = np.append(C, -float(equality[1]))

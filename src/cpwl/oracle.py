@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .core import (Affine, GroupSort, Maxout, NetworkSpec, Pointwise, PWLU2D,
                    ValidationError, eval_jacobian)
@@ -146,6 +144,9 @@ def grid_fingerprint(net: NetworkSpec, box, resolution: int,
     if d == 1:
         n_comp = 1 + int(np.count_nonzero(labels[1:] != labels[:-1]))
     else:
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
         lab2 = labels.reshape(resolution, resolution)
         idx = np.arange(resolution * resolution).reshape(resolution, resolution)
         rows, cols = [], []

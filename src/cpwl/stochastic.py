@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate, stats
 
 from .bounds import ArchitectureDescriptor
 from .core import (Affine, GroupSort, Maxout, NetworkSpec, Pointwise,
@@ -252,6 +251,8 @@ def relu_crossing_density_oracle(sigma_w: float, sigma_b: float,
     centered segment of the given length: integrate the crossing probability
     P(|b| <= (L/2)|<w,u>|) over the law of |<w,u>| ~ |N(0, sigma_w^2)| and
     divide by the length. Dimension-free because <w,u> is 1D Gaussian."""
+    from scipy import integrate, stats
+
     half = length / 2.0
 
     def f(s):

@@ -1,9 +1,15 @@
 """JSON schemas and the command-line interface (exit codes, outputs, files)."""
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cpwl
 from cpwl.cli import main
 from cpwl.core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
                        Pointwise, PWLU2D, ValidationError, abs_unit,
@@ -387,3 +393,75 @@ def test_config_files_record_arguments(tmp_path):
     assert cfg["box"] == "-2,2"
     assert cfg["command"] == "count"
     assert "func" not in cfg
+    assert cfg["cpwl_version"] == cpwl.__version__
+    net_bytes = (tmp_path / "gp_net.json").read_bytes()
+    assert cfg["input_sha256"] == {"net": hashlib.sha256(net_bytes).hexdigest()}
+    save_path(PolygonalPath(np.array([[-1.0, 0.5], [1.0, -0.5]])), str(tmp_path / "p.json"))
+    assert main(["knots", "--net", str(tmp_path / "gp_net.json"), "--path",
+                 str(tmp_path / "p.json"), "--out", str(tmp_path)]) == 0
+    cfg = json.loads((tmp_path / "knots_config.json").read_text())
+    assert set(cfg["input_sha256"]) == {"net", "path"}
+    assert cfg["input_sha256"]["path"] == hashlib.sha256(
+        (tmp_path / "p.json").read_bytes()).hexdigest()
+    # No timestamps: a rerun writes the same bytes.
+    first = (tmp_path / "knots_config.json").read_bytes()
+    main(["knots", "--net", str(tmp_path / "gp_net.json"), "--path",
+          str(tmp_path / "p.json"), "--out", str(tmp_path)])
+    assert (tmp_path / "knots_config.json").read_bytes() == first
+    main(["mc", "--family", "relu", "--trials", "100", "--out", str(tmp_path)])
+    cfg = json.loads((tmp_path / "mc_config.json").read_text())
+    assert cfg["input_sha256"] == {} and cfg["cpwl_version"] == cpwl.__version__
+
+
+# ---------------------------------------------------------------------------
+# Cold start: scipy loads only where a command solves an LP
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _cold_cli(cwd, *argv):
+    """Run the CLI in a fresh interpreter under ``-X importtime``; returns the
+    process and the names of the modules it imported."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cpwl.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+    modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+               if line.startswith("import time:")}
+    return proc, modules
+
+
+def _relu_net(rng, d_in, width):
+    return NetworkSpec(d_in, (
+        Affine(AffineMap(rng.normal(size=(width, d_in)), rng.normal(size=width))),
+        Pointwise(tuple(relu_unit() for _ in range(width))),
+        Affine(AffineMap(rng.normal(size=(1, width)), rng.normal(size=1))),
+    ))
+
+
+def test_commands_without_lps_never_import_scipy(tmp_path, capsys):
+    save_network(_relu_net(np.random.default_rng(2), 2, 4), str(tmp_path / "net2.json"))
+    assert main(["count", "--net", str(tmp_path / "net2.json"), "--box", "-2,2"]) == 0
+    out = capsys.readouterr().out
+    # Generic output weights give every cell its own piece, so count_report
+    # solves no adjacency LP.
+    assert "cell_count = 10\ndistinct_piece_count = 10\n" in out
+    for argv in (["mc", "--family", "relu", "--d", "4", "--trials", "100"],
+                 ["bound", "--beta", "2", "3,3"],
+                 ["construct", "--sawtooth", "4"],
+                 ["count", "--net", "net2.json", "--box", "-2,2"]):
+        proc, modules = _cold_cli(tmp_path, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert "cpwl.geometry" in modules
+        assert not [m for m in modules if m.split(".")[0] == "scipy"], argv
+
+
+def test_cold_3d_count_loads_highs_and_agrees(tmp_path, capsys):
+    save_network(_relu_net(np.random.default_rng(3), 3, 6), str(tmp_path / "net3.json"))
+    argv = ["count", "--net", "net3.json", "--box", "-2,2"]
+    proc, modules = _cold_cli(tmp_path, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "scipy.optimize._highspy" in modules
+    assert main(["count", "--net", str(tmp_path / "net3.json"), "--box", "-2,2"]) == 0
+    assert proc.stdout == capsys.readouterr().out
