@@ -1,19 +1,23 @@
 """Random network sampling and Monte Carlo estimation of knot density,
 directional expansion, and image length, against the closed-form bounds.
 
-Determinism: every random object derives from a counter-based splitter
-(SeedSequence -> Philox). Trial t of an estimate draws its network from the
-trial seed (seed; t), layer l from the child sequence (seed_t; l), and its
-probe from (seed; t, 1 << 20): one generator per (seed, trial, layer) and one
-per probe, so every value depends only on the seed and its trial. The Monte
-Carlo drivers draw the trials of a block as raw arrays and propagate all of
-their probes through one batch of the knot engine; the block size does not
-change any result.
+Determinism: every random stream is a counter-based Philox stream keyed as
+``Philox(SeedSequence(entropy, spawn_key=...))`` keys it. Trial t of an
+estimate draws its network from the trial seed seed_t = (seed; t), layer l
+from the stream (seed_t; l), its probe from (seed; t, 1 << 20) and the input
+and direction of its expansion sample from (seed; t, 1 << 21), so every value
+depends only on the seed and its trial. The keys of all the streams of one
+estimate are derived together, by a port of numpy's SeedSequence to uint32
+arrays that the tests pin against numpy's own; each draw then re-keys one
+Philox, so the streams are numpy's. The Monte Carlo estimators draw the
+trials of a block as raw arrays and propagate all of their probes through one
+batch of the knot engine; the block size does not change any result.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -62,6 +66,7 @@ class InitSpec:
             raise ValidationError(f"unsupported fan-in mode {self.fan_in_mode!r}")
         if not (self.sigma_w > 0 and self.sigma_b > 0):
             raise ValidationError("sigma_w and sigma_b must be positive")
+        _seed_words(self.seed)  # rejects a negative seed
 
     @property
     def sup_bias_density(self) -> float:
@@ -99,9 +104,137 @@ class McEstimate:
         return 3.0 * self.se
 
 
-def _trial_rng(seed: int, *key: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(key))
-    return np.random.Generator(np.random.Philox(ss))
+# ---------------------------------------------------------------------------
+# Random streams
+# ---------------------------------------------------------------------------
+# numpy's SeedSequence (entropy mixing and generate_state, numpy/random/
+# bit_generator.pyx) on uint32 arrays with one row per stream, so that the
+# keys of many streams come out of one pass of array operations.
+
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# Spawn-key tags of a trial's probe stream and expansion-sample stream.
+_PROBE, _EXPANSION = 1 << 20, 1 << 21
+
+
+def _seed_words(seed: int) -> list:
+    """The entropy words SeedSequence makes of an int: its 32-bit limbs,
+    least significant first ([0] for 0)."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    return words
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """(n + 1, 1) uint32: the multipliers that n hashmix steps go through."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    c = np.array(out, np.uint32)[:, None]
+    c.setflags(write=False)
+    return c
+
+
+def _hashmix(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """hashmix of v (rows broadcast against c) as the len(c) - 1 steps that
+    go through the multipliers c."""
+    v = (v ^ c[:-1]) * c[1:]
+    return v ^ (v >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> np.uint32(16))
+
+
+def _generate_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """(n, n_words) uint32: SeedSequence.generate_state(n_words) of each row of
+    an (n, m) uint32 entropy array, rows of one length m > the pool size.
+    numpy mixes one pool word at a time; the steps that read the same word
+    go together here, each with its own multiplier."""
+    e = entropy.T
+    c = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(e))
+    pool = _hashmix(e[:_POOL_SIZE], c[:_POOL_SIZE + 1])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[k:k + len(dst) + 1]))
+        k += len(dst)
+    for word in e[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, c[k:k + _POOL_SIZE + 1]))
+        k += _POOL_SIZE
+    c = _hash_consts(_INIT_B, _MULT_B, n_words)
+    return _hashmix(pool[np.arange(n_words) % _POOL_SIZE], c).T
+
+
+def _spawn_states(seed: np.ndarray, spawn: np.ndarray, n_words: int) -> np.ndarray:
+    """(n, n_words) uint32: SeedSequence(seed_i, spawn_key=spawn_i)
+    .generate_state(n_words) for each row. ``seed`` is (s,) or (n, s) uint32
+    seed words; SeedSequence pads them with zeros to the pool size, so a
+    64-bit seed may be written as two words even below 2**32. ``spawn`` is
+    (n, k) non-negative ints, k >= 1. An element of 2**32 or more is two
+    words, so rows are grouped by the layout of their entropy."""
+    spawn = np.asarray(spawn, dtype=np.uint64)
+    n, k = spawn.shape
+    seed = np.asarray(seed, dtype=np.uint32)
+    pad = np.zeros(max(_POOL_SIZE - seed.shape[-1], 0), np.uint32)
+    seed = np.hstack([np.broadcast_to(seed, (n, seed.shape[-1])),
+                      np.broadcast_to(pad, (n, len(pad)))])
+    lo = (spawn & np.uint64(_MASK32)).astype(np.uint32)
+    hi = (spawn >> np.uint64(32)).astype(np.uint32)
+    layout = (hi != 0) @ (1 << np.arange(k))  # bit j: element j has two words
+    out = np.empty((n, n_words), np.uint32)
+    for code in np.flatnonzero(np.bincount(layout)).tolist():
+        rows = np.flatnonzero(layout == code)
+        cols = [seed[rows]]
+        for j in range(k):
+            cols += [lo[rows, j:j + 1]] + ([hi[rows, j:j + 1]] if code >> j & 1 else [])
+        out[rows] = _generate_state(np.hstack(cols), n_words)
+    return out
+
+
+def _spawn_keys(seed: np.ndarray, spawn: np.ndarray) -> np.ndarray:
+    """(n, 2) uint64: the Philox key of each row's SeedSequence (see
+    ``_spawn_states``), which is its generate_state(2, np.uint64)."""
+    return _spawn_states(seed, spawn, 4).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _rekeyer():
+    """``at(key)``: one Generator whose Philox is reset to the start of the
+    stream with that key, as a new Generator(Philox(SeedSequence)) starts."""
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    zero = np.zeros(4, np.uint64)
+
+    def at(key: np.ndarray) -> np.random.Generator:
+        bitgen.state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
+                        "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return rng
+
+    return at
+
+
+def _trial_keys(seed: int, trials: int, n_layers: int, tag: Optional[int]):
+    """The keys of every stream trials 0..trials-1 of ``seed`` use, derived
+    together: (trials, n_layers, 2) layer keys (seed_t; l) of the trial seeds
+    seed_t = (seed; t), and the (trials, 2) keys of (seed; t, tag), or None
+    without a tag."""
+    words = _seed_words(seed)
+    t = np.arange(trials, dtype=np.uint64)[:, None]
+    seed_t = _spawn_states(words, t, 2)  # the two words of each 64-bit trial seed
+    layer = np.tile(np.arange(n_layers, dtype=np.uint64), trials)[:, None]
+    layer_keys = _spawn_keys(np.repeat(seed_t, n_layers, axis=0), layer)
+    tagged = None if tag is None else _spawn_keys(words, np.hstack([t, np.full_like(t, tag)]))
+    return layer_keys.reshape(trials, n_layers, 2), tagged
 
 
 def _draw_weights(rng: np.random.Generator, shape: tuple, dist: str,
@@ -133,17 +266,17 @@ def _fixed_unit(family: str) -> ScalarCPWL:
             "leaky": lambda: leaky_relu_unit(LEAKY_SLOPE)}[family]()
 
 
-def _draw_layers(arch: ArchitectureDescriptor, init: InitSpec, seed: int,
+def _draw_layers(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, at,
                  kappa: Optional[int], rank: Optional[int], group_size: int) -> list:
     """The random layers of ``sample_network`` as raw layers (see
-    ``switching``), drawn in order from one generator per layer."""
+    ``switching``), layer l drawn in order from the stream ``at(keys[l])``."""
     fam = arch.family
     if fam not in SAMPLED_FAMILIES:
         raise ValidationError(f"unsupported family {fam!r}")
     dims = arch.dims
     layers: list = []
     for l in range(len(dims) - 1):
-        rng = _trial_rng(seed, l)
+        rng = at(keys[l])
         fan_in, width = dims[l], dims[l + 1]
         sw = init.sigma_w_for(fan_in)
         if fam == "maxout":
@@ -192,8 +325,9 @@ def sample_network(arch: ArchitectureDescriptor, init: InitSpec,
     (the affine map lives inside the layer). groupsort: affine + groupsort
     blocks on divisible widths; the final readout stays affine-only.
     """
-    layers = _draw_layers(arch, init, init.seed if seed is None else seed,
-                          kappa, rank, group_size)
+    seed = init.seed if seed is None else seed
+    keys = _spawn_keys(_seed_words(seed), np.arange(len(arch.dims) - 1)[:, None])
+    layers = _draw_layers(arch, init, keys, _rekeyer(), kappa, rank, group_size)
     return NetworkSpec(arch.dims[0], tuple(LAYER_OF_RAW[kind](*args) for kind, *args in layers))
 
 
@@ -267,11 +401,10 @@ def relu_crossing_density_oracle(sigma_w: float, sigma_b: float,
 # Monte Carlo drivers
 # ---------------------------------------------------------------------------
 
-def _probe_ends(init: InitSpec, d: int, rng: np.random.Generator):
-    sw = init.sigma_w_for(d)
-    length = 10.0 * init.sigma_b / sw
-    u = rng.standard_normal(d)
-    u /= np.linalg.norm(u)
+def _probe_ends(init: InitSpec, u: np.ndarray):
+    """Ends of the probes along the (n, d) standard-normal draws ``u``."""
+    length = 10.0 * init.sigma_b / init.sigma_w_for(u.shape[1])
+    u = u / row_norms(u)[:, None]
     return -(length / 2.0) * u, (length / 2.0) * u
 
 
@@ -279,20 +412,21 @@ def default_probe(init: InitSpec, d: int, rng: np.random.Generator) -> Polygonal
     """Straight segment of length 10*sigma_b/sigma_w centered at the origin in
     a uniformly random direction — long enough to cross many expected knots
     while staying where the bias density has its mass."""
-    return PolygonalPath.segment(*_probe_ends(init, d, rng))
+    p0, p1 = _probe_ends(init, rng.standard_normal((1, d)))
+    return PolygonalPath.segment(p0[0], p1[0])
 
 
-def _trial_seed(seed: int, trial: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(trial,))
-               .generate_state(1, dtype=np.uint64)[0])
-
-
-def _trial_blocks(arch, init, trials, kappa, rank, group_size):
-    """Each block of trials: its trial indices and their networks as raw layers."""
+def _trial_blocks(arch, init, trials, kappa, rank, group_size, tag=None, shape=()):
+    """Each block of trials: their networks as raw layers, and each trial's
+    standard normals of ``shape`` drawn from its stream (seed; t, tag)."""
+    keys, tagged = _trial_keys(init.seed, trials, len(arch.dims) - 1, tag)
+    at = _rekeyer()
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
-        yield block, [_draw_layers(arch, init, _trial_seed(init.seed, t), kappa, rank, group_size)
-                      for t in block]
+        nets = [_draw_layers(arch, init, keys[t], at, kappa, rank, group_size) for t in block]
+        normals = None if tag is None else np.array([at(tagged[t]).standard_normal(shape)
+                                                     for t in block])
+        yield nets, normals
 
 
 def _probe_densities(arch, init, trials, kappa, rank, group_size, after) -> np.ndarray:
@@ -301,9 +435,8 @@ def _probe_densities(arch, init, trials, kappa, rank, group_size, after) -> np.n
     layers of the first trial."""
     d = arch.dims[0]
     out = []
-    for block, nets in _trial_blocks(arch, init, trials, kappa, rank, group_size):
-        ends = np.array([_probe_ends(init, d, _trial_rng(init.seed, t, 1 << 20)) for t in block])
-        p0, p1 = ends[:, 0], ends[:, 1]
+    for nets, u in _trial_blocks(arch, init, trials, kappa, rank, group_size, _PROBE, d):
+        p0, p1 = _probe_ends(init, u)
         counts = segment_knot_counts(nets, p0, p1, after(nets[0]))
         # The length as PolygonalPath.length computes it.
         out.append((counts / np.linalg.norm(p1 - p0, axis=1)).T)
@@ -368,12 +501,10 @@ def estimate_directional_expansion(arch: ArchitectureDescriptor, init: InitSpec,
     prefixes l (each trial contributes its average over prefixes)."""
     if trials < 100:
         raise ValidationError("expansion estimation needs at least 100 trials")
-    d = arch.dims[0]
     vals = []
-    for block, nets in _trial_blocks(arch, init, trials, kappa, rank, group_size):
-        rngs = [_trial_rng(init.seed, t, 1 << 21) for t in block]
-        Z = np.array([rng.standard_normal(d) for rng in rngs])  # each trial's x, then its u
-        dZ = np.array([rng.standard_normal(d) for rng in rngs])
+    for nets, xu in _trial_blocks(arch, init, trials, kappa, rank, group_size,
+                                  _EXPANSION, (2, arch.dims[0])):
+        Z, dZ = xu.transpose(1, 0, 2).copy()  # each trial's x, then its u
         dZ /= row_norms(dZ)[:, None]
         norms = []
         for layer in stack(nets):
@@ -418,7 +549,7 @@ def mc_image_length(arch: ArchitectureDescriptor, init: InitSpec,
         raise ValidationError("an estimate needs at least 2 trials")
     p0, p1 = path.vertices[:-1], path.vertices[1:]
     vals = []
-    for _, nets in _trial_blocks(arch, init, trials, kappa, rank, group_size):
+    for nets, _ in _trial_blocks(arch, init, trials, kappa, rank, group_size):
         lengths = segment_image_lengths([net for net in nets for _ in p0],
                                         np.tile(p0, (len(nets), 1)), np.tile(p1, (len(nets), 1)))
         for t in range(len(nets)):

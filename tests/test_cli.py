@@ -372,6 +372,12 @@ def test_too_few_trials():
     assert main(["mc", "--family", "relu", "--trials", "50"]) == 2
 
 
+def test_negative_mc_seed_is_validation_error(capsys):
+    assert main(["mc", "--family", "relu", "--d", "4", "--trials", "100",
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_construct_needs_exactly_one_kind(tmp_path):
     assert main(["construct", "--out", str(tmp_path)]) == 2
     assert main(["construct", "--sawtooth", "3", "--gp", "--d", "2",

@@ -40,6 +40,14 @@ def test_init_spec_validation():
         InitSpec(sigma_w=0.0)
 
 
+def test_negative_seeds_are_rejected():
+    with pytest.raises(ValidationError):
+        InitSpec(seed=-1)
+    arch = ArchitectureDescriptor((2, 3, 1), ((2,) * 3, (2,)), family="relu")
+    with pytest.raises(ValidationError):
+        sample_network(arch, InitSpec(), seed=-1)
+
+
 def test_sup_bias_density():
     assert InitSpec().sup_bias_density == pytest.approx(1.0 / math.sqrt(2 * math.pi))
     assert InitSpec(bias_dist="uniform").sup_bias_density == pytest.approx(
@@ -213,6 +221,72 @@ def test_sample_rejects_unknown_family():
 
 
 # ---------------------------------------------------------------------------
+# Random streams
+# ---------------------------------------------------------------------------
+
+def _numpy_key(seed, spawn_key):
+    return np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
+
+
+def test_spawn_keys_match_seed_sequence():
+    rng = np.random.default_rng(5)
+    seeds = [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64, 2 ** 70, 2 ** 128 + 3,
+             2 ** 200 + 9]
+    seeds += [int(rng.integers(1, 2 ** 32)) for _ in range(4)]
+    seeds += [int(rng.integers(2 ** 32, 2 ** 64, dtype=np.uint64)) for _ in range(4)]
+    seeds += [int(rng.integers(1, 2 ** 62)) << int(rng.integers(3, 100)) for _ in range(4)]
+    checked = 0
+    for seed in seeds:
+        t = rng.integers(0, 5000, size=20).astype(np.uint64)[:, None]
+        # Spawn keys (t,), (t, 1 << 20) and (t, 1 << 21); the last rows also
+        # have elements of two words, so one call mixes entropy layouts.
+        wide = np.array([[2 ** 32 + 1, 3], [5, 2 ** 40], [2 ** 33, 2 ** 63]], np.uint64)
+        for spawn in (t, np.hstack([t, np.full_like(t, 1 << 20)]),
+                      np.vstack([np.hstack([t, np.full_like(t, 1 << 21)]), wide])):
+            got = stochastic._spawn_keys(stochastic._seed_words(seed), spawn)
+            for row, key in zip(spawn, got):
+                assert np.array_equal(key, _numpy_key(seed, tuple(int(v) for v in row))), \
+                    (seed, row)
+                checked += 1
+    assert checked >= 1000
+
+
+def test_layer_keys_match_seed_sequence():
+    # Trial seeds written as two words, also where the high word is 0 (a
+    # trial seed below 2**32, which SeedSequence reads as one word).
+    rng = np.random.default_rng(6)
+    lo = rng.integers(0, 2 ** 32, size=40, dtype=np.uint64)
+    hi = np.where(np.arange(40) % 2 == 0, 0, rng.integers(1, 2 ** 32, size=40, dtype=np.uint64))
+    words = np.stack([lo, hi], axis=1).astype(np.uint32)
+    layer = rng.integers(0, 9, size=40).astype(np.uint64)[:, None]
+    got = stochastic._spawn_keys(words, layer)
+    for (l, h), (k,), key in zip(words, layer, got):
+        assert np.array_equal(key, _numpy_key(int(l) | int(h) << 32, (int(k),)))
+    # The keys of one estimate's trials, against one SeedSequence per stream.
+    for seed in (0, 3, 2 ** 63 + 5, 2 ** 70):
+        keys, tagged = stochastic._trial_keys(seed, 9, 3, 1 << 20)
+        for t in range(9):
+            seed_t = np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(1, np.uint64)[0]
+            for l in range(3):
+                assert np.array_equal(keys[t, l], _numpy_key(int(seed_t), (l,)))
+            assert np.array_equal(tagged[t], _numpy_key(seed, (t, 1 << 20)))
+
+
+def test_rekeyed_generator_matches_fresh_generator():
+    at = stochastic._rekeyer()
+    for seed, spawn_key in ((0, (0,)), (11, (4, 1 << 20)), (2 ** 63 + 5, (2,)),
+                            (2 ** 70, (9, 1 << 21))):
+        ss = np.random.SeedSequence(seed, spawn_key=spawn_key)
+        fresh = np.random.Generator(np.random.Philox(ss))
+        at(_numpy_key(seed, spawn_key)).integers(0, 7, size=3, dtype=np.uint32)  # leave a buffer
+        rng = at(stochastic._spawn_keys(stochastic._seed_words(seed), [spawn_key])[0])
+        for draw in (lambda g: g.integers(0, 2 ** 32, size=3, dtype=np.uint32),
+                     lambda g: g.standard_normal((3, 5)), lambda g: g.uniform(-2.0, 2.0, 7),
+                     lambda g: stochastic._draw_weights(g, (3, 5), "orthogonal", 1.0)):
+            assert draw(rng).tobytes() == draw(fresh).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo estimators
 # ---------------------------------------------------------------------------
 
@@ -321,6 +395,37 @@ def test_batched_trials_match_per_trial_loop(family, monkeypatch):
                 assert _bytes(got) == _bytes(np.array(by_depth).T), key
                 got = mc_image_length(arch, init, img_path, trials=20).values
                 assert _bytes(got) == _bytes(images), key
+
+
+# Recorded with one SeedSequence and Generator per trial, before the keys of
+# a call's streams were derived together: per family, a digest of the
+# expansion values of the _BATCH_ARCHS networks under four initialisations
+# (one with a seed of three words).
+PINNED_EXPANSION = {
+    "abs": "a15796af0f4a2010",
+    "deepspline": "216666419a89f448",
+    "groupsort": "648591338907b0f5",
+    "leaky": "295e0ce9dab37644",
+    "maxout": "83c5768e20e4f7b4",
+    "relu": "b34ca95ceaf8371a",
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_EXPANSION))
+def test_directional_expansion_pinned(family, monkeypatch):
+    per_unit = {"deepspline": 3, "maxout": 3}.get(family, 2)
+    for block in (stochastic.TRIAL_BLOCK, 1, 7):
+        monkeypatch.setattr(stochastic, "TRIAL_BLOCK", block)
+        h = hashlib.sha256()
+        for dims in _BATCH_ARCHS[family]:
+            arch = ArchitectureDescriptor(dims, tuple((per_unit,) * w for w in dims[1:]),
+                                          family=family)
+            for dist, seed in (("normal", 11), ("uniform", 12), ("orthogonal", 13),
+                               ("normal", 2 ** 70)):
+                init = InitSpec(weight_dist=dist, bias_dist="uniform" if dist == "uniform"
+                                else "normal", sigma_b=0.7, seed=seed)
+                h.update(_bytes(estimate_directional_expansion(arch, init, trials=100).values))
+        assert h.hexdigest()[:16] == PINNED_EXPANSION[family], block
 
 
 def test_directional_expansion_orthogonal_abs_is_exactly_one():
