@@ -7,16 +7,19 @@ rows in order (keeping sides that pass an interior test), then compose every
 surviving cell's piece with the layer piece active at its witness, selected
 for all of the layer's cells at once.
 
-Backends: exact interval splitting (1 input), convex-polygon clipping
-(2 inputs), and, for 3+ inputs, cells that keep an inscribed (Chebyshev)
-ball: a hyperplane cuts the ball in closed form, and only a side whose ball
-is too small, off the box or missed by the hyperplane solves the witness
-LP. Cell processing is pure and order-independent; the output ordering is
-canonicalized, so results are deterministic. The LP kernel calls scipy's
-HiGHS bindings directly, with the options and the post-check of
-``scipy.optimize.linprog(method="highs")``, so it returns what linprog would.
-The binding loads on the first LP, so runs that solve none never import
-scipy, and one HiGHS solver serves every LP of the process.
+Backends: exact interval splitting (1 input), convex-polygon clipping on
+Python floats (2 inputs; a scalar area test with a derived rounding bound
+hands close calls and polygons of 8+ vertices to numpy's formulas, so cells
+and witnesses are theirs bit for bit), and, for 3+ inputs, cells that keep
+an inscribed (Chebyshev) ball: a hyperplane cuts the ball in closed form,
+and only a side whose ball is too small, off the box or missed by the
+hyperplane solves the witness LP. Cell processing is pure and
+order-independent; the output ordering is canonicalized, so results are
+deterministic. The LP kernel calls scipy's HiGHS bindings directly, with
+the options and the post-check of ``scipy.optimize.linprog(method="highs")``,
+so it returns what linprog would. The binding loads on the first LP, so runs
+that solve none never import scipy, and one HiGHS solver serves every LP of
+the process.
 """
 from __future__ import annotations
 
@@ -82,12 +85,16 @@ class Witness:
 
 @dataclass
 class Region:
-    """One subdivision cell: bounding half-spaces, the network's affine piece
-    on it, and a strictly interior witness point."""
+    """One subdivision cell: its rows (a, c), the half-spaces a.x + c >= 0,
+    the network's affine piece on it, and a strictly interior witness point."""
 
-    constraints: tuple[HalfSpace, ...]
+    rows: list
     piece: AffineMap
     witness: np.ndarray
+
+    @functools.cached_property
+    def constraints(self) -> tuple[HalfSpace, ...]:  # built when first read
+        return tuple(HalfSpace(a, c) for a, c in self.rows)
 
 
 @dataclass
@@ -273,36 +280,10 @@ class _IntervalBackend:
             return None
         left = ((lo, t), np.array([(lo + t) / 2.0]))
         right = ((t, hi), np.array([(t + hi) / 2.0]))
-        neg, pos = (right, left) if aa < 0 else (left, right)
-        return (neg[0], neg[1]), (pos[0], pos[1])
-
-
-def _clip_polygon(verts: np.ndarray, a: np.ndarray, c: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Split a convex polygon by the line a.x + c = 0; returns (neg, pos)
-    vertex arrays (either may be empty)."""
-    vals = verts @ a + c
-    n = len(verts)
-    neg, pos = [], []
-    for i in range(n):
-        j = (i + 1) % n
-        vi, vj = vals[i], vals[j]
-        p = verts[i]
-        if vi <= 0:
-            neg.append(p)
-        if vi >= 0:
-            pos.append(p)
-        if (vi < 0 < vj) or (vj < 0 < vi):
-            t = vi / (vi - vj)
-            q = p + t * (verts[j] - p)
-            neg.append(q)
-            pos.append(q)
-    return np.array(neg) if neg else np.empty((0, 2)), np.array(pos) if pos else np.empty((0, 2))
+        return (right, left) if aa < 0 else (left, right)
 
 
 def _polygon_area_perimeter(verts: np.ndarray) -> tuple[float, float]:
-    if len(verts) < 3:
-        return 0.0, 0.0
     x, y = verts[:, 0], verts[:, 1]
     xr, yr = np.concatenate([x[1:], x[:1]]), np.concatenate([y[1:], y[:1]])
     area = 0.5 * abs(np.dot(x, yr) - np.dot(y, xr))
@@ -322,6 +303,64 @@ def _polygon_centroid(verts: np.ndarray) -> np.ndarray:
     return np.array([cx, cy])
 
 
+def _clip(verts: list, vals: list) -> tuple[list, list]:
+    """Split a convex polygon, a list of (x, y), where ``vals`` (a.x + c at
+    each vertex) changes sign; returns (neg, pos) vertex lists, maybe empty."""
+    neg, pos = [], []
+    for p, q, vi, vj in zip(verts, verts[1:] + verts[:1], vals, vals[1:] + vals[:1]):
+        if vi <= 0:
+            neg.append(p)
+        if vi >= 0:
+            pos.append(p)
+        if (vi < 0 < vj) or (vj < 0 < vi):
+            t = vi / (vi - vj)
+            r = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            neg.append(r)
+            pos.append(r)
+    return neg, pos
+
+
+# Rounding bound of the scalar area test. For an n-gon (n <= 7), u = 2**-53,
+# T the exact shoelace sum and M = sum |x_i y_i+1| + |x_i+1 y_i|: np.dot's
+# two sums (any order, FMA or not) and their difference lie within
+# (gamma_n + u (1 + gamma_n)) M of T, the in-order sum of rounded cross
+# terms within gamma_n+1 M, so the two areas differ by under (n + 2) u M.
+# When |area - eps * per| exceeds _AREA_ROUNDING * ((n + 2) M + area +
+# eps * per), numpy's area lies on the same side of eps * per, 2u (area +
+# eps * per) clear of it: past the rounding of the test and of area / per.
+_AREA_ROUNDING = 4 * 2.0 ** -53
+
+
+def _polygon_cell(verts: list, eps: float):
+    """(vertex array, centroid) of the convex polygon ``verts``, a list of
+    (x, y), if its area/perimeter exceeds ``eps``; else None. One pass gives
+    perimeter and centroid bit for bit as the numpy formulas (numpy sums
+    under 8 terms in order) and the area up to ``_AREA_ROUNDING``, within
+    which, and from 8 vertices on, the numpy formulas decide."""
+    n = len(verts)
+    if n < 3:
+        return None
+    s = sx = sy = per = mass = 0.0
+    for (x, y), (xr, yr) in zip(verts, verts[1:] + verts[:1]):
+        p, q = x * yr, xr * y
+        cross = p - q
+        s += cross
+        sx += (x + xr) * cross
+        sy += (y + yr) * cross
+        mass += abs(p) + abs(q)
+        dx, dy = xr - x, yr - y
+        per += math.sqrt(dx * dx + dy * dy)
+    area, a = 0.5 * abs(s), s / 2.0
+    if n >= 8 or abs(area - eps * per) <= _AREA_ROUNDING * ((n + 2) * mass + area + eps * per):
+        area, per = _polygon_area_perimeter(np.array(verts))
+    if not (per > 0 and area / per > eps):
+        return None
+    arr = np.array(verts)
+    if n >= 8 or abs(a) < 1e-300:
+        return arr, _polygon_centroid(arr)
+    return arr, np.array([sx / (6.0 * a), sy / (6.0 * a)])
+
+
 class _PolygonBackend:
     """d = 2: cells are convex polygons, split by Sutherland-Hodgman clipping.
 
@@ -337,23 +376,15 @@ class _PolygonBackend:
         verts = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
         return verts, verts.mean(axis=0)
 
-    def _admissible(self, verts: np.ndarray) -> bool:
-        if len(verts) < 3:
-            return False
-        area, per = _polygon_area_perimeter(verts)
-        return per > 0 and area / per > self.cfg.eps_interior
-
     def split(self, cell: _Cell, a: np.ndarray, c: float):
-        verts = cell.geom
-        vals = verts @ a + c
-        scale = np.linalg.norm(a)
-        m = self.cfg.eps_interior * scale
-        if vals.min() >= -m or vals.max() <= m:
+        vals = (cell.geom @ a + c).tolist()
+        m = self.cfg.eps_interior * math.sqrt(a.dot(a))  # np.linalg.norm(a), bit for bit
+        if min(vals) >= -m or max(vals) <= m:
             return None  # clearly one-sided (possibly touching)
-        neg, pos = _clip_polygon(verts, a, c)
-        if not self._admissible(neg) or not self._admissible(pos):
-            return None
-        return (neg, _polygon_centroid(neg)), (pos, _polygon_centroid(pos))
+        neg, pos = _clip(cell.geom.tolist(), vals)
+        neg = _polygon_cell(neg, self.cfg.eps_interior)
+        pos = neg and _polygon_cell(pos, self.cfg.eps_interior)
+        return (neg, pos) if pos else None
 
 
 # A closed-form ball certifies its side of a split only when its radius
@@ -364,8 +395,8 @@ _BALL_MARGIN = 10.0
 def _inscribed_radius(rows: list, x: np.ndarray) -> float:
     """Radius of the largest ball about ``x`` inside every row a.x + c >= 0
     (negative when ``x`` violates one), from the rows' own normalised slack."""
-    N = np.array([a for a, _ in rows])
-    return float(np.min((N @ x + np.array([c for _, c in rows])) / row_norms(N)))
+    N, C = _stack_rows(rows, len(x))
+    return float(np.min((N @ x + C) / row_norms(N)))
 
 
 class _LPBackend:
@@ -425,18 +456,22 @@ def _backend_for(d: int, cfg: GeometryConfig):
 # Splitting a cell by one layer
 # ---------------------------------------------------------------------------
 
-def _hyperplane_key(a: np.ndarray, c: float, tol: float, signed: bool = False) -> tuple:
-    """(a, c) over ||a||, rounded at ``tol``; unless ``signed``, the sign is
-    fixed so that (a, c) and (-a, -c) share one key."""
-    nrm = np.linalg.norm(a)
-    v = np.concatenate([a, [c]]) / nrm
-    for x in v[:-1]:
-        if abs(x) > tol:
-            if x < 0 and not signed:
-                v = -v
-            break
+def _hyperplane_keys(N: np.ndarray, C: np.ndarray, tol: float, signed: bool = False) -> list:
+    """Key of each hyperplane N x + C = 0: its row (a, c) over ||a||, rounded
+    at ``tol``; unless ``signed``, the sign is fixed (first entry of a past
+    ``tol`` positive) so that (a, c) and (-a, -c) share one key."""
+    V = np.hstack([N, np.reshape(C, (-1, 1))]) / row_norms(N)[:, None]
+    if not signed:
+        big = np.abs(V[:, :-1]) > tol
+        first = V[np.arange(len(V)), big.argmax(axis=1)]
+        V[big.any(axis=1) & (first < 0)] *= -1.0
     digits = max(0, int(round(-math.log10(tol))))
-    return tuple(np.round(v, digits))
+    return list(map(tuple, np.round(V, digits).tolist()))
+
+
+def _hyperplane_key(a: np.ndarray, c: float, tol: float, signed: bool = False) -> tuple:
+    """``_hyperplane_keys`` of the one row (a, c)."""
+    return _hyperplane_keys(np.asarray(a, dtype=float)[None], [c], tol, signed)[0]
 
 
 def _clip_positive(backend, p: "_Cell", a: np.ndarray, c: float):
@@ -488,19 +523,16 @@ def _maxout_parts(backend, cell: "_Cell", R: np.ndarray, s: np.ndarray,
     return parts
 
 
-def _split_by_rows(backend, cell: "_Cell", N: np.ndarray, C: np.ndarray, layer,
-                   piece: tuple, cfg: GeometryConfig, done: int) -> list["_Cell"]:
-    """Split a cell by its switching rows ``N x + C = 0`` in order, skipping
-    near-zero normals (the piece is then constant on the cell), padding rows
-    and repeats. A guarded row splits only parts whose witness the cell's
-    ``piece`` maps inside its unit's clamp box. ``done`` cells of the layer
-    count against the budget already."""
+def _split_by_rows(backend, cell: "_Cell", N: np.ndarray, C: np.ndarray, live, keys: list,
+                   layer, piece: tuple, cfg: GeometryConfig, done: int) -> list["_Cell"]:
+    """Split a cell by its ``live`` switching rows ``N x + C = 0`` in order,
+    skipping repeats by their ``keys``. A guarded row splits only parts
+    whose witness the cell's ``piece`` maps inside its unit's clamp box.
+    ``done`` cells of the layer count against the budget already."""
     guard = layer.guard
-    live = (np.abs(N).max(axis=1) >= cfg.zero_normal_tol) & np.isfinite(C)
     parts, seen = [cell], set()
-    for r in live.nonzero()[0]:
+    for r, key in zip(live, keys):
         a, c = N[r], float(C[r])
-        key = _hyperplane_key(a, c, cfg.dedup_tol)
         if key in seen:
             continue
         seen.add(key)
@@ -542,6 +574,10 @@ def enumerate_regions(net: NetworkSpec, domain=None,
     for layer in stack([raw_layers(net)]):
         maxout = layer.kind is Maxout  # per cell: its candidates, or else its rows
         N, C = layer.candidates(A, b) if maxout else layer.rows(A, b)
+        if not maxout:  # skip near-zero normals (a constant piece) and padding rows
+            live = (np.abs(N).max(axis=2) >= cfg.zero_normal_tol) & np.isfinite(C)
+            keys = _hyperplane_keys(N[live], C[live], cfg.dedup_tol)
+            cuts = [0] + np.cumsum(live.sum(axis=1)).tolist()
         out_cells, parent = [], []
         for i, cell in enumerate(cells):
             if maxout:
@@ -549,17 +585,18 @@ def enumerate_regions(net: NetworkSpec, domain=None,
                 if len(out_cells) + len(parts) > cfg.cell_budget:
                     raise BudgetExceeded(len(out_cells) + len(parts), cfg.cell_budget)
             else:
-                parts = _split_by_rows(backend, cell, N[i], C[i], layer, (A[i], b[i]), cfg,
-                                       len(out_cells))
+                parts = _split_by_rows(backend, cell, N[i], C[i], live[i].nonzero()[0],
+                                       keys[cuts[i]:cuts[i + 1]], layer,
+                                       (A[i], b[i]), cfg, len(out_cells))
             out_cells.extend(parts)
             parent += [i] * len(parts)
         cells, A, b = out_cells, A[parent], b[parent]
         Z = (A @ np.array([cell.witness for cell in cells])[..., None])[..., 0] + b
         A, b = layer.compose(A, b, Z, np.zeros_like(Z))
-    order = sorted(range(len(cells)), key=lambda i: (tuple(np.round(cells[i].witness, 9)),
-                                                     len(cells[i].constraints)))
-    regions = [Region(tuple(HalfSpace(a, c) for a, c in cells[i].constraints),
-                      AffineMap(A[i], b[i]), cells[i].witness.copy()) for i in order]
+    W = np.round([cell.witness for cell in cells], 9).tolist()
+    order = sorted(range(len(cells)), key=lambda i: (W[i], len(cells[i].constraints)))
+    regions = [Region(cells[i].constraints, AffineMap(A[i], b[i]), cells[i].witness.copy())
+               for i in order]
     return RegionSet(d, regions, (lo, hi) if bounded else None)
 
 
@@ -575,38 +612,48 @@ def piece_fingerprint(piece: AffineMap, tol: float = DEFAULT_CONFIG.fingerprint_
 def _domain_halfspaces(rs: RegionSet) -> list[tuple[np.ndarray, float]]:
     if rs.domain is None:
         return []
-    lo, hi = rs.domain
-    out = []
-    for j in range(rs.input_dim):
-        e = np.zeros(rs.input_dim)
-        e[j] = 1.0
-        out.append((e.copy(), -float(lo[j])))
-        out.append((-e, float(hi[j])))
-    return out
+    (lo, hi), e = rs.domain, np.eye(rs.input_dim)
+    return [row for j in range(rs.input_dim)
+            for row in ((e[j], -float(lo[j])), (-e[j], float(hi[j])))]
 
 
-def _facet_adjacent(p: Region, q: Region, rs: RegionSet, cfg: GeometryConfig) -> bool:
+def _stack_rows(rows: list, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (a, c) stacked as (normals, offsets)."""
+    return (np.array([a for a, _ in rows]).reshape(len(rows), d),
+            np.array([c for _, c in rows], dtype=float))
+
+
+def _row_keys(r: Region, tol: float) -> tuple[list, set, list]:
+    """Signed keys of a region's rows, the set of their negations', unsigned keys."""
+    N, C = _stack_rows(r.rows, len(r.witness))
+    return (_hyperplane_keys(N, C, tol, signed=True),
+            set(_hyperplane_keys(-N, -C, tol, signed=True)), _hyperplane_keys(N, C, tol))
+
+
+def _facet_adjacent(p: Region, q: Region, rs: RegionSet, cfg: GeometryConfig,
+                    p_keys=None, q_keys=None) -> bool:
     """Two cells share a (d-1)-face only if exactly one hyperplane separates
     them: a row (a, c) of one cell whose negation (-a, -c) is a row of the
     other. A split gives its two children exactly negated rows, so the split
     that parted the two lineages always shows; two distinct separating
     hyperplanes leave at most a (d-2)-flat in common. With exactly one, the
     cells share a facet iff that hyperplane, taken as an equality, leaves an
-    interior point of every other row of both cells and the domain."""
-    q_keys = {_hyperplane_key(-h.normal, -h.offset, cfg.dedup_tol, signed=True)
-              for h in q.constraints}
+    interior point of every other row of both cells and the domain.
+    ``p_keys`` and ``q_keys`` are the cells' ``_row_keys``, if known."""
+    (p_signed, _, p_keys), (_, q_negated, q_keys) = (
+        p_keys or _row_keys(p, cfg.dedup_tol), q_keys or _row_keys(q, cfg.dedup_tol))
     seps = {}
-    for h in p.constraints:
-        key = _hyperplane_key(h.normal, h.offset, cfg.dedup_tol, signed=True)
-        if key in q_keys:
-            seps.setdefault(key, h)
+    for k, key in enumerate(p_signed):
+        if key in q_negated:
+            seps.setdefault(key, k)
     if len(seps) != 1:
         return False
-    (h,) = seps.values()
-    key = _hyperplane_key(h.normal, h.offset, cfg.dedup_tol)
-    rows = [(g.normal, g.offset) for g in p.constraints + q.constraints] + _domain_halfspaces(rs)
-    rest = [(a, c) for a, c in rows if _hyperplane_key(a, c, cfg.dedup_tol) != key]
-    w = interior_witness_report(rest, cfg, equality=(h.normal, h.offset), dim=rs.input_dim)
+    (k,) = seps.values()
+    box = _domain_halfspaces(rs)
+    rows = p.rows + q.rows + box
+    keys = p_keys + q_keys + _hyperplane_keys(*_stack_rows(box, rs.input_dim), cfg.dedup_tol)
+    rest = [row for row, key in zip(rows, keys) if key != p_keys[k]]
+    w = interior_witness_report(rest, cfg, equality=p.rows[k], dim=rs.input_dim)
     return w.status == "interior"
 
 
@@ -627,13 +674,14 @@ def count_report(rs: RegionSet, net: Optional[NetworkSpec] = None,
             i = parent[i]
         return i
 
+    keys = functools.cache(lambda i: _row_keys(rs.regions[i], cfg.dedup_tol))
     for idxs in groups.values():
         for ii in range(len(idxs)):
             for jj in range(ii + 1, len(idxs)):
                 a, b = idxs[ii], idxs[jj]
                 if find(a) == find(b):
                     continue
-                if _facet_adjacent(rs.regions[a], rs.regions[b], rs, cfg):
+                if _facet_adjacent(rs.regions[a], rs.regions[b], rs, cfg, keys(a), keys(b)):
                     parent[find(a)] = find(b)
     components = len({find(i) for i in range(len(rs.regions))})
     bounds_attached = {}
@@ -661,12 +709,9 @@ def regions_containing(rs: RegionSet, x: np.ndarray, tol: float = 1e-9) -> list[
     x = np.asarray(x, dtype=float)
     out = []
     for i, r in enumerate(rs.regions):
-        ok = True
-        for h in r.constraints:
-            if h.normal @ x + h.offset < -tol * max(1.0, float(np.linalg.norm(h.normal))):
-                ok = False
-                break
-        if ok:
+        N, C = _stack_rows(r.rows, rs.input_dim)
+        vals = (N[:, None, :] @ x[:, None])[:, 0, 0] + C  # each a.x bit for bit; N @ x is not
+        if not (vals < -tol * np.maximum(1.0, row_norms(N))).any():
             out.append(i)
     return out
 
@@ -675,13 +720,13 @@ def regions_containing(rs: RegionSet, x: np.ndarray, tol: float = 1e-9) -> list[
 # Rendering and export
 # ---------------------------------------------------------------------------
 
-def _region_polygon(region: Region, box: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    lo, hi = box
-    verts = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
-    for h in region.constraints:
-        _, verts = _clip_polygon(verts, h.normal, h.offset)
+def _region_polygon(region: Region, box: tuple[np.ndarray, np.ndarray]) -> list:
+    (x0, y0), (x1, y1) = box[0].tolist(), box[1].tolist()
+    verts = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    for a, c in region.rows:
+        _, verts = _clip(verts, (np.array(verts) @ a + c).tolist())
         if len(verts) < 3:
-            return np.empty((0, 2))
+            return []
     return verts
 
 
@@ -735,8 +780,7 @@ def region_set_to_json(rs: RegionSet) -> dict:
             {"lo": rs.domain[0].tolist(), "hi": rs.domain[1].tolist()},
         "regions": [
             {
-                "constraints": [{"normal": h.normal.tolist(), "offset": h.offset}
-                                for h in r.constraints],
+                "constraints": [{"normal": a.tolist(), "offset": float(c)} for a, c in r.rows],
                 "piece": {"matrix": r.piece.matrix.tolist(),
                           "offset": r.piece.offset.tolist()},
                 "witness": r.witness.tolist(),
@@ -758,26 +802,6 @@ def count_report_to_csv(report: CountReport) -> str:
 # ---------------------------------------------------------------------------
 # Exact-rational adjudication mode (d <= 2, affine + pointwise layers)
 # ---------------------------------------------------------------------------
-
-def _frac_clip(verts: list, a: list, c: Fraction):
-    vals = [a[0] * v[0] + (a[1] * v[1] if len(v) > 1 else 0) + c for v in verts]
-    n = len(verts)
-    neg, pos = [], []
-    for i in range(n):
-        j = (i + 1) % n
-        vi, vj = vals[i], vals[j]
-        p = verts[i]
-        if vi <= 0:
-            neg.append(p)
-        if vi >= 0:
-            pos.append(p)
-        if (vi < 0 < vj) or (vj < 0 < vi):
-            t = vi / (vi - vj)
-            q = tuple(p[k] + t * (verts[j][k] - p[k]) for k in range(len(p)))
-            neg.append(q)
-            pos.append(q)
-    return neg, pos
-
 
 def _frac_area2(verts: list) -> Fraction:
     s = Fraction(0)
@@ -852,7 +876,8 @@ def exact_cell_count(net: NetworkSpec, domain) -> tuple[int, int]:
                             if a_row[0] == 0 and a_row[1] == 0:
                                 next_parts.append(g)
                                 continue
-                            neg, pos = _frac_clip(g, a_row, c_off)
+                            neg, pos = _clip(g, [a_row[0] * x + a_row[1] * y + c_off
+                                                 for x, y in g])
                             if len(neg) >= 3 and _frac_area2(neg) > 0 and \
                                     len(pos) >= 3 and _frac_area2(pos) > 0:
                                 next_parts.append(neg)

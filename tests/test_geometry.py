@@ -1,4 +1,5 @@
 """Exact region enumeration: witnesses, subdivision, counting, rendering."""
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from cpwl.geometry import (DEFAULT_CONFIG, BudgetExceeded, GeometryConfig,
                            interior_witness_report, network_arrangement_upper,
                            piece_fingerprint, region_set_to_json,
                            regions_containing, render_svg)
+from cpwl.serial import dumps_canonical
 
 
 def mixed_net():
@@ -273,6 +275,164 @@ def test_polygon_measures_match_roll_formulas():
         got_area, got_per = geometry._polygon_area_perimeter(verts)
         assert np.array([got_area, got_per]).tobytes() == np.array([area, per]).tobytes()
         assert geometry._polygon_centroid(verts).tobytes() == centroid.tobytes()
+        # The scalar kernel: the same vertex array and centroid bytes.
+        arr, got_centroid = geometry._polygon_cell(verts.tolist(), 0.0)
+        assert arr.tobytes() == verts.tobytes()
+        assert got_centroid.tobytes() == centroid.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_scalar_admissibility_matches_numpy_at_the_threshold(monkeypatch, scale):
+    # eps_interior is set within 1e-12 relative (down to 1e-16) of each
+    # polygon's area/perimeter, so only the rounding of the two area sums
+    # can part the decisions; the scalar test must hand those to numpy.
+    numpy_measures, fallbacks = geometry._polygon_area_perimeter, [0]
+
+    def counted(verts):
+        fallbacks[0] += 1
+        return numpy_measures(verts)
+    monkeypatch.setattr(geometry, "_polygon_area_perimeter", counted)
+    rng = np.random.default_rng(round(np.log10(scale)) + 40)
+    for i in range(1500):
+        n = 3 + i % 5
+        t = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+        # Round and sliver polygons, about the origin or far off it.
+        shape = np.stack([np.cos(t), 10.0 ** rng.uniform(-3, 0) * np.sin(t)], 1)
+        theta = rng.uniform(0, 2 * np.pi)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        centre = rng.normal(size=2) * rng.choice([0.0, 1.0, 30.0])
+        verts = (scale * (centre + shape @ rot)).tolist()
+        area, per = numpy_measures(np.array(verts))
+        eps = area / per * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16, -12))
+        got = geometry._polygon_cell(verts, eps)
+        assert (got is not None) == (area / per > eps), (i, verts, eps)
+    # Both paths ran: numpy decided some, the scalar test alone 100 or more.
+    assert 0 < fallbacks[0] < 1500 - 100
+
+
+def _digest_corpus():
+    """(name, net, domain): 2-input nets of every layer type, each on a box
+    and unbounded."""
+    rng = np.random.default_rng(2024)
+    theta = np.sort(rng.uniform(0.0, 2 * np.pi, 9))
+
+    def affine(m, n):
+        return Affine(AffineMap(rng.normal(size=(m, n)), rng.normal(size=m)))
+
+    spline = core.ScalarCPWL((-0.7, 0.1, 0.9), (0.4, -1.1, 0.6, 1.3), 0.2)
+    readins = tuple(AffineMap(0.6 * rng.normal(size=(2, 3)), 0.3 * rng.normal(size=2))
+                    for _ in range(2))
+    nets = {
+        "relu": NetworkSpec(2, (affine(5, 2), Pointwise((relu_unit(),) * 5), affine(3, 5),
+                                Pointwise((relu_unit(),) * 3), affine(1, 3))),
+        "relu-dead": relu_dead_net(31, (2, 5, 3, 1), 2.5),
+        "abs": NetworkSpec(2, (affine(4, 2), Pointwise((abs_unit(),) * 4), affine(2, 4),
+                               Pointwise((abs_unit(),) * 2))),
+        "spline": NetworkSpec(2, (affine(3, 2), Pointwise((spline,) * 3), affine(2, 3),
+                                  Pointwise((spline, relu_unit())))),
+        "maxout": NetworkSpec(2, (Maxout(3, rng.normal(size=(3, 3, 2)), rng.normal(size=(3, 3))),
+                                  Maxout(2, rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 2))))),
+        # One unit whose constant candidate wins on a 9-gon: cells of 8+ vertices.
+        "maxout-9gon": NetworkSpec(2, (Maxout(10, np.vstack([[0.0, 0.0], np.stack(
+            [np.cos(theta), np.sin(theta)], 1)])[None], -np.sign(np.arange(10.0))[None]),)),
+        "groupsort": NetworkSpec(2, (affine(4, 2), GroupSort(2), affine(4, 4), GroupSort(4),
+                                     affine(1, 4))),
+        "pwlu2d": NetworkSpec(2, (affine(3, 2), PWLU2D(3, rng.normal(size=(2, 3, 3)), readins),
+                                  affine(1, 2))),
+    }
+    return [(f"{name}-{'box' if domain else 'unbounded'}", net, domain)
+            for name, net in nets.items() for domain in ((-2.5, 2.5), None)]
+
+
+# (cells, distinct, connected), sha256 of the canonical regions.json and,
+# on the box, of the SVG; recorded before the scalar polygon kernel.
+_CORPUS_DIGESTS = {
+    "relu-box": ((14, 14, 14),
+        "05cb77634c5196d54140b88d49a8b1ec22549b2d5cd8d0a2ab6e6974a29ac6c0",
+        "a6e13dc907f3ce95429020e15ecebce8229d6a723c0bc4691211c4ec5ddf027c"),
+    "relu-unbounded": ((34, 34, 34),
+        "227b6d3ab1a89904266d12cba04c914f1b655769b0a2c09e2107c0c75f92509f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "relu-dead-box": ((10, 1, 1),
+        "53e3db7ee3f0aeeb340cf6d44bf6d8ba5a614738b11214fcc9696b425f159e13",
+        "e948b2c1870f3ba1d2b9696802fed6237ff8dcf05e88dc8fa3ad70c8846a479b"),
+    "relu-dead-unbounded": ((25, 12, 12),
+        "31efdc69323fa3bf2f3ba3075ec3b2c1f2fe0127a21ec0ebf43056592f42b008",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "abs-box": ((14, 14, 14),
+        "9356802b4ca6a4b593e033bd1b5394ae2a7548c8a2f7bb6481a5ad6471170b88",
+        "580a14bfcb8517e67e254be5785ec46a31ec9550638dd21077c880e29363b617"),
+    "abs-unbounded": ((15, 15, 15),
+        "293f95de223b934df17f942483d94fad8441b5789d8fdf7676008e6e5f0ff9fd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "spline-box": ((74, 74, 74),
+        "9d04d3befbfcecff4eb27167a9c95d0b27882c0f68c27e96b3cb8a942ea9ccaa",
+        "8265629d83bc8b3932efe3b6c3bb54b4e0d759a941d8bde8a224e5795523c961"),
+    "spline-unbounded": ((114, 114, 114),
+        "f5a4f635946ac1c867e763e2118182cdd86ad2f781187fb822de3a569bc476de",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "maxout-box": ((24, 24, 24),
+        "7d5a27bec2675b3b0b4d36485c89c3e044621ef8197d434334efc71083c800bb",
+        "af01f28954dbcb39208c4cd7a0ef52f8fd2849b306a9c6be15ef08aba46a3e4c"),
+    "maxout-unbounded": ((37, 37, 37),
+        "104bd0290d2e1950c0d8546019b0f9c32fa6cc966252ee6d2a4b5d13796f6a19",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "maxout-9gon-box": ((10, 10, 10),
+        "343dea99543ffc812ddd2807eed94c72bce434e75f9a412bb447e3f3d7104b96",
+        "9a5ddc8ff25d40d0c2951f7b0d44634cebb3d4bc7788c606cccca7e1bf823bdd"),
+    "maxout-9gon-unbounded": ((10, 10, 10),
+        "d44812e3d0bb381515beeb58a49cd1ba609123ed56ef992712f926aabacf339c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "groupsort-box": ((9, 9, 9),
+        "47fe2e48c687319be5c1489ee9f2afd3c316ef7d458b12f03d3fb0dac620f79b",
+        "feb33ead2e4a888c34379268fbfc61696a925c3af7c7ca46fa32ef33472dd91f"),
+    "groupsort-unbounded": ((33, 33, 33),
+        "5c5671dcdbde5ad2cc8336cd7bc8ae3b75210b4e35d3a27adc6af7aaf8a3d811",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "pwlu2d-box": ((41, 41, 41),
+        "31deb792c0b8471157fca761283fee4ec1f42acf65c03366e81261e86936d22b",
+        "cc91dac10ead2c129405543c82159a5d7e422b7909af38788293e1399c58a68b"),
+    "pwlu2d-unbounded": ((79, 78, 79),
+        "ee7275ecd51bca73a73442327912623183eaa81e6a64a567204dd939a47dae67",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def test_region_products_match_recorded_digests():
+    got = {}
+    for name, net, domain in _digest_corpus():
+        rs = enumerate_regions(net, domain=domain)
+        rep = count_report(rs)
+        svg = render_svg(rs, domain) if domain else ""
+        got[name] = ((rep.cell_count, rep.distinct_piece_count, rep.connected_piece_count),
+                     hashlib.sha256(dumps_canonical(region_set_to_json(rs)).encode()).hexdigest(),
+                     hashlib.sha256(svg.encode()).hexdigest())
+    assert got == _CORPUS_DIGESTS
+
+
+def _reference_key(a, c, tol, signed=False):
+    """The one-row key as a per-row loop."""
+    v = np.concatenate([a, [c]]) / np.linalg.norm(a)
+    for x in v[:-1]:
+        if abs(x) > tol:
+            if x < 0 and not signed:
+                v = -v
+            break
+    return tuple(np.round(v, max(0, int(round(-np.log10(tol))))))
+
+
+def test_layer_keys_match_per_row_keys():
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3):
+        N = rng.normal(size=(400, d)) * 10.0 ** rng.uniform(-6, 6, (400, 1))
+        if d > 1:  # first entries at or below tol: the sign comes from the next
+            N[::7, 0] = 0.0
+            N[::11, 0] = 1e-10 * N[::11, -1]
+        C = rng.normal(size=400) * 10.0 ** rng.uniform(-6, 6, 400)
+        for signed in (False, True):
+            keys = geometry._hyperplane_keys(N, C, 1e-9, signed)
+            assert keys == [_reference_key(a, c, 1e-9, signed) for a, c in zip(N, C)]
+            assert keys == [geometry._hyperplane_key(a, c, 1e-9, signed) for a, c in zip(N, C)]
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +722,21 @@ def test_regions_containing_on_a_facet():
     x = -c[0] / (W[0] @ np.array([1.0, 0.0])) * np.array([1.0, 0.0])
     assert abs(W[0] @ x + c[0]) < 1e-9
     assert len(regions_containing(rs, x)) >= 2
+
+
+def test_regions_containing_matches_row_loop():
+    rs = enumerate_regions(mixed_net(), domain=(-2.0, 2.0))
+    rng = np.random.default_rng(4)
+    # Random points, and witnesses moved onto one of their cell's rows.
+    points = list(rng.uniform(-2.5, 2.5, (200, 2)))
+    for r in rs.regions[:30]:
+        a, c = r.rows[-1]
+        points.append(r.witness - (a @ r.witness + c) / (a @ a) * a)
+    for x in points:
+        ref = [i for i, r in enumerate(rs.regions)
+               if all(h.normal @ x + h.offset >= -1e-9 * max(1.0, float(np.linalg.norm(h.normal)))
+                      for h in r.constraints)]
+        assert regions_containing(rs, x) == ref
 
 
 def test_enumeration_is_deterministic():
