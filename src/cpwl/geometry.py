@@ -11,11 +11,12 @@ Backends: exact interval splitting (1 input), convex-polygon clipping on
 Python floats (2 inputs; a scalar area test with a derived rounding bound
 hands close calls and polygons of 8+ vertices to numpy's formulas, so cells
 and witnesses are theirs bit for bit), and, for 3+ inputs, cells that keep
-an inscribed (Chebyshev) ball: a hyperplane cuts the ball in closed form,
-and only a side whose ball is too small, off the box or missed by the
-hyperplane solves the witness LP. Cell processing is pure and
-order-independent; the output ordering is canonicalized, so results are
-deterministic. The LP kernel calls scipy's HiGHS bindings directly, with
+an inscribed (Chebyshev) ball and their vertices: a hyperplane cuts the ball
+in closed form, the vertices show a side empty or give it a "cone ball", and
+the sides that neither decides, or all of a cell whose rows are too small
+for the LP's absolute tolerance, solve the witness LP. Cell processing is
+pure and order-independent; the output ordering is canonicalized, so
+results are deterministic. The LP kernel calls scipy's HiGHS bindings directly, with
 the options and the post-check of ``scipy.optimize.linprog(method="highs")``,
 so it returns what linprog would. The binding loads on the first LP, so runs
 that solve none never import scipy, and one HiGHS solver serves every LP of
@@ -26,6 +27,7 @@ from __future__ import annotations
 import colorsys
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -391,6 +393,12 @@ class _PolygonBackend:
 # exceeds this many eps_interior, so that the witness LP would surely agree.
 _BALL_MARGIN = 10.0
 
+# Scaling rule of the vertex certificates: HiGHS's absolute feasibility
+# tolerance, 1e-7, over a row's norm is how far the witness LP may put its
+# point past that row. Past this many eps_interior the LP may find interior
+# what the vertices show empty, and it judges the cell and its descendants.
+_VERTEX_SLOP_LIMIT = 1e3
+
 
 def _inscribed_radius(rows: list, x: np.ndarray) -> float:
     """Radius of the largest ball about ``x`` inside every row a.x + c >= 0
@@ -399,33 +407,90 @@ def _inscribed_radius(rows: list, x: np.ndarray) -> float:
     return float(np.min((N @ x + C) / row_norms(N)))
 
 
-class _LPBackend:
-    """d >= 3: a cell is its constraint list inside the domain box, with an
-    inscribed ball: the cell's witness is its centre, ``geom`` is
-    ``(lo, hi, radius)``. The root's ball is the box's inscribed ball.
+# A vertex that a cut a.x + c misses by at most this share of the largest
+# term, (box scale * ||a||_1 + |c|) / ||a||, is on the cut up to rounding,
+# yet not exactly: its side, and so the children's vertices, are a guess.
+_VERTEX_ROUNDING = 2.0 ** -40
 
-    A split cuts the ball in closed form (Chebyshev-ball subdivision, as in
-    edge-subdivision region extraction): a hyperplane through the ball
-    leaves each side the largest ball inside its part of the ball, and a
-    missed ball stays whole on its side. A side whose ball clears ``_BALL_MARGIN``
-    eps_interior with its centre in the box is interior without an LP;
-    every other side solves the witness LP, whose point, with the radius of
-    the rows' slack there, becomes the child's ball. A split needs both
-    sides interior, so the first side that is not ends it. Only the box
-    bounds the centre, as in the LP, so balls are not capped at its faces.
+
+def _clip_vertices(V: np.ndarray, act: list, dist: np.ndarray, tol: float, bit: int):
+    """(V, act) of the sides dist < 0 and dist > 0 of a polytope with
+    vertices ``V`` and active-row bit sets ``act``, cut by the row ``bit``.
+    New vertices lie on the edges whose ends have opposite signs: two
+    vertices share an edge when their sets share d - 1 rows and no third
+    vertex's set holds those rows (the double-description method's
+    combinatorial test; moot when one of the two has only d rows). None
+    when a vertex is within ``tol`` of the cut but off it, or a side keeps
+    d or fewer vertices."""
+    d, vals = V.shape[1], dist.tolist()
+    if any(0.0 < abs(v) <= tol for v in vals):
+        return None
+    sides = ([i for i, v in enumerate(vals) if v < 0], [i for i, v in enumerate(vals) if v > 0])
+    on = [i for i, v in enumerate(vals) if v == 0]
+    I, J, simple = [], [], [w.bit_count() == d for w in act]
+    for i in sides[0]:
+        for j in sides[1]:
+            z = act[i] & act[j]
+            if z.bit_count() >= d - 1 and (simple[i] or simple[j]
+                                           or sum(z & w == z for w in act) == 2):
+                I.append(i)
+                J.append(j)
+    t = (dist[I] / (dist[I] - dist[J]))[:, None]
+    W = np.vstack([V[I] + t * (V[J] - V[I]), V[on]])
+    cut = [act[i] & act[j] | bit for i, j in zip(I, J)] + [act[k] | bit for k in on]
+    if min(map(len, sides)) + len(cut) <= d:
+        return None
+    return [(np.vstack([V[s], W]), [act[k] for k in s] + cut) for s in sides]
+
+
+class _LPBackend:
+    """d >= 3: a cell is its constraint list inside the domain box with an
+    inscribed ball, whose centre is its witness, and, while it keeps them,
+    its vertices: ``geom`` is ``(lo, hi, radius, (V, act) or None)``, ``act``
+    holding each vertex's active rows as bits (box faces 2j and 2j + 1 for
+    lo_j and hi_j, then the constraints in order). The root has the box's
+    inscribed ball and corners.
+
+    A hyperplane through the ball leaves each side the largest ball inside
+    its part of the ball; a missed ball stays whole on its side. The
+    vertices decide as the witness LP would: a side that no vertex enters by
+    more than eps_interior / 2 holds no interior, so the split does not
+    happen; on a side that the ball (x0, r) misses or grazes, the hull of the
+    ball and the deepest vertex v* (depth h) holds a "cone ball" of radius
+    r h / (h - delta + r) on the segment from v* to x0, delta being x0's
+    depth. A ball over ``_BALL_MARGIN`` eps_interior with its centre in the
+    box (the LP bounds only the centre, so balls are not capped at the box)
+    makes its side interior; any other side solves the witness LP, whose
+    point and the radius of the rows' slack there make the child's ball, and
+    the first side that is not interior ends the split. Children get their
+    vertices from ``_clip_vertices``; a cell whose clip is in doubt, or that
+    takes a row failing the scaling rule, drops them for good.
     """
 
     def __init__(self, cfg: GeometryConfig):
         self.cfg = cfg
 
     def root(self, lo, hi):
-        return (lo, hi, float(np.min(hi - lo)) / 2.0), (lo + hi) / 2.0
+        corners = list(itertools.product((0, 1), repeat=len(lo)))
+        V = np.where(np.array(corners, dtype=bool), hi, lo)
+        act = [sum(1 << (2 * j + b) for j, b in enumerate(bits)) for bits in corners]
+        return (lo, hi, float(np.min(hi - lo)) / 2.0, (V, act)), (lo + hi) / 2.0
 
     def split(self, cell: _Cell, a: np.ndarray, c: float):
-        lo, hi, r = cell.geom
-        x0 = cell.witness
+        lo, hi, r, verts = cell.geom
+        x0, eps = cell.witness, self.cfg.eps_interior
         norm = float(np.linalg.norm(a))
         u, delta = a / norm, (float(a @ x0) + c) / norm
+        if 1e-7 / norm > _VERTEX_SLOP_LIMIT * eps:  # the scaling rule
+            verts = None
+        if verts is not None:
+            V, act = verts
+            dist = (V @ a + c) / norm
+            if dist.max() <= eps / 2 or dist.min() >= -eps / 2:
+                return None  # a side holds no ball of radius eps_interior
+
+        def certified(centre, radius):
+            return radius > _BALL_MARGIN * eps and ((lo <= centre) & (centre <= hi)).all()
         balls = []
         for s in (1.0, -1.0):  # the side s * (a.x + c) >= 0
             ds = s * delta
@@ -433,15 +498,24 @@ class _LPBackend:
                 centre, radius = x0, r
             else:
                 centre, radius = x0 + (s * (r - ds) / 2.0) * u, (r + ds) / 2.0
-            if not (ds > -r and radius > _BALL_MARGIN * self.cfg.eps_interior
-                    and np.all(lo <= centre) and np.all(centre <= hi)):
+                if verts is not None and not certified(centre, radius):  # cone ball
+                    j = int(np.argmax(s * dist))
+                    h = s * float(dist[j])
+                    radius = r * h / (h - ds + r)
+                    centre = V[j] + (radius / r) * (x0 - V[j])
+            if not certified(centre, radius):
                 rows = cell.constraints + [(s * a, s * c)]
                 w = interior_witness_report(rows, self.cfg, bounds=(lo, hi))
                 if w.status != "interior":
                     return None
                 centre, radius = w.point, _inscribed_radius(rows, w.point)
-            balls.append(((lo, hi, radius), centre))
-        return balls[1], balls[0]
+            balls.append((radius, centre))
+        if verts is not None:
+            tol = _VERTEX_ROUNDING * (max(-lo.min(), hi.max()) * np.abs(a).sum() + abs(c)) / norm
+            verts = _clip_vertices(V, act, dist, tol, 1 << (2 * len(lo) + len(cell.constraints)))
+        neg, pos = verts or (None, None)
+        (rp, wp), (rn, wn) = balls
+        return ((lo, hi, rn, neg), wn), ((lo, hi, rp, pos), wp)
 
 
 def _backend_for(d: int, cfg: GeometryConfig):
@@ -600,13 +674,18 @@ def enumerate_regions(net: NetworkSpec, domain=None,
     return RegionSet(d, regions, (lo, hi) if bounded else None)
 
 
+def _piece_fingerprints(M: np.ndarray, B: np.ndarray, tol: float) -> list:
+    """Quantized (matrix, offset) key of each piece (M[i], B[i]); equal
+    pieces map to equal keys, pieces differing by more than the relative
+    tolerance map to different keys."""
+    F = np.hstack([M.reshape(len(M), -1), B.reshape(len(B), -1)])
+    q = tol * np.maximum(1.0, np.abs(F).max(axis=1))
+    return list(map(tuple, np.round(F / q[:, None]).astype(np.int64).tolist()))
+
+
 def piece_fingerprint(piece: AffineMap, tol: float = DEFAULT_CONFIG.fingerprint_tol) -> tuple:
-    """Quantized (matrix, offset) key; equal pieces map to equal keys, pieces
-    differing by more than the relative tolerance map to different keys."""
-    flat = np.concatenate([piece.matrix.ravel(), piece.offset.ravel()])
-    scale = max(1.0, float(np.abs(flat).max()))
-    q = tol * scale
-    return tuple(np.round(flat / q).astype(np.int64).tolist())
+    """``_piece_fingerprints`` of the one piece."""
+    return _piece_fingerprints(piece.matrix[None], piece.offset[None], tol)[0]
 
 
 def _domain_halfspaces(rs: RegionSet) -> list[tuple[np.ndarray, float]]:
@@ -661,7 +740,8 @@ def count_report(rs: RegionSet, net: Optional[NetworkSpec] = None,
                  cfg: GeometryConfig = DEFAULT_CONFIG) -> CountReport:
     """Cell count, distinct affine pieces, and connected components of
     equal-piece cells under facet adjacency."""
-    fps = [piece_fingerprint(r.piece, cfg.fingerprint_tol) for r in rs.regions]
+    fps = _piece_fingerprints(np.array([r.piece.matrix for r in rs.regions]),
+                              np.array([r.piece.offset for r in rs.regions]), cfg.fingerprint_tol)
     groups: dict[tuple, list[int]] = {}
     for i, fp in enumerate(fps):
         groups.setdefault(fp, []).append(i)

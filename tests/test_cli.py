@@ -446,17 +446,33 @@ def _relu_net(rng, d_in, width):
     ))
 
 
+def _dead_half_net(rng, d_in, width):
+    """A relu net with a relu on its output, shifted so that the output is
+    zero on about half of the box [-2, 2]^d_in: the dead half is a group of
+    cells with one piece, so count_report runs adjacency LPs."""
+    net = _relu_net(rng, d_in, width)
+    grid = np.stack(np.meshgrid(*[np.linspace(-2.0, 2.0, 7)] * d_in), -1).reshape(-1, d_in)
+    out = np.median([cpwl.core.eval(net, x)[0] for x in grid])
+    last = net.layers[-1].map
+    return NetworkSpec(d_in, net.layers[:-1] + (Affine(AffineMap(last.matrix, last.offset - out)),
+                                                Pointwise((relu_unit(),))))
+
+
 def test_commands_without_lps_never_import_scipy(tmp_path, capsys):
     save_network(_relu_net(np.random.default_rng(2), 2, 4), str(tmp_path / "net2.json"))
-    assert main(["count", "--net", str(tmp_path / "net2.json"), "--box", "-2,2"]) == 0
-    out = capsys.readouterr().out
-    # Generic output weights give every cell its own piece, so count_report
-    # solves no adjacency LP.
-    assert "cell_count = 10\ndistinct_piece_count = 10\n" in out
+    save_network(_relu_net(np.random.default_rng(3), 3, 6), str(tmp_path / "net3.json"))
+    for name, counts in (("net2.json", 10), ("net3.json", 36)):
+        assert main(["count", "--net", str(tmp_path / name), "--box", "-2,2"]) == 0
+        out = capsys.readouterr().out
+        # Generic output weights give every cell its own piece, so
+        # count_report solves no adjacency LP; the vertices of 3-input cells
+        # decide every split of the well-scaled net without one.
+        assert f"cell_count = {counts}\ndistinct_piece_count = {counts}\n" in out
     for argv in (["mc", "--family", "relu", "--d", "4", "--trials", "100"],
                  ["bound", "--beta", "2", "3,3"],
                  ["construct", "--sawtooth", "4"],
-                 ["count", "--net", "net2.json", "--box", "-2,2"]):
+                 ["count", "--net", "net2.json", "--box", "-2,2"],
+                 ["count", "--net", "net3.json", "--box", "-2,2"]):
         proc, modules = _cold_cli(tmp_path, *argv)
         assert proc.returncode == 0, proc.stderr
         assert "cpwl.geometry" in modules
@@ -464,10 +480,12 @@ def test_commands_without_lps_never_import_scipy(tmp_path, capsys):
 
 
 def test_cold_3d_count_loads_highs_and_agrees(tmp_path, capsys):
-    save_network(_relu_net(np.random.default_rng(3), 3, 6), str(tmp_path / "net3.json"))
+    save_network(_dead_half_net(np.random.default_rng(3), 3, 3), str(tmp_path / "net3.json"))
     argv = ["count", "--net", "net3.json", "--box", "-2,2"]
     proc, modules = _cold_cli(tmp_path, *argv)
     assert proc.returncode == 0, proc.stderr
     assert "scipy.optimize._highspy" in modules
     assert main(["count", "--net", str(tmp_path / "net3.json"), "--box", "-2,2"]) == 0
     assert proc.stdout == capsys.readouterr().out
+    counts = dict(line.split(" = ") for line in proc.stdout.splitlines() if " = " in line)
+    assert int(counts["distinct_piece_count"]) < int(counts["cell_count"])

@@ -1,5 +1,6 @@
 """Exact region enumeration: witnesses, subdivision, counting, rendering."""
 import hashlib
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -559,28 +560,49 @@ def test_every_region_piece_matches_network_at_witness():
 
 def test_coordinate_planes_cut_the_cube_through_lp_splits(lp_calls):
     # Thresholds inside [-1, 1]^3: each relu's plane splits every cell it
-    # crosses, 2 * 2 * 2 cells with distinct pieces. Every plane passes
-    # through the cell's inscribed ball, so the balls certify nearly every
-    # side (two witness LPs per split would make 14).
+    # crosses, 2 * 2 * 2 cells with distinct pieces. The balls certify every
+    # side a plane cuts through them, and the vertices the rest (two witness
+    # LPs per split would make 14), so no LP runs.
     net = NetworkSpec(3, (Affine(AffineMap(np.eye(3), np.array([0.2, -0.3, 0.1]))),
                           Pointwise((relu_unit(),) * 3)))
     rs = enumerate_regions(net, domain=(-1.0, 1.0))
-    assert 1 <= lp_calls[0] <= 2
+    assert lp_calls[0] == 0
     rep = count_report(rs, net)
     assert (rep.cell_count, rep.distinct_piece_count, rep.connected_piece_count) == (8, 8, 8)
     signs = {tuple(np.sign(r.witness + [0.2, -0.3, 0.1]).tolist()) for r in rs.regions}
     assert len(signs) == 8
 
 
-def test_plane_missing_the_ball_needs_one_lp(lp_calls):
+def test_plane_missing_the_ball_needs_no_lp(lp_calls):
     # The box's inscribed ball (centre 0, radius 1) lies wholly on the side
-    # x1 < 2, which it certifies; only the far side solves a witness LP.
+    # x1 < 2, which it certifies; the far side is certified by the cone
+    # ball between the ball and the box corner deepest in it.
     net = NetworkSpec(3, (Affine(AffineMap(np.array([[1.0, 0.0, 0.0]]), np.array([-2.0]))),
                           Pointwise((relu_unit(),))))
     rs = enumerate_regions(net, domain=(np.array([-4.0, -1.0, -1.0]), np.array([4.0, 1.0, 1.0])))
     assert len(rs) == 2
-    assert lp_calls[0] == 1
+    assert lp_calls[0] == 0
     assert sorted(r.witness[0] > 2.0 for r in rs.regions) == [False, True]
+
+
+def test_scaling_rule_leaves_small_rows_to_the_lp(lp_calls):
+    # Planes x1 = 2 and x1 = -3 both miss the balls they meet. With the first
+    # row scaled by k, the vertices decide every such side while 1e-7 / k
+    # stays within _VERTEX_SLOP_LIMIT eps_interior; below that k the witness
+    # LP decides the split by that row and every split of the cells it bounds.
+    k0 = 1e-7 / (geometry._VERTEX_SLOP_LIMIT * DEFAULT_CONFIG.eps_interior)
+    box = (np.array([-4.0, -1.0, -1.0]), np.array([4.0, 1.0, 1.0]))
+    for k, lps in ((1.01 * k0, 0), (0.99 * k0, 3)):
+        net = NetworkSpec(3, (Affine(AffineMap(np.array([[k, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+                                               np.array([-2.0 * k, 3.0]))),
+                              Pointwise((relu_unit(),) * 2)))
+        lp_calls[0] = 0
+        rs = enumerate_regions(net, domain=box)
+        assert lp_calls[0] == lps, k
+        assert sorted(np.digitize(r.witness[0], [-3.0, 2.0]) for r in rs.regions) == [0, 1, 2]
+
+
+_LP_SPLIT = geometry._LPBackend.split
 
 
 def _two_lp_split(self, cell, a, c):
@@ -657,31 +679,36 @@ def _cell_keys(rs):
 
 
 def test_ball_splits_decide_as_two_witness_lps(monkeypatch):
-    # Inscribed balls change which LPs run and the witnesses, never a split:
-    # the same counts and cells as the two-LP split, and every side a ball
-    # certifies (no LP solved for it) is interior by the witness LP.
+    # Inscribed balls and vertex certificates change which LPs run and the
+    # witnesses, never a split: the same counts and cells as the two-LP
+    # split, and every side decided without an LP is decided alike by the
+    # witness LP. A side certified interior is interior, and a split refused
+    # with no LP refusing it has a side that the LP finds not interior.
     ball_split, solve = geometry._LPBackend.split, geometry.interior_witness_report
-    certified = []
+    certified, refused = [], []
 
     def checked(self, cell, a, c):
-        solved = []  # the sides, +1 or -1, that went to an LP, in order
+        solved = {}  # side (+1 or -1) -> status of its witness LP
 
         def recording(rows, *args, **kwargs):
-            solved.append(1.0 if np.array_equal(rows[-1][0], a) else -1.0)
-            return solve(rows, *args, **kwargs)
+            w = solve(rows, *args, **kwargs)
+            solved[1.0 if np.array_equal(rows[-1][0], a) else -1.0] = w.status
+            return w
         geometry.interior_witness_report = recording
         try:
             res = ball_split(self, cell, a, c)
         finally:
             geometry.interior_witness_report = solve
-        # The positive side comes first, and a side that is not interior
-        # ends the split: one that fails reached the sides up to its last LP.
-        order = [1.0, -1.0]
-        reached = order if res is not None else order[:order.index(solved[-1]) + 1]
-        for s in set(reached) - set(solved):
-            w = solve(cell.constraints + [(s * a, s * c)], self.cfg, bounds=cell.geom[:2])
-            assert w.status == "interior"
-            certified.append(s)
+        lp = {s: solved.get(s) or solve(cell.constraints + [(s * a, s * c)], self.cfg,
+                                        bounds=cell.geom[:2]).status for s in (1.0, -1.0)}
+        assert (res is not None) == (lp == {1.0: "interior", -1.0: "interior"})
+        if res is not None:
+            certified.extend(set(lp) - set(solved))
+        elif not solved:
+            refused.append(lp)
+        elif 1.0 not in solved:  # an LP refused side -1 after side +1 was certified
+            assert lp[1.0] == "interior"
+            certified.append(1.0)
         return res
 
     for k, net in enumerate(_lp_parity_nets()):
@@ -695,7 +722,108 @@ def test_ball_splits_decide_as_two_witness_lps(monkeypatch):
                 (ref_rep.cell_count, ref_rep.distinct_piece_count,
                  ref_rep.connected_piece_count), (k, domain)
             assert _cell_keys(rs) == _cell_keys(ref), (k, domain)
-    assert len(certified) > 100
+    assert len(certified) > 100 and len(refused) > 100
+
+
+def _degenerate_nets():
+    """3- and 4-input nets whose planes meet the cells' vertices: integer
+    planes concurrent through the origin and through box corners of ±2,
+    a plane through corners of the unbounded domain's R_max box, and an
+    integer-weight 4-input maxout net, and planes 1.5, 0.6 and 0.4
+    eps_interior inside a face of the box ±2, which the witness LP finds
+    interior, degenerate and degenerate."""
+    W = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, -1, 0], [0, 0, 1], [1, 1, 1],
+                  [1, 1, 1], [1, -1, 1], [1, 1, 1]], dtype=float)
+    o = np.array([0, 0, 0, 0, 0, 0, -2, -2, -DEFAULT_CONFIG.r_max])
+    eps = DEFAULT_CONFIG.eps_interior
+    rng = np.random.default_rng(7)
+    return [NetworkSpec(3, (Affine(AffineMap(W, o)), Pointwise((relu_unit(),) * 9),
+                            Affine(AffineMap(rng.integers(-2, 3, (2, 9)).astype(float),
+                                             np.array([1.0, 0.0]))),
+                            Pointwise((abs_unit(),) * 2))),
+            NetworkSpec(4, (Maxout(3, rng.integers(-1, 2, (3, 3, 4)).astype(float),
+                                   rng.integers(-2, 3, (3, 3)).astype(float)),
+                            Affine(AffineMap(rng.integers(-2, 3, (1, 3)).astype(float),
+                                             np.zeros(1))))),
+            NetworkSpec(3, (Affine(AffineMap(np.array([[1.0, 0.0, 0.0]] * 3 + [[0.0, 1.0, 1.0]]),
+                                             np.append(-2.0 + eps * np.array([1.5, 0.6, 0.4]),
+                                                       0.5))),
+                            Pointwise((relu_unit(),) * 4),
+                            Affine(AffineMap(np.array([[1.0, 2.0, 3.0, 1.0]]), np.zeros(1)))))]
+
+
+def _brute_vertices(N, C):
+    """Every point where d linearly independent rows of N x + C >= 0 are
+    tight and every row holds (within 1e-9), rounded to 9 decimals."""
+    d = N.shape[1]
+    S = np.array(list(itertools.combinations(range(len(N)), d)))
+    S = S[np.abs(np.linalg.det(N[S])) > 1e-9]
+    X = np.linalg.solve(N[S], -C[S][..., None])[..., 0]
+    return {tuple(x) for x in np.round(X[(X @ N.T + C >= -1e-9).all(axis=1)], 9) + 0.0}
+
+
+def test_cut_cells_list_exactly_their_vertices():
+    # Integer planes through box corners and each other's vertices, and
+    # planes concurrent at a point off the binary grid: every cell that
+    # keeps its vertices lists each of its vertices once, with exactly the
+    # rows tight there; a cut through a vertex that rounding puts beside the
+    # plane drops the vertices instead.
+    kept = Counter()
+    for d, planes, seeds, kind in ((3, 8, 10, "int"), (4, 6, 4, "int"), (3, 7, 5, "concurrent")):
+        backend = geometry._LPBackend(DEFAULT_CONFIG)
+        box = [row for j in range(d) for row in ((np.eye(d)[j], 2.0), (-np.eye(d)[j], 2.0))]
+        for seed in range(seeds):
+            rng = np.random.default_rng(seed)
+            geom, w = backend.root(np.full(d, -2.0), np.full(d, 2.0))
+            cells = [geometry._Cell([], w, geom)]
+            for _ in range(planes):
+                a = rng.integers(-2 if kind == "int" else -3, 3, d).astype(float)
+                c = float(rng.integers(-2, 3)) if kind == "int" else -a @ [0.3, -0.7, 1 / 3]
+                if not a.any():
+                    continue
+                new = []
+                for cell in cells:
+                    res = backend.split(cell, a, c)
+                    new += [cell] if res is None else [
+                        geometry._Cell(cell.constraints + [(-a, -c)], *res[0][::-1]),
+                        geometry._Cell(cell.constraints + [(a, c)], *res[1][::-1])]
+                cells = new
+            for cell in cells:
+                kept[kind, cell.geom[3] is not None] += 1
+                if cell.geom[3] is None:
+                    continue
+                V, act = cell.geom[3]
+                N, C = geometry._stack_rows(box + cell.constraints, d)
+                points = {tuple(v) for v in np.round(V, 9) + 0.0}
+                assert len(points) == len(V) and points == _brute_vertices(N, C)
+                tight = np.abs(V @ N.T + C) <= 1e-9
+                assert [sum(1 << k for k in np.flatnonzero(t)) for t in tight] == act
+    assert kept["int", True] > 3 * kept["int", False]
+    assert kept["concurrent", True] > 0 and kept["concurrent", False] > 0
+
+
+def test_degenerate_vertices_split_as_two_witness_lps(monkeypatch):
+    # Vertices with more than d active rows: every cell and count as by the
+    # two-LP split, on the box and unbounded.
+    clip, most_active = geometry._clip_vertices, [0]
+
+    def recording(V, act, *args):
+        most_active[0] = max(most_active[0], max(w.bit_count() for w in act) - V.shape[1])
+        return clip(V, act, *args)
+    monkeypatch.setattr(geometry, "_clip_vertices", recording)
+    for k, net in enumerate(_degenerate_nets()):
+        for domain in ((-2.0, 2.0), None):
+            monkeypatch.setattr(geometry._LPBackend, "split", _LP_SPLIT)
+            rs = enumerate_regions(net, domain=domain)
+            monkeypatch.setattr(geometry._LPBackend, "split", _two_lp_split)
+            ref = enumerate_regions(net, domain=domain)
+            rep, ref_rep = count_report(rs), count_report(ref)
+            assert (rep.cell_count, rep.distinct_piece_count, rep.connected_piece_count) == \
+                (ref_rep.cell_count, ref_rep.distinct_piece_count,
+                 ref_rep.connected_piece_count), (k, domain)
+            assert _cell_keys(rs) == _cell_keys(ref), (k, domain)
+            assert rep.cell_count >= 4, (k, domain)
+    assert most_active[0] >= 2
 
 
 def test_regions_cover_the_domain_uniquely():
@@ -766,6 +894,34 @@ def test_piece_fingerprint_quantizes():
     p3 = AffineMap(np.array([[1.1, 0.0]]), np.array([0.5]))
     assert piece_fingerprint(p1) == piece_fingerprint(p2)
     assert piece_fingerprint(p1) != piece_fingerprint(p3)
+
+
+def _reference_fingerprint(piece, tol):
+    """The per-piece fingerprint loop that count_report ran before the
+    batched pass."""
+    flat = np.concatenate([piece.matrix.ravel(), piece.offset.ravel()])
+    q = tol * max(1.0, float(np.abs(flat).max()))
+    return tuple(np.round(flat / q).astype(np.int64).tolist())
+
+
+def test_batched_fingerprints_match_per_piece_loop():
+    rng = np.random.default_rng(12)
+    for scale in 10.0 ** np.arange(-6, 7):
+        for m, d in ((1, 2), (3, 3), (2, 4)):
+            M, B = scale * rng.normal(size=(60, m, d)), scale * rng.normal(size=(60, m))
+            M[:10] = 0.0  # constant pieces, some equal
+            B[5:10] = B[:5]
+            M[10:20], B[10:20] = 3.0 * M[20:30], 3.0 * B[20:30]  # scalar multiples
+            M[30:35] *= 1.0 + 1e-9 * rng.normal(size=(5, m, d))
+            pieces = [AffineMap(a, b) for a, b in zip(M, B)]
+            tol = DEFAULT_CONFIG.fingerprint_tol
+            expected = [_reference_fingerprint(p, tol) for p in pieces]
+            assert geometry._piece_fingerprints(M, B, tol) == expected
+            assert [piece_fingerprint(p) for p in pieces] == expected
+    net = relu_dead_net(3, (3, 3, 1), 3.0)
+    rs = enumerate_regions(net, domain=(-3.0, 3.0))
+    fps = [_reference_fingerprint(r.piece, DEFAULT_CONFIG.fingerprint_tol) for r in rs.regions]
+    assert count_report(rs).distinct_piece_count == len(set(fps)) < len(rs)
 
 
 # ---------------------------------------------------------------------------
