@@ -299,11 +299,6 @@ class BoundReport:
     extras: dict = field(default_factory=dict)
 
 
-def _min_prefix(dims: Sequence[int], l: int) -> int:
-    """min(dims[0..l]) - the effective input dimension seen by layer l+1."""
-    return min(dims[: l + 1])
-
-
 def architecture_bound(family: str, **params) -> BoundReport:
     """Region bounds for named architecture families.
 
@@ -325,17 +320,11 @@ def architecture_bound(family: str, **params) -> BoundReport:
     """
     p = dict(params)
     if family == "ridge":
-        d, n = p["d"], p["n_units"]
-        value = sum(math.comb(n, k) for k in range(min(d, n) + 1))
-        return BoundReport(family, p, value)
+        return BoundReport(family, p, beta_uniform(p["d"], p["n_units"], 2))
     if family == "max_pooling":
-        d, dp, n = p["d"], p["out_dim"], p["pool_size"]
-        value = sum(math.comb(dp, k) * (n - 1) ** k for k in range(min(d, dp) + 1))
-        return BoundReport(family, p, value)
+        return BoundReport(family, p, beta_uniform(p["d"], p["out_dim"], p["pool_size"]))
     if family == "ghh":
-        d, n = p["d"], p["n_units"]
-        value = sum(math.comb(n, k) * d ** k for k in range(min(d, n) + 1))
-        return BoundReport(family, p, value)
+        return BoundReport(family, p, beta_uniform(p["d"], p["n_units"], p["d"] + 1))
     if family == "sort":
         d = p["d"]
         return BoundReport(family, p, math.factorial(d))
@@ -354,35 +343,22 @@ def architecture_bound(family: str, **params) -> BoundReport:
         m = p["grid_m"]
         return BoundReport(family, p, 2 * (m - 1) ** 2)
     if family == "pwlu_layer":
-        d, n, m = p["d"], p["n_units"], p["grid_m"]
-        kappa = 2 * (m - 1) ** 2
-        value = sum(math.comb(n, k) * (kappa - 1) ** k for k in range(min(d, n) + 1))
-        return BoundReport(family, p, value)
+        kappa = 2 * (p["grid_m"] - 1) ** 2
+        return BoundReport(family, p, beta_uniform(p["d"], p["n_units"], kappa))
     if family in ("relu_net", "deepspline_net", "maxout_net"):
         dims = tuple(p["dims"])
         kappa = {"relu_net": 2, "deepspline_net": p.get("kappa"),
                  "maxout_net": p.get("rank")}[family]
         if kappa is None or kappa < 1:
             raise ValidationError("per-unit count must be >= 1")
-        factors = []
-        for l in range(len(dims) - 1):
-            d_eff = _min_prefix(dims, l)
-            w = dims[l + 1]
-            factors.append(sum(math.comb(w, k) * (kappa - 1) ** k
-                               for k in range(min(d_eff, w) + 1)))
+        factors = [beta_uniform(min(dims[: l + 1]), dims[l + 1], kappa)
+                   for l in range(len(dims) - 1)]
         return BoundReport(family, p, math.prod(factors), extras={"factors": factors})
     if family == "groupsort_net":
         dims = tuple(p["dims"])
         g = p["group_size"]
-        factors = []
-        for l in range(len(dims) - 1):
-            w = dims[l + 1]
-            if w % g:
-                factors.append(1)
-                continue
-            d_eff = _min_prefix(dims, l)
-            kap = math.factorial(g)
-            factors.append(sum(math.comb(w // g, k) * (kap - 1) ** k
-                               for k in range(min(d_eff, w // g) + 1)))
+        factors = [1 if dims[l + 1] % g else
+                   beta_uniform(min(dims[: l + 1]), dims[l + 1] // g, math.factorial(g))
+                   for l in range(len(dims) - 1)]
         return BoundReport(family, p, math.prod(factors), extras={"factors": factors})
     raise ValidationError(f"unknown architecture family: {family}")

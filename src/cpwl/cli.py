@@ -342,9 +342,7 @@ def cmd_mc(args) -> int:
                         bias_dist=args.bias_dist, sigma_b=args.sigma_b,
                         fan_in_mode=args.fan_in_mode, seed=args.seed)
     arch, kw = _mc_arch(args)
-    width = arch.dims[1]
-    per_unit = {"relu": 2, "leaky": 2, "abs": 2, "deepspline": args.kappa,
-                "maxout": args.rank, "groupsort": args.group_size}[args.family]
+    width, per_unit = arch.dims[1], arch.kappas[0][0]
     rows = []
     if args.by_depth:
         ests = sto.mc_knot_density_by_depth(arch, init, trials=args.trials,

@@ -7,20 +7,22 @@ rows in order (keeping sides that pass an interior test), then compose every
 surviving cell's piece with the layer piece active at its witness, selected
 for all of the layer's cells at once.
 
-Backends: exact interval splitting (1 input), convex-polygon clipping on
-Python floats (2 inputs; a scalar area test with a derived rounding bound
-hands close calls and polygons of 8+ vertices to numpy's formulas, so cells
-and witnesses are theirs bit for bit), and, for 3+ inputs, cells that keep
-an inscribed (Chebyshev) ball and their vertices: a hyperplane cuts the ball
-in closed form, the vertices show a side empty or give it a "cone ball", and
-the sides that neither decides, or all of a cell whose rows are too small
-for the LP's absolute tolerance, solve the witness LP. Cell processing is
-pure and order-independent; the output ordering is canonicalized, so
-results are deterministic. The LP kernel calls scipy's HiGHS bindings directly, with
-the options and the post-check of ``scipy.optimize.linprog(method="highs")``,
-so it returns what linprog would. The binding loads on the first LP, so runs
-that solve none never import scipy, and one HiGHS solver serves every LP of
-the process.
+Backends: exact interval splitting (1 input; each side of a cut at t is
+longer than eps_interior * max(1, |t|)), convex-polygon clipping on
+Python floats (2 inputs; a side is a cell iff its area/perimeter, a lower
+bound on its inradius, exceeds eps_interior; a scalar area test with a
+derived rounding bound hands close calls and polygons of 8+ vertices to
+numpy's formulas, so cells and witnesses are theirs bit for bit), and, for
+3+ inputs, cells that keep their vertices: a side is a cell iff one of its
+vertices lies more than 2 eps_interior beyond the cut, and its witness is
+its vertex centroid. Enumeration solves no LP. Cell processing is pure and
+order-independent; the output ordering is canonicalized, so results are
+deterministic. The witness LP serves ``count_report``'s facet adjacency
+test and the public ``interior_witness_report``. Its kernel calls scipy's
+HiGHS bindings directly, with the options and the post-check of
+``scipy.optimize.linprog(method="highs")``, so it returns what linprog
+would. The binding loads on the first LP, so runs that solve none never
+import scipy, and one HiGHS solver serves every LP of the process.
 """
 from __future__ import annotations
 
@@ -45,7 +47,11 @@ from .switching import raw_layers, stack, unit_pieces
 @dataclass(frozen=True)
 class GeometryConfig:
     r_max: float = 1e6            # artificial bounding box for unbounded domains
-    eps_interior: float = 1e-7    # minimal interior margin for a cell to count
+    # Interior margin of a cell: each side of a 1-input cut at t is longer
+    # than eps_interior * max(1, |t|), a 2-input side's area/perimeter and a
+    # witness LP's margin exceed it, and a 3+-input side has a vertex more
+    # than 2 eps_interior beyond the cut.
+    eps_interior: float = 1e-7
     dedup_tol: float = 1e-9       # hyperplane deduplication tolerance
     zero_normal_tol: float = 1e-12  # pulled-back normals below this are skipped
     fingerprint_tol: float = 1e-6   # relative rounding for piece fingerprints
@@ -389,42 +395,24 @@ class _PolygonBackend:
         return (neg, pos) if pos else None
 
 
-# A closed-form ball certifies its side of a split only when its radius
-# exceeds this many eps_interior, so that the witness LP would surely agree.
-_BALL_MARGIN = 10.0
-
-# Scaling rule of the vertex certificates: HiGHS's absolute feasibility
-# tolerance, 1e-7, over a row's norm is how far the witness LP may put its
-# point past that row. Past this many eps_interior the LP may find interior
-# what the vertices show empty, and it judges the cell and its descendants.
-_VERTEX_SLOP_LIMIT = 1e3
+# A vertex that a cut a.x + c misses by at most this share of the cell's
+# largest term, (max |V| * ||a||_1 + |c|) / ||a||, is on the cut up to
+# rounding: it is snapped onto the cut, so that neither side gets a copy.
+# 32 units of rounding: on concurrent planes clipped vertices err by under
+# 2^-50 of that term, while 2^-44 and coarser snap real depths on the R_max
+# box and change counts that the same rule gives in exact arithmetic.
+_VERTEX_ROUNDING = 2.0 ** -48
 
 
-def _inscribed_radius(rows: list, x: np.ndarray) -> float:
-    """Radius of the largest ball about ``x`` inside every row a.x + c >= 0
-    (negative when ``x`` violates one), from the rows' own normalised slack."""
-    N, C = _stack_rows(rows, len(x))
-    return float(np.min((N @ x + C) / row_norms(N)))
-
-
-# A vertex that a cut a.x + c misses by at most this share of the largest
-# term, (box scale * ||a||_1 + |c|) / ||a||, is on the cut up to rounding,
-# yet not exactly: its side, and so the children's vertices, are a guess.
-_VERTEX_ROUNDING = 2.0 ** -40
-
-
-def _clip_vertices(V: np.ndarray, act: list, dist: np.ndarray, tol: float, bit: int):
+def _clip_vertices(V: np.ndarray, act: list, dist: np.ndarray, bit: int):
     """(V, act) of the sides dist < 0 and dist > 0 of a polytope with
-    vertices ``V`` and active-row bit sets ``act``, cut by the row ``bit``.
-    New vertices lie on the edges whose ends have opposite signs: two
-    vertices share an edge when their sets share d - 1 rows and no third
-    vertex's set holds those rows (the double-description method's
-    combinatorial test; moot when one of the two has only d rows). None
-    when a vertex is within ``tol`` of the cut but off it, or a side keeps
-    d or fewer vertices."""
+    vertices ``V`` and active-row bit sets ``act``, cut by the row ``bit``;
+    vertices with dist == 0 go to both sides. New vertices lie on the edges
+    whose ends have opposite signs: two vertices share an edge when their
+    sets share d - 1 rows and no third vertex's set holds those rows (the
+    double-description method's combinatorial test; moot when one of the
+    two has only d rows)."""
     d, vals = V.shape[1], dist.tolist()
-    if any(0.0 < abs(v) <= tol for v in vals):
-        return None
     sides = ([i for i, v in enumerate(vals) if v < 0], [i for i, v in enumerate(vals) if v > 0])
     on = [i for i, v in enumerate(vals) if v == 0]
     I, J, simple = [], [], [w.bit_count() == d for w in act]
@@ -438,33 +426,20 @@ def _clip_vertices(V: np.ndarray, act: list, dist: np.ndarray, tol: float, bit: 
     t = (dist[I] / (dist[I] - dist[J]))[:, None]
     W = np.vstack([V[I] + t * (V[J] - V[I]), V[on]])
     cut = [act[i] & act[j] | bit for i, j in zip(I, J)] + [act[k] | bit for k in on]
-    if min(map(len, sides)) + len(cut) <= d:
-        return None
     return [(np.vstack([V[s], W]), [act[k] for k in s] + cut) for s in sides]
 
 
-class _LPBackend:
-    """d >= 3: a cell is its constraint list inside the domain box with an
-    inscribed ball, whose centre is its witness, and, while it keeps them,
-    its vertices: ``geom`` is ``(lo, hi, radius, (V, act) or None)``, ``act``
-    holding each vertex's active rows as bits (box faces 2j and 2j + 1 for
-    lo_j and hi_j, then the constraints in order). The root has the box's
-    inscribed ball and corners.
+class _VertexBackend:
+    """d >= 3: a cell is its vertices, ``geom`` being ``(V, act)`` with
+    ``act`` holding each vertex's active rows as bits (box faces 2j and
+    2j + 1 for lo_j and hi_j, then the constraints in order); its witness is
+    the vertex centroid. The root is the domain box.
 
-    A hyperplane through the ball leaves each side the largest ball inside
-    its part of the ball; a missed ball stays whole on its side. The
-    vertices decide as the witness LP would: a side that no vertex enters by
-    more than eps_interior / 2 holds no interior, so the split does not
-    happen; on a side that the ball (x0, r) misses or grazes, the hull of the
-    ball and the deepest vertex v* (depth h) holds a "cone ball" of radius
-    r h / (h - delta + r) on the segment from v* to x0, delta being x0's
-    depth. A ball over ``_BALL_MARGIN`` eps_interior with its centre in the
-    box (the LP bounds only the centre, so balls are not capped at the box)
-    makes its side interior; any other side solves the witness LP, whose
-    point and the radius of the rows' slack there make the child's ball, and
-    the first side that is not interior ends the split. Children get their
-    vertices from ``_clip_vertices``; a cell whose clip is in doubt, or that
-    takes a row failing the scaling rule, drops them for good.
+    A side of a cut is a cell iff one of its vertices lies more than
+    2 eps_interior beyond the cut, the depth that a ball of radius
+    eps_interior inside the side needs; box faces count as facets. A vertex
+    within ``_VERTEX_ROUNDING`` of the cut is snapped onto it, and the
+    children get their vertices from ``_clip_vertices``.
     """
 
     def __init__(self, cfg: GeometryConfig):
@@ -474,48 +449,19 @@ class _LPBackend:
         corners = list(itertools.product((0, 1), repeat=len(lo)))
         V = np.where(np.array(corners, dtype=bool), hi, lo)
         act = [sum(1 << (2 * j + b) for j, b in enumerate(bits)) for bits in corners]
-        return (lo, hi, float(np.min(hi - lo)) / 2.0, (V, act)), (lo + hi) / 2.0
+        return (V, act), V.mean(axis=0)
 
     def split(self, cell: _Cell, a: np.ndarray, c: float):
-        lo, hi, r, verts = cell.geom
-        x0, eps = cell.witness, self.cfg.eps_interior
+        V, act = cell.geom
         norm = float(np.linalg.norm(a))
-        u, delta = a / norm, (float(a @ x0) + c) / norm
-        if 1e-7 / norm > _VERTEX_SLOP_LIMIT * eps:  # the scaling rule
-            verts = None
-        if verts is not None:
-            V, act = verts
-            dist = (V @ a + c) / norm
-            if dist.max() <= eps / 2 or dist.min() >= -eps / 2:
-                return None  # a side holds no ball of radius eps_interior
-
-        def certified(centre, radius):
-            return radius > _BALL_MARGIN * eps and ((lo <= centre) & (centre <= hi)).all()
-        balls = []
-        for s in (1.0, -1.0):  # the side s * (a.x + c) >= 0
-            ds = s * delta
-            if ds >= r:
-                centre, radius = x0, r
-            else:
-                centre, radius = x0 + (s * (r - ds) / 2.0) * u, (r + ds) / 2.0
-                if verts is not None and not certified(centre, radius):  # cone ball
-                    j = int(np.argmax(s * dist))
-                    h = s * float(dist[j])
-                    radius = r * h / (h - ds + r)
-                    centre = V[j] + (radius / r) * (x0 - V[j])
-            if not certified(centre, radius):
-                rows = cell.constraints + [(s * a, s * c)]
-                w = interior_witness_report(rows, self.cfg, bounds=(lo, hi))
-                if w.status != "interior":
-                    return None
-                centre, radius = w.point, _inscribed_radius(rows, w.point)
-            balls.append((radius, centre))
-        if verts is not None:
-            tol = _VERTEX_ROUNDING * (max(-lo.min(), hi.max()) * np.abs(a).sum() + abs(c)) / norm
-            verts = _clip_vertices(V, act, dist, tol, 1 << (2 * len(lo) + len(cell.constraints)))
-        neg, pos = verts or (None, None)
-        (rp, wp), (rn, wn) = balls
-        return ((lo, hi, rn, neg), wn), ((lo, hi, rp, pos), wp)
+        dist = (V @ a + c) / norm
+        tol = _VERTEX_ROUNDING * (np.abs(V).max() * np.abs(a).sum() + abs(c)) / norm
+        dist[np.abs(dist) <= tol] = 0.0
+        depth = 2.0 * self.cfg.eps_interior
+        if dist.max() <= depth or dist.min() >= -depth:
+            return None
+        sides = _clip_vertices(V, act, dist, 1 << (2 * V.shape[1] + len(cell.constraints)))
+        return tuple(((W, bits), W.mean(axis=0)) for W, bits in sides)
 
 
 def _backend_for(d: int, cfg: GeometryConfig):
@@ -523,7 +469,7 @@ def _backend_for(d: int, cfg: GeometryConfig):
         return _IntervalBackend(cfg)
     if d == 2:
         return _PolygonBackend(cfg)
-    return _LPBackend(cfg)
+    return _VertexBackend(cfg)
 
 
 # ---------------------------------------------------------------------------

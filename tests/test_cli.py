@@ -479,6 +479,22 @@ def test_commands_without_lps_never_import_scipy(tmp_path, capsys):
         assert not [m for m in modules if m.split(".")[0] == "scipy"], argv
 
 
+def test_cold_3d_count_of_a_small_row_loads_no_scipy(tmp_path):
+    # The 3-input net above with its first unit's row and offset scaled by
+    # 1e-4: the same planes, on rows far below the witness LP's absolute
+    # feasibility tolerance. The vertices decide every split and every cell
+    # has its own piece, so a cold count solves no LP.
+    net = _relu_net(np.random.default_rng(3), 3, 6)
+    first, scale = net.layers[0].map, np.array([1e-4, 1, 1, 1, 1, 1])
+    save_network(NetworkSpec(3, (Affine(AffineMap(first.matrix * scale[:, None],
+                                                  first.offset * scale)),) + net.layers[1:]),
+                 str(tmp_path / "net3.json"))
+    proc, modules = _cold_cli(tmp_path, "count", "--net", "net3.json", "--box", "-2,2")
+    assert proc.returncode == 0, proc.stderr
+    assert "cell_count = 36\ndistinct_piece_count = 36\n" in proc.stdout
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+
 def test_cold_3d_count_loads_highs_and_agrees(tmp_path, capsys):
     save_network(_dead_half_net(np.random.default_rng(3), 3, 3), str(tmp_path / "net3.json"))
     argv = ["count", "--net", "net3.json", "--box", "-2,2"]

@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -560,9 +561,8 @@ def test_every_region_piece_matches_network_at_witness():
 
 def test_coordinate_planes_cut_the_cube_through_lp_splits(lp_calls):
     # Thresholds inside [-1, 1]^3: each relu's plane splits every cell it
-    # crosses, 2 * 2 * 2 cells with distinct pieces. The balls certify every
-    # side a plane cuts through them, and the vertices the rest (two witness
-    # LPs per split would make 14), so no LP runs.
+    # crosses, 2 * 2 * 2 cells with distinct pieces. The vertices decide
+    # every split (two witness LPs per split would make 14), so no LP runs.
     net = NetworkSpec(3, (Affine(AffineMap(np.eye(3), np.array([0.2, -0.3, 0.1]))),
                           Pointwise((relu_unit(),) * 3)))
     rs = enumerate_regions(net, domain=(-1.0, 1.0))
@@ -574,55 +574,74 @@ def test_coordinate_planes_cut_the_cube_through_lp_splits(lp_calls):
 
 
 def test_plane_missing_the_ball_needs_no_lp(lp_calls):
-    # The box's inscribed ball (centre 0, radius 1) lies wholly on the side
-    # x1 < 2, which it certifies; the far side is certified by the cone
-    # ball between the ball and the box corner deepest in it.
+    # The plane x1 = 2 misses the box's inscribed ball (centre 0, radius 1);
+    # box corners lie 2 beyond it and 6 before it, so the vertices split the
+    # box with no LP, and each side's vertex centroid is its witness.
     net = NetworkSpec(3, (Affine(AffineMap(np.array([[1.0, 0.0, 0.0]]), np.array([-2.0]))),
                           Pointwise((relu_unit(),))))
     rs = enumerate_regions(net, domain=(np.array([-4.0, -1.0, -1.0]), np.array([4.0, 1.0, 1.0])))
     assert len(rs) == 2
     assert lp_calls[0] == 0
-    assert sorted(r.witness[0] > 2.0 for r in rs.regions) == [False, True]
+    assert sorted(r.witness.tolist() for r in rs.regions) == [[-1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
 
 
-def test_scaling_rule_leaves_small_rows_to_the_lp(lp_calls):
-    # Planes x1 = 2 and x1 = -3 both miss the balls they meet. With the first
-    # row scaled by k, the vertices decide every such side while 1e-7 / k
-    # stays within _VERTEX_SLOP_LIMIT eps_interior; below that k the witness
-    # LP decides the split by that row and every split of the cells it bounds.
-    k0 = 1e-7 / (geometry._VERTEX_SLOP_LIMIT * DEFAULT_CONFIG.eps_interior)
-    box = (np.array([-4.0, -1.0, -1.0]), np.array([4.0, 1.0, 1.0]))
-    for k, lps in ((1.01 * k0, 0), (0.99 * k0, 3)):
-        net = NetworkSpec(3, (Affine(AffineMap(np.array([[k, 0.0, 0.0], [1.0, 0.0, 0.0]]),
-                                               np.array([-2.0 * k, 3.0]))),
-                              Pointwise((relu_unit(),) * 2)))
-        lp_calls[0] = 0
-        rs = enumerate_regions(net, domain=box)
-        assert lp_calls[0] == lps, k
-        assert sorted(np.digitize(r.witness[0], [-3.0, 2.0]) for r in rs.regions) == [0, 1, 2]
-
-
-_LP_SPLIT = geometry._LPBackend.split
+def test_enumeration_solves_no_lp_in_three_or_more_inputs(lp_calls):
+    # Every 3+-input split is decided by the cell's vertices, on
+    # ill-conditioned and degenerate nets too: enumeration never calls the
+    # witness LP.
+    for k, net in enumerate(_lp_parity_nets() + _degenerate_nets()):
+        for domain in ((-2.0, 2.0), None):
+            enumerate_regions(net, domain=domain)
+            assert lp_calls[0] == 0, (k, domain)
 
 
 def _two_lp_split(self, cell, a, c):
-    """Reference: the LP backend's split without inscribed balls, one witness
-    LP per side, both always solved (the box is ``cell.geom[:2]``)."""
-    box = cell.geom[:2]
-    pos_w = geometry.interior_witness_report(cell.constraints + [(a, c)], self.cfg, bounds=box)
-    neg_w = geometry.interior_witness_report(cell.constraints + [(-a, -c)], self.cfg, bounds=box)
+    """Reference split: one witness LP per side, both always solved; the
+    split happens iff both sides are interior (``cell.geom`` is the box)."""
+    pos_w, neg_w = (geometry.interior_witness_report(cell.constraints + [(s * a, s * c)],
+                                                     self.cfg, bounds=cell.geom)
+                    for s in (1.0, -1.0))
     if pos_w.status != "interior" or neg_w.status != "interior":
         return None
     return (cell.geom, neg_w.point), (cell.geom, pos_w.point)
 
 
+class _TwoLPBackend:
+    """Reference backend for 3+ inputs: a cell is its constraint list inside
+    the domain box, split by ``_two_lp_split``."""
+
+    split = _two_lp_split
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    def root(self, lo, hi):
+        return (lo, hi), (lo + hi) / 2.0
+
+
+_VERTEX_BACKEND = geometry._VertexBackend
+
+
+def _vertex_and_two_lp(monkeypatch, net, domain):
+    """(counts, cell keys) of ``net`` by the vertex backend, then by the
+    two-LP reference."""
+    out = []
+    for backend in (_VERTEX_BACKEND, _TwoLPBackend):
+        monkeypatch.setattr(geometry, "_VertexBackend", backend)
+        rs = enumerate_regions(net, domain=domain)
+        rep = count_report(rs)
+        out.append(((rep.cell_count, rep.distinct_piece_count, rep.connected_piece_count),
+                    _cell_keys(rs)))
+    monkeypatch.setattr(geometry, "_VertexBackend", _VERTEX_BACKEND)
+    return out
+
+
 def _lp_parity_nets():
     """3- and 4-input nets of every layer type, integer-weight nets with
     parallel and concurrent planes, a plane 1e-8 inside a face of the box
-    ±2 (its thin side is degenerate, though the ball leaves it a radius of
-    5e-9) and a net with first-layer rows scaled by 1e-8 to 1e-6 (cell rows
-    of norm down to about 6e-8, where the witness LP's objective overstates
-    the rows' slack)."""
+    ±2 (its thin side is degenerate) and a net with first-layer rows scaled
+    by 1e-8 to 1e-6 (cell rows of norm down to about 6e-8, where the witness
+    LP's objective overstates the rows' slack)."""
     rng = np.random.default_rng(31)
 
     def affine(m, n):
@@ -660,15 +679,20 @@ def _lp_parity_nets():
                              Pointwise((abs_unit(),)))),
              NetworkSpec(3, (Affine(AffineMap(np.array([[1.0, 0.0, 0.0]]), np.array([-2.0 + 1e-8]))),
                              Pointwise((relu_unit(),))))]
-    rng = np.random.default_rng(25)
+    return nets + [_scaled_relu_net(25)]
+
+
+def _scaled_relu_net(seed: int):
+    """A relu (3, 5, 3) net whose first-layer rows are, by half, scaled by
+    1e-8 to 1e-6, with second-layer offsets near 1e-7."""
+    rng = np.random.default_rng(seed)
     W, b = rng.standard_normal((5, 3)), rng.standard_normal(5)
     scale = np.where(rng.random(5) < 0.5, 10.0 ** rng.uniform(-8, -6, 5), 1.0)
-    nets.append(NetworkSpec(3, (Affine(AffineMap(W * scale[:, None], b * scale)),
-                                Pointwise((relu_unit(),) * 5),
-                                Affine(AffineMap(rng.standard_normal((3, 5)),
-                                                 1e-7 * rng.standard_normal(3))),
-                                Pointwise((relu_unit(),) * 3))))
-    return nets
+    return NetworkSpec(3, (Affine(AffineMap(W * scale[:, None], b * scale)),
+                           Pointwise((relu_unit(),) * 5),
+                           Affine(AffineMap(rng.standard_normal((3, 5)),
+                                            1e-7 * rng.standard_normal(3))),
+                           Pointwise((relu_unit(),) * 3)))
 
 
 def _cell_keys(rs):
@@ -678,51 +702,81 @@ def _cell_keys(rs):
                    for r in rs.regions)
 
 
-def test_ball_splits_decide_as_two_witness_lps(monkeypatch):
-    # Inscribed balls and vertex certificates change which LPs run and the
-    # witnesses, never a split: the same counts and cells as the two-LP
-    # split, and every side decided without an LP is decided alike by the
-    # witness LP. A side certified interior is interior, and a split refused
-    # with no LP refusing it has a side that the LP finds not interior.
-    ball_split, solve = geometry._LPBackend.split, geometry.interior_witness_report
-    certified, refused = [], []
-
-    def checked(self, cell, a, c):
-        solved = {}  # side (+1 or -1) -> status of its witness LP
-
-        def recording(rows, *args, **kwargs):
-            w = solve(rows, *args, **kwargs)
-            solved[1.0 if np.array_equal(rows[-1][0], a) else -1.0] = w.status
-            return w
-        geometry.interior_witness_report = recording
-        try:
-            res = ball_split(self, cell, a, c)
-        finally:
-            geometry.interior_witness_report = solve
-        lp = {s: solved.get(s) or solve(cell.constraints + [(s * a, s * c)], self.cfg,
-                                        bounds=cell.geom[:2]).status for s in (1.0, -1.0)}
-        assert (res is not None) == (lp == {1.0: "interior", -1.0: "interior"})
-        if res is not None:
-            certified.extend(set(lp) - set(solved))
-        elif not solved:
-            refused.append(lp)
-        elif 1.0 not in solved:  # an LP refused side -1 after side +1 was certified
-            assert lp[1.0] == "interior"
-            certified.append(1.0)
-        return res
-
-    for k, net in enumerate(_lp_parity_nets()):
+def test_vertex_splits_decide_as_two_witness_lps(monkeypatch):
+    # Admitting a side by a vertex more than 2 eps_interior beyond the cut
+    # decides as the witness LP does: the same counts and cells as the two-LP
+    # split on every net, box and unbounded, but one. On the unbounded
+    # domain the scaled net's cell rows fall to a norm of about 6e-8, where
+    # the witness LP's absolute tolerances decide: the vertices give 73
+    # cells, as in exact arithmetic (test_vertex_split_counts_as_exact_arithmetic),
+    # the LP 76 and an LP on unit rows 69 (ROADMAP defect 5).
+    nets = _lp_parity_nets()
+    for k, net in enumerate(nets):
         for domain in ((-2.0, 2.0), None):
-            monkeypatch.setattr(geometry._LPBackend, "split", checked)
-            rs = enumerate_regions(net, domain=domain)
-            monkeypatch.setattr(geometry._LPBackend, "split", _two_lp_split)
-            ref = enumerate_regions(net, domain=domain)
-            rep, ref_rep = count_report(rs), count_report(ref)
-            assert (rep.cell_count, rep.distinct_piece_count, rep.connected_piece_count) == \
-                (ref_rep.cell_count, ref_rep.distinct_piece_count,
-                 ref_rep.connected_piece_count), (k, domain)
-            assert _cell_keys(rs) == _cell_keys(ref), (k, domain)
-    assert len(certified) > 100 and len(refused) > 100
+            if k == len(nets) - 1 and domain is None:
+                continue
+            (got, got_keys), (ref, ref_keys) = _vertex_and_two_lp(monkeypatch, net, domain)
+            assert got == ref, (k, domain)
+            assert got_keys == ref_keys, (k, domain)
+
+
+def test_scaled_net_counts_as_unscaled_on_a_scaled_box():
+    # The scaled net of _lp_parity_nets behind x -> x / 1e3 on the box
+    # ±2e3 has the cells of the net itself on ±2: every cell is the image
+    # of one, and the vertices' rounding bound scales with the cell.
+    net = _lp_parity_nets()[-1]
+    scaled = NetworkSpec(3, (Affine(AffineMap(np.eye(3) / 1e3, np.zeros(3))),) + net.layers)
+    counts = [len(enumerate_regions(n, domain=(-h, h))) for n, h in ((net, 2.0), (scaled, 2e3))]
+    assert counts == [27, 27]
+
+
+def _rational_vertex_count(net):
+    """Reference: the vertex split of an affine and relu net on the R_max box
+    in exact rational arithmetic, with no rounding bound: a side is a cell
+    iff a vertex lies more than 2 eps_interior beyond the cut (compared
+    squared), and each cell's piece is taken at its vertex centroid."""
+    d, r, F = net.input_dim, Fraction(DEFAULT_CONFIG.r_max), Fraction
+    deep = 4 * F(DEFAULT_CONFIG.eps_interior) ** 2
+    corners = list(itertools.product((0, 1), repeat=d))
+    V = np.array([[r if bit else -r for bit in corner] for corner in corners], dtype=object)
+    act = [sum(1 << (2 * j + bit) for j, bit in enumerate(corner)) for corner in corners]
+    cells = [(V, act, 0, np.eye(d, dtype=int).astype(object), np.zeros(d, dtype=object))]
+    for layer in net.layers:
+        if isinstance(layer, Affine):
+            M = np.array([[F(x) for x in row] for row in layer.map.matrix.tolist()], dtype=object)
+            o = np.array([F(x) for x in layer.map.offset.tolist()], dtype=object)
+            cells = [(V, act, n, M.dot(A), M.dot(b) + o) for V, act, n, A, b in cells]
+            continue
+        assert all(u == relu_unit() for u in layer.units)
+        out = []
+        for V, act, n, A, b in cells:
+            parts = [(V, act, n)]
+            for a, c in zip(A, b):
+                new = []
+                for P, bits, k in parts:
+                    dist = P.dot(a) + c
+                    if any(a) and min(dist) < 0 < max(dist) and \
+                            min(min(dist) ** 2, max(dist) ** 2) > deep * a.dot(a):
+                        new += [(W, w, k + 1) for W, w in
+                                geometry._clip_vertices(P, bits, dist, 1 << (2 * d + k))]
+                    else:
+                        new.append((P, bits, k))
+                parts = new
+            for P, bits, k in parts:
+                on = (A.dot(P.sum(axis=0) / len(P)) + b > 0).astype(int)
+                out.append((P, bits, k, A * on[:, None], b * on))
+        cells = out
+    return len(cells)
+
+
+def test_vertex_split_counts_as_exact_arithmetic():
+    # Scaled relu nets on the unbounded domain, where real vertex depths
+    # come within 2^-44 of the R_max box's scale: the float vertex split
+    # snaps only rounding and keeps the cells of the same rule computed in
+    # rational arithmetic (71, 77 and 75 with a 2^-40 rounding bound).
+    for net, cells in ((_scaled_relu_net(25), 73), (_scaled_relu_net(11), 84),
+                       (_scaled_relu_net(17), 76)):
+        assert len(enumerate_regions(net)) == _rational_vertex_count(net) == cells
 
 
 def _degenerate_nets():
@@ -731,7 +785,7 @@ def _degenerate_nets():
     a plane through corners of the unbounded domain's R_max box, and an
     integer-weight 4-input maxout net, and planes 1.5, 0.6 and 0.4
     eps_interior inside a face of the box ±2, which the witness LP finds
-    interior, degenerate and degenerate."""
+    interior, degenerate and degenerate, and the vertices all too thin."""
     W = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, -1, 0], [0, 0, 1], [1, 1, 1],
                   [1, 1, 1], [1, -1, 1], [1, 1, 1]], dtype=float)
     o = np.array([0, 0, 0, 0, 0, 0, -2, -2, -DEFAULT_CONFIG.r_max])
@@ -764,13 +818,12 @@ def _brute_vertices(N, C):
 
 def test_cut_cells_list_exactly_their_vertices():
     # Integer planes through box corners and each other's vertices, and
-    # planes concurrent at a point off the binary grid: every cell that
-    # keeps its vertices lists each of its vertices once, with exactly the
-    # rows tight there; a cut through a vertex that rounding puts beside the
-    # plane drops the vertices instead.
-    kept = Counter()
+    # planes concurrent at a point off the binary grid: every cell lists
+    # each of its vertices once, with exactly the rows tight there, and its
+    # witness is their centroid, strictly inside every row.
+    cells_seen = 0
     for d, planes, seeds, kind in ((3, 8, 10, "int"), (4, 6, 4, "int"), (3, 7, 5, "concurrent")):
-        backend = geometry._LPBackend(DEFAULT_CONFIG)
+        backend = geometry._VertexBackend(DEFAULT_CONFIG)
         box = [row for j in range(d) for row in ((np.eye(d)[j], 2.0), (-np.eye(d)[j], 2.0))]
         for seed in range(seeds):
             rng = np.random.default_rng(seed)
@@ -789,22 +842,26 @@ def test_cut_cells_list_exactly_their_vertices():
                         geometry._Cell(cell.constraints + [(a, c)], *res[1][::-1])]
                 cells = new
             for cell in cells:
-                kept[kind, cell.geom[3] is not None] += 1
-                if cell.geom[3] is None:
-                    continue
-                V, act = cell.geom[3]
+                V, act = cell.geom
                 N, C = geometry._stack_rows(box + cell.constraints, d)
                 points = {tuple(v) for v in np.round(V, 9) + 0.0}
                 assert len(points) == len(V) and points == _brute_vertices(N, C)
                 tight = np.abs(V @ N.T + C) <= 1e-9
                 assert [sum(1 << k for k in np.flatnonzero(t)) for t in tight] == act
-    assert kept["int", True] > 3 * kept["int", False]
-    assert kept["concurrent", True] > 0 and kept["concurrent", False] > 0
+                assert np.array_equal(cell.witness, V.mean(axis=0))
+                assert (N @ cell.witness + C > 0).all()
+            cells_seen += len(cells)
+    assert cells_seen > 800
 
 
 def test_degenerate_vertices_split_as_two_witness_lps(monkeypatch):
     # Vertices with more than d active rows: every cell and count as by the
-    # two-LP split, on the box and unbounded.
+    # two-LP split, on the box and unbounded, but one. The planes 1.5, 0.6
+    # and 0.4 eps_interior inside a face of the box ±2 leave slabs that no
+    # ball of radius eps_interior fits in, box face included, so no vertex
+    # lies 2 eps_interior beyond them and the plane x2 + x3 = -0.5 alone
+    # splits the box: 2 cells. The witness LP bounds only its point by the
+    # box, not the margin, and finds the 1.5 eps_interior slab interior: 4.
     clip, most_active = geometry._clip_vertices, [0]
 
     def recording(V, act, *args):
@@ -813,16 +870,13 @@ def test_degenerate_vertices_split_as_two_witness_lps(monkeypatch):
     monkeypatch.setattr(geometry, "_clip_vertices", recording)
     for k, net in enumerate(_degenerate_nets()):
         for domain in ((-2.0, 2.0), None):
-            monkeypatch.setattr(geometry._LPBackend, "split", _LP_SPLIT)
-            rs = enumerate_regions(net, domain=domain)
-            monkeypatch.setattr(geometry._LPBackend, "split", _two_lp_split)
-            ref = enumerate_regions(net, domain=domain)
-            rep, ref_rep = count_report(rs), count_report(ref)
-            assert (rep.cell_count, rep.distinct_piece_count, rep.connected_piece_count) == \
-                (ref_rep.cell_count, ref_rep.distinct_piece_count,
-                 ref_rep.connected_piece_count), (k, domain)
-            assert _cell_keys(rs) == _cell_keys(ref), (k, domain)
-            assert rep.cell_count >= 4, (k, domain)
+            (got, got_keys), (ref, ref_keys) = _vertex_and_two_lp(monkeypatch, net, domain)
+            if k == 2 and domain is not None:
+                assert (got[0], ref[0]) == (2, 4)
+                continue
+            assert got == ref, (k, domain)
+            assert got_keys == ref_keys, (k, domain)
+            assert got[0] >= 4, (k, domain)
     assert most_active[0] >= 2
 
 
