@@ -15,11 +15,12 @@ derived rounding bound hands close calls and polygons of 8+ vertices to
 numpy's formulas, so cells and witnesses are theirs bit for bit), and, for
 3+ inputs, cells that keep their vertices: a side is a cell iff one of its
 vertices lies more than 2 eps_interior beyond the cut, and its witness is
-its vertex centroid. Enumeration solves no LP. Cell processing is pure and
-order-independent; the output ordering is canonicalized, so results are
-deterministic. The witness LP serves ``count_report``'s facet adjacency
-test and the public ``interior_witness_report``. Its kernel calls scipy's
-HiGHS bindings directly, with the options and the post-check of
+its vertex centroid. Every region keeps its cell's geometry, from which
+``count_report`` reads facet adjacency; neither solves an LP. Cell
+processing is pure and order-independent; the output ordering is
+canonicalized, so results are deterministic. The witness LP serves the
+public ``interior_witness_report`` alone. Its kernel calls scipy's HiGHS
+bindings directly, with the options and the post-check of
 ``scipy.optimize.linprog(method="highs")``, so it returns what linprog
 would. The binding loads on the first LP, so runs that solve none never
 import scipy, and one HiGHS solver serves every LP of the process.
@@ -94,11 +95,16 @@ class Witness:
 @dataclass
 class Region:
     """One subdivision cell: its rows (a, c), the half-spaces a.x + c >= 0,
-    the network's affine piece on it, and a strictly interior witness point."""
+    the network's affine piece on it, and a strictly interior witness point.
+    It keeps the cell geometry that enumeration built, ``geom``: the
+    interval (lo, hi), the polygon's vertex array, or the vertices
+    ``(V, act)`` of ``_VertexBackend``. ``count_report`` reads it; it is
+    never serialised."""
 
     rows: list
     piece: AffineMap
     witness: np.ndarray
+    geom: object = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
     def constraints(self) -> tuple[HalfSpace, ...]:  # built when first read
@@ -489,11 +495,6 @@ def _hyperplane_keys(N: np.ndarray, C: np.ndarray, tol: float, signed: bool = Fa
     return list(map(tuple, np.round(V, digits).tolist()))
 
 
-def _hyperplane_key(a: np.ndarray, c: float, tol: float, signed: bool = False) -> tuple:
-    """``_hyperplane_keys`` of the one row (a, c)."""
-    return _hyperplane_keys(np.asarray(a, dtype=float)[None], [c], tol, signed)[0]
-
-
 def _clip_positive(backend, p: "_Cell", a: np.ndarray, c: float):
     """Clip cell ``p`` to the side {a.x + c >= 0}: returns ``p`` itself when
     the cell (up to slivers) already lies there, ``None`` when essentially
@@ -615,8 +616,8 @@ def enumerate_regions(net: NetworkSpec, domain=None,
         A, b = layer.compose(A, b, Z, np.zeros_like(Z))
     W = np.round([cell.witness for cell in cells], 9).tolist()
     order = sorted(range(len(cells)), key=lambda i: (W[i], len(cells[i].constraints)))
-    regions = [Region(cells[i].constraints, AffineMap(A[i], b[i]), cells[i].witness.copy())
-               for i in order]
+    regions = [Region(cells[i].constraints, AffineMap(A[i], b[i]), cells[i].witness.copy(),
+                      cells[i].geom) for i in order]
     return RegionSet(d, regions, (lo, hi) if bounded else None)
 
 
@@ -634,82 +635,110 @@ def piece_fingerprint(piece: AffineMap, tol: float = DEFAULT_CONFIG.fingerprint_
     return _piece_fingerprints(piece.matrix[None], piece.offset[None], tol)[0]
 
 
-def _domain_halfspaces(rs: RegionSet) -> list[tuple[np.ndarray, float]]:
-    if rs.domain is None:
-        return []
-    (lo, hi), e = rs.domain, np.eye(rs.input_dim)
-    return [row for j in range(rs.input_dim)
-            for row in ((e[j], -float(lo[j])), (-e[j], float(hi[j])))]
-
-
 def _stack_rows(rows: list, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows (a, c) stacked as (normals, offsets)."""
     return (np.array([a for a, _ in rows]).reshape(len(rows), d),
             np.array([c for _, c in rows], dtype=float))
 
 
-def _row_keys(r: Region, tol: float) -> tuple[list, set, list]:
-    """Signed keys of a region's rows, the set of their negations', unsigned keys."""
-    N, C = _stack_rows(r.rows, len(r.witness))
-    return (_hyperplane_keys(N, C, tol, signed=True),
-            set(_hyperplane_keys(-N, -C, tol, signed=True)), _hyperplane_keys(N, C, tol))
-
-
-def _facet_adjacent(p: Region, q: Region, rs: RegionSet, cfg: GeometryConfig,
-                    p_keys=None, q_keys=None) -> bool:
-    """Two cells share a (d-1)-face only if exactly one hyperplane separates
-    them: a row (a, c) of one cell whose negation (-a, -c) is a row of the
-    other. A split gives its two children exactly negated rows, so the split
-    that parted the two lineages always shows; two distinct separating
-    hyperplanes leave at most a (d-2)-flat in common. With exactly one, the
-    cells share a facet iff that hyperplane, taken as an equality, leaves an
-    interior point of every other row of both cells and the domain.
-    ``p_keys`` and ``q_keys`` are the cells' ``_row_keys``, if known."""
-    (p_signed, _, p_keys), (_, q_negated, q_keys) = (
-        p_keys or _row_keys(p, cfg.dedup_tol), q_keys or _row_keys(q, cfg.dedup_tol))
-    seps = {}
-    for k, key in enumerate(p_signed):
-        if key in q_negated:
-            seps.setdefault(key, k)
-    if len(seps) != 1:
+def _facet_is_thick(V: np.ndarray, act: list, N: np.ndarray, C: np.ndarray, bit: int,
+                    depth: float) -> bool:
+    """Whether the facet with vertices ``V`` and bit sets ``act`` passes
+    ``_VertexBackend.split``'s rule against the rows N x + C >= 0 in turn: a
+    row that no vertex lies ``depth`` beyond rejects it, one that a vertex
+    lies ``depth`` before clips it (as row ``bit`` on)."""
+    norm = row_norms(N)
+    D = (V @ N.T + C) / norm
+    D[np.abs(D) <= _VERTEX_ROUNDING * (np.abs(V).max() * np.abs(N).sum(axis=1) + np.abs(C)) / norm] = 0
+    acts = np.flatnonzero((D.max(axis=0) <= depth) | (D.min(axis=0) < -depth))
+    if not len(acts):
+        return True
+    m = int(acts[0])  # the rows before it leave the facet as it is
+    if D[:, m].max() <= depth:
         return False
-    (k,) = seps.values()
-    box = _domain_halfspaces(rs)
-    rows = p.rows + q.rows + box
-    keys = p_keys + q_keys + _hyperplane_keys(*_stack_rows(box, rs.input_dim), cfg.dedup_tol)
-    rest = [row for row, key in zip(rows, keys) if key != p_keys[k]]
-    w = interior_witness_report(rest, cfg, equality=p.rows[k], dim=rs.input_dim)
-    return w.status == "interior"
+    V, act = _clip_vertices(V, act, D[:, m], 1 << (bit + m))[1]
+    return _facet_is_thick(V, act, N[m + 1:], C[m + 1:], bit + m + 1, depth)
+
+
+def _components(cells: list, d: int, box: float, cfg: GeometryConfig) -> int:
+    """Connected components of one piece's cells under facet adjacency (see
+    ``count_report``); ``box`` is the largest coordinate of the domain box
+    that their vertices were clipped from."""
+    if len(cells) == 1:
+        return 1
+    if any(r.geom is None for r in cells):
+        raise ValidationError("facet adjacency needs the cells of enumerate_regions")
+    N, C = _stack_rows([row for r in cells for row in r.rows], d)
+    keys = _hyperplane_keys(np.vstack([N, -N]), np.concatenate([C, -C]), cfg.dedup_tol, True)
+    signed, negated = keys[:len(N)], keys[len(N):]
+    planes = [min(k, n) for k, n in zip(signed, negated)]
+    bounds = list(itertools.pairwise([0] + np.cumsum([len(r.rows) for r in cells]).tolist()))
+    # A cell's facet on a row: its vertices within rounding of the row at the
+    # box's scale, in 3+ inputs those whose act holds the row. Its span runs
+    # along the line in 2 inputs, else along the axis the normal leans on least.
+    P = np.array([p[:-1] for p in planes]).reshape(len(N), d)
+    U = P[:, ::-1] * [-1.0, 1.0] if d == 2 else np.eye(d)[np.abs(P).argmin(axis=1)]
+    tol = _VERTEX_ROUNDING * (box * np.abs(N).sum(axis=1) + np.abs(C))
+    spans: dict[tuple, list] = {}
+    for i, (r, (f, e)) in enumerate(zip(cells, bounds)):
+        V = r.geom[0] if d >= 3 else np.reshape(r.geom, (-1, d))
+        on = np.array([[w >> k & 1 for k in range(2 * d, 2 * d + e - f)] for w in r.geom[1]],
+                      dtype=bool) if d >= 3 else np.abs(V @ N[f:e].T + C[f:e]) <= tol[f:e]
+        x = V @ U[f:e].T
+        lo, hi = np.where(on, x, np.inf).min(axis=0), np.where(on, x, -np.inf).max(axis=0)
+        for g in (f + np.flatnonzero(on.any(axis=0))).tolist():
+            spans.setdefault(planes[g], []).append((lo[g - f], hi[g - f], signed[g] < negated[g], i, g))
+    ksets, nsets = [set(signed[f:e]) for f, e in bounds], [set(negated[f:e]) for f, e in bounds]
+    root = list(range(len(cells)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    pairs = []  # (-overlap, p, row of p, q) of spans that overlap or touch
+    for plane_spans in spans.values():  # sweep along the hyperplane
+        open_ = ([], [])
+        for lo, hi, side, p, g in sorted(plane_spans):
+            open_[side][:] = [s for s in open_[side] if s[0] >= lo]
+            pairs += [(lo - min(hi, q_hi), p, g, q) for q_hi, q in open_[side]]
+            open_[not side].append((hi, p))
+    for overlap, p, g, q in sorted(pairs):  # the longest first: fewer facets to clip
+        if find(p) == find(q) or len(ksets[p] & nsets[q]) != 1:
+            continue
+        if d >= 3:
+            V, act = cells[p].geom
+            on = [w >> (2 * d + g - bounds[p][0]) & 1 == 1 for w in act]
+            rest = [h for c in (p, q) for h in range(*bounds[c]) if planes[h] != planes[g]]
+            if not _facet_is_thick(V[on], [w for w, o in zip(act, on) if o], N[rest], C[rest],
+                                   2 * d + len(cells[p].rows), 2 * cfg.eps_interior):
+                continue
+        elif d == 2 and -overlap <= 2 * cfg.eps_interior:
+            continue
+        root[find(p)] = find(q)
+    return sum(find(i) == i for i in range(len(cells)))
 
 
 def count_report(rs: RegionSet, net: Optional[NetworkSpec] = None,
                  cfg: GeometryConfig = DEFAULT_CONFIG) -> CountReport:
     """Cell count, distinct affine pieces, and connected components of
-    equal-piece cells under facet adjacency."""
+    equal-piece cells under facet adjacency, read off the cells' geometry
+    with no LP. Two cells of one piece are adjacent iff exactly one
+    hyperplane separates them (a row of one whose negation is a row of the
+    other) and their facets on it overlap by more than 2 eps_interior. In 1
+    input the cut is an endpoint of both intervals; in 2 their edges on the
+    line overlap by more than that; in 3+, p's facet (its vertices whose
+    ``act`` holds the row), clipped by q's other rows with ``_clip_vertices``,
+    has a vertex more than that beyond every other row of both, the rule
+    that admits cells. Candidate pairs come from joining the rows' signed
+    keys within a piece and sweeping the facets' spans along each plane."""
     fps = _piece_fingerprints(np.array([r.piece.matrix for r in rs.regions]),
                               np.array([r.piece.offset for r in rs.regions]), cfg.fingerprint_tol)
-    groups: dict[tuple, list[int]] = {}
-    for i, fp in enumerate(fps):
-        groups.setdefault(fp, []).append(i)
-    # Union-find over same-piece facet adjacency.
-    parent = list(range(len(rs.regions)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    keys = functools.cache(lambda i: _row_keys(rs.regions[i], cfg.dedup_tol))
-    for idxs in groups.values():
-        for ii in range(len(idxs)):
-            for jj in range(ii + 1, len(idxs)):
-                a, b = idxs[ii], idxs[jj]
-                if find(a) == find(b):
-                    continue
-                if _facet_adjacent(rs.regions[a], rs.regions[b], rs, cfg, keys(a), keys(b)):
-                    parent[find(a)] = find(b)
-    components = len({find(i) for i in range(len(rs.regions))})
+    groups: dict[tuple, list[Region]] = {}
+    for r, fp in zip(rs.regions, fps):
+        groups.setdefault(fp, []).append(r)
+    box = cfg.r_max if rs.domain is None else float(np.abs(rs.domain).max())
+    components = sum(_components(cells, rs.input_dim, box, cfg) for cells in groups.values())
     bounds_attached = {}
     if net is not None:
         bounds_attached["arrangement_upper"] = network_arrangement_upper(net)

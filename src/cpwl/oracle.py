@@ -113,10 +113,11 @@ def _quantize(rows: np.ndarray, rel_tol: float) -> np.ndarray:
 
 
 def _labels(A: np.ndarray, b: np.ndarray, rel_tol: float) -> tuple[np.ndarray, int]:
-    flat = np.concatenate([A.reshape(A.shape[0], -1), b], axis=1)
-    q = _quantize(flat, rel_tol)
-    uniq, labels = np.unique(q, axis=0, return_inverse=True)
-    return labels, len(uniq)
+    """Labels of the quantized rows, compared as raw bytes (np.void) to sort
+    fast, and their number: the partition np.unique(axis=0) gives."""
+    q = np.ascontiguousarray(_quantize(np.concatenate([A.reshape(A.shape[0], -1), b], axis=1), rel_tol))
+    uniq, labels = np.unique(q.view(np.dtype((np.void, q.strides[0]))).ravel(), return_inverse=True)
+    return labels.ravel(), len(uniq)
 
 
 def grid_fingerprint(net: NetworkSpec, box, resolution: int,

@@ -449,7 +449,7 @@ def _relu_net(rng, d_in, width):
 def _dead_half_net(rng, d_in, width):
     """A relu net with a relu on its output, shifted so that the output is
     zero on about half of the box [-2, 2]^d_in: the dead half is a group of
-    cells with one piece, so count_report runs adjacency LPs."""
+    cells with one piece, whose facet adjacency count_report tests."""
     net = _relu_net(rng, d_in, width)
     grid = np.stack(np.meshgrid(*[np.linspace(-2.0, 2.0, 7)] * d_in), -1).reshape(-1, d_in)
     out = np.median([cpwl.core.eval(net, x)[0] for x in grid])
@@ -464,9 +464,8 @@ def test_commands_without_lps_never_import_scipy(tmp_path, capsys):
     for name, counts in (("net2.json", 10), ("net3.json", 36)):
         assert main(["count", "--net", str(tmp_path / name), "--box", "-2,2"]) == 0
         out = capsys.readouterr().out
-        # Generic output weights give every cell its own piece, so
-        # count_report solves no adjacency LP; the vertices of 3-input cells
-        # decide every split of the well-scaled net without one.
+        # Generic output weights give every cell its own piece; the vertices
+        # of 3-input cells decide every split of the well-scaled net.
         assert f"cell_count = {counts}\ndistinct_piece_count = {counts}\n" in out
     for argv in (["mc", "--family", "relu", "--d", "4", "--trials", "100"],
                  ["bound", "--beta", "2", "3,3"],
@@ -495,13 +494,19 @@ def test_cold_3d_count_of_a_small_row_loads_no_scipy(tmp_path):
     assert not [m for m in modules if m.split(".")[0] == "scipy"]
 
 
-def test_cold_3d_count_loads_highs_and_agrees(tmp_path, capsys):
-    save_network(_dead_half_net(np.random.default_rng(3), 3, 3), str(tmp_path / "net3.json"))
-    argv = ["count", "--net", "net3.json", "--box", "-2,2"]
-    proc, modules = _cold_cli(tmp_path, *argv)
-    assert proc.returncode == 0, proc.stderr
-    assert "scipy.optimize._highspy" in modules
-    assert main(["count", "--net", str(tmp_path / "net3.json"), "--box", "-2,2"]) == 0
-    assert proc.stdout == capsys.readouterr().out
-    counts = dict(line.split(" = ") for line in proc.stdout.splitlines() if " = " in line)
-    assert int(counts["distinct_piece_count"]) < int(counts["cell_count"])
+def test_cold_count_and_render_of_shared_pieces_load_no_scipy(tmp_path, capsys, monkeypatch):
+    # The dead halves are groups of cells with one piece: count_report reads
+    # their facet adjacency off the cells' geometry, so a cold count or
+    # render never imports scipy, and prints what an in-process run prints.
+    monkeypatch.chdir(tmp_path)
+    for d_in, width, command in ((2, 4, "count"), (2, 4, "render"), (3, 3, "count")):
+        save_network(_dead_half_net(np.random.default_rng(d_in + 1), d_in, width), "net.json")
+        argv = [command, "--net", "net.json", "--box", "-2,2"]
+        proc, modules = _cold_cli(tmp_path, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert "cpwl.geometry" in modules
+        assert not [m for m in modules if m.split(".")[0] == "scipy"], argv
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+        counts = dict(line.split(" = ") for line in proc.stdout.splitlines() if " = " in line)
+        assert int(counts["distinct_piece_count"]) < int(counts["cell_count"]), argv

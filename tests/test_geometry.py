@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cpwl import core, geometry
-from cpwl.bounds import beta
+from cpwl.bounds import ArchitectureDescriptor, beta
 from cpwl.constructions import (extremal_sum_network,
                                 general_position_partitions, sawtooth)
 from cpwl.core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
@@ -21,6 +21,7 @@ from cpwl.geometry import (DEFAULT_CONFIG, BudgetExceeded, GeometryConfig,
                            piece_fingerprint, region_set_to_json,
                            regions_containing, render_svg)
 from cpwl.serial import dumps_canonical
+from cpwl.stochastic import InitSpec, sample_network
 
 
 def mixed_net():
@@ -434,19 +435,27 @@ def test_layer_keys_match_per_row_keys():
         for signed in (False, True):
             keys = geometry._hyperplane_keys(N, C, 1e-9, signed)
             assert keys == [_reference_key(a, c, 1e-9, signed) for a, c in zip(N, C)]
-            assert keys == [geometry._hyperplane_key(a, c, 1e-9, signed) for a, c in zip(N, C)]
 
 
 # ---------------------------------------------------------------------------
 # Facet adjacency of same-piece cells
 # ---------------------------------------------------------------------------
 
+def _box_rows(rs):
+    """The domain box as rows (a, c), a.x + c >= 0."""
+    if rs.domain is None:
+        return []
+    (lo, hi), e = rs.domain, np.eye(rs.input_dim)
+    return [row for j in range(rs.input_dim)
+            for row in ((e[j], -float(lo[j])), (-e[j], float(hi[j])))]
+
+
 def _exhaustive_adjacent(p, q, rs, cfg):
     """Reference: try every constraint hyperplane of ``p`` as an equality
-    against the other rows of both cells and the domain."""
+    against the other rows of both cells and the domain, by witness LP."""
     combined = [(h.normal, h.offset) for h in p.constraints + q.constraints]
-    combined += geometry._domain_halfspaces(rs)
-    keys = [geometry._hyperplane_key(a, c, cfg.dedup_tol) for a, c in combined]
+    combined += _box_rows(rs)
+    keys = [_reference_key(a, c, cfg.dedup_tol) for a, c in combined]
     tried = set()
     for h, key in zip(p.constraints, keys):
         if key in tried:
@@ -458,6 +467,28 @@ def _exhaustive_adjacent(p, q, rs, cfg):
         if w.status == "interior":
             return True
     return False
+
+
+def _lp_counts(rs):
+    """(cells, distinct, connected) with the LP reference as facet adjacency;
+    for cells that keep no vertices."""
+    groups = {}
+    for r in rs.regions:
+        groups.setdefault(piece_fingerprint(r.piece), []).append(r)
+    connected = 0
+    for g in groups.values():
+        comp = list(range(len(g)))
+        for i, j in itertools.combinations(range(len(g)), 2):
+            if comp[i] != comp[j] and _exhaustive_adjacent(g[i], g[j], rs, DEFAULT_CONFIG):
+                comp = [comp[i] if c == comp[j] else c for c in comp]
+        connected += len(set(comp))
+    return len(rs), len(groups), connected
+
+
+def _adjacent(p, q, rs):
+    """count_report's facet adjacency of the pair: one component or two."""
+    box = DEFAULT_CONFIG.r_max if rs.domain is None else float(np.abs(rs.domain).max())
+    return geometry._components([p, q], rs.input_dim, box, DEFAULT_CONFIG) == 1
 
 
 @pytest.fixture
@@ -473,6 +504,8 @@ def lp_calls(monkeypatch):
 
 
 def test_facet_filter_matches_exhaustive_scan(lp_calls):
+    # The geometric adjacency agrees with the LP reference on every pair of
+    # same-piece cells, and count_report solves no LP.
     cases = [(relu_dead_net(s, (2, 3, 1), 3.0), (-3.0, 3.0)) for s in range(4)]
     cases += [(relu_dead_net(4, (2, 4, 1), 10.0), (-10.0, 10.0)),
               (relu_dead_net(5, (2, 3, 1), 3.0), None),
@@ -482,18 +515,18 @@ def test_facet_filter_matches_exhaustive_scan(lp_calls):
     seen = set()
     for net, domain in cases:
         rs = enumerate_regions(net, domain=domain)
+        count_report(rs, net)
+        assert lp_calls[0] == 0
         groups = {}
         for r in rs.regions:
             groups.setdefault(piece_fingerprint(r.piece), []).append(r)
         pairs = [(p, q) for g in groups.values() for i, p in enumerate(g) for q in g[i + 1:]]
         assert pairs
         for p, q in pairs:
-            lp_calls[0] = 0
             expected = _exhaustive_adjacent(p, q, rs, DEFAULT_CONFIG)
-            scan_lps, lp_calls[0] = lp_calls[0], 0
-            assert geometry._facet_adjacent(p, q, rs, DEFAULT_CONFIG) == expected
-            assert lp_calls[0] <= min(scan_lps, 1)
+            assert _adjacent(p, q, rs) == expected
             seen.add((net.input_dim, expected))
+        lp_calls[0] = 0
     assert seen == {(d, adj) for d in (1, 2, 3) for adj in (False, True)}
 
 
@@ -503,11 +536,23 @@ def test_two_separating_hyperplanes_need_no_lp(lp_calls):
     net = NetworkSpec(2, (Pointwise((relu_unit(), relu_unit())),))
     rs = enumerate_regions(net, domain=(-1.0, 1.0))
     quadrant = {tuple(np.sign(r.witness)): r for r in rs.regions}
-    assert not geometry._facet_adjacent(quadrant[1.0, 1.0], quadrant[-1.0, -1.0],
-                                        rs, DEFAULT_CONFIG)
+    for far, adjacent in (((-1.0, -1.0), False), ((1.0, -1.0), True)):
+        p, q = quadrant[1.0, 1.0], quadrant[far]
+        assert _adjacent(p, q, rs) == _exhaustive_adjacent(p, q, rs, DEFAULT_CONFIG) == adjacent
+    lp_calls[0] = 0
+    assert count_report(rs).connected_piece_count == 4
     assert lp_calls[0] == 0
-    assert geometry._facet_adjacent(quadrant[1.0, 1.0], quadrant[1.0, -1.0], rs, DEFAULT_CONFIG)
-    assert lp_calls[0] == 1
+
+
+def test_shared_piece_nets_count_as_the_lp_path():
+    # Seed-1 relu nets on the box ±3 whose cells share pieces, as behind an
+    # output relu: (cells, distinct, connected) as the witness-LP adjacency
+    # gave them. In (2,16,16,1) all 379 cells share one piece.
+    for dims, counts in (((2, 8, 8, 1), (93, 30, 31)), ((2, 16, 16, 1), (379, 1, 1)),
+                         ((3, 8, 8, 1), (647, 465, 465))):
+        arch = ArchitectureDescriptor(dims, tuple((2,) * w for w in dims[1:]), "relu")
+        rep = count_report(enumerate_regions(sample_network(arch, InitSpec(), 1), (-3.0, 3.0)))
+        assert (rep.cell_count, rep.distinct_piece_count, rep.connected_piece_count) == counts
 
 
 # ---------------------------------------------------------------------------
@@ -625,14 +670,14 @@ _VERTEX_BACKEND = geometry._VertexBackend
 def _vertex_and_two_lp(monkeypatch, net, domain):
     """(counts, cell keys) of ``net`` by the vertex backend, then by the
     two-LP reference."""
-    out = []
-    for backend in (_VERTEX_BACKEND, _TwoLPBackend):
-        monkeypatch.setattr(geometry, "_VertexBackend", backend)
-        rs = enumerate_regions(net, domain=domain)
-        rep = count_report(rs)
-        out.append(((rep.cell_count, rep.distinct_piece_count, rep.connected_piece_count),
-                    _cell_keys(rs)))
+    rs = enumerate_regions(net, domain=domain)
+    rep = count_report(rs)
+    out = [((rep.cell_count, rep.distinct_piece_count, rep.connected_piece_count),
+            _cell_keys(rs))]
+    monkeypatch.setattr(geometry, "_VertexBackend", _TwoLPBackend)
+    rs = enumerate_regions(net, domain=domain)
     monkeypatch.setattr(geometry, "_VertexBackend", _VERTEX_BACKEND)
+    out.append((_lp_counts(rs), _cell_keys(rs)))
     return out
 
 
@@ -697,8 +742,8 @@ def _scaled_relu_net(seed: int):
 
 def _cell_keys(rs):
     """Every cell as the set of its signed constraint keys."""
-    return Counter(frozenset(geometry._hyperplane_key(h.normal, h.offset, DEFAULT_CONFIG.dedup_tol,
-                                                      signed=True) for h in r.constraints)
+    return Counter(frozenset(_reference_key(h.normal, h.offset, DEFAULT_CONFIG.dedup_tol,
+                                            signed=True) for h in r.constraints)
                    for r in rs.regions)
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from cpwl import oracle
 from cpwl.constructions import (extremal_sum_network,
                                 general_position_partitions, sawtooth)
 from cpwl.core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
@@ -155,6 +156,20 @@ def test_fingerprint_exposes_labels():
     assert fp.n_distinct == 4
     # Labels change exactly at the three knots.
     assert int(np.count_nonzero(fp.labels[1:] != fp.labels[:-1])) == 3
+
+
+def test_labels_partition_rows_as_unique_on_axis_0(monkeypatch):
+    # Labels come from np.unique on a byte view of the quantized int64 rows:
+    # the same partition as np.unique(axis=0), whatever the numbering.
+    monkeypatch.setattr(oracle, "_quantize", lambda rows, rel_tol: rows)
+    rng = np.random.default_rng(16)
+    for n, k, span in ((1, 1, 3), (500, 1, 4), (2000, 3, 3), (800, 7, 2 ** 62), (300, 2, 1)):
+        Q = rng.integers(-span, span, size=(n, k), dtype=np.int64)
+        Q[rng.integers(0, n, n // 3)] = Q[rng.integers(0, n, n // 3)]  # duplicate rows
+        labels, n_labels = oracle._labels(Q[:, :, None], Q[:, :0], 0.0)
+        uniq, ref = np.unique(Q, axis=0, return_inverse=True)
+        assert labels.shape == (n,) and n_labels == len(uniq)
+        assert len(set(zip(labels.tolist(), ref.ravel().tolist()))) == n_labels
 
 
 def test_resolution_floor():
