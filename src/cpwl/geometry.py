@@ -18,9 +18,16 @@ vertices lies more than 2 eps_interior beyond the cut, and its witness is
 its vertex centroid. Every region keeps its cell's geometry, from which
 ``count_report`` reads facet adjacency; neither solves an LP. Cell
 processing is pure and order-independent; the output ordering is
-canonicalized, so results are deterministic. The witness LP serves the
-public ``interior_witness_report`` alone. Its kernel calls scipy's HiGHS
-bindings directly, with the options and the post-check of
+canonicalized, so results are deterministic.
+
+Exact mode (``exact_cell_count``: any d; affine, pointwise, maxout and
+group-sort layers) runs the same layer loop, ``_subdivide``, on Fractions:
+its backend keeps the vertex cells of 3+ inputs in every dimension and
+admits a side iff a vertex lies strictly beyond the cut.
+
+The witness LP serves the public ``interior_witness_report`` alone, on
+rows scaled to unit norm. Its kernel calls scipy's HiGHS bindings
+directly, with the options and the post-check of
 ``scipy.optimize.linprog(method="highs")``, so it returns what linprog
 would. The binding loads on the first LP, so runs that solve none never
 import scipy, and one HiGHS solver serves every LP of the process.
@@ -32,7 +39,7 @@ import functools
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -40,8 +47,8 @@ import numpy as np
 
 # layer_piece is not called here; it stays importable as geometry.layer_piece,
 # where bench/spans.py counts the calls made through this module.
-from .core import (Affine, AffineMap, Maxout, NetworkSpec, Pointwise,  # noqa: F401
-                   ValidationError, layer_piece, row_norms)
+from .core import (AffineMap, Maxout, NetworkSpec, PWLU2D, ValidationError,  # noqa: F401
+                   layer_piece, row_norms)
 from .switching import raw_layers, stack, unit_pieces
 
 
@@ -54,7 +61,7 @@ class GeometryConfig:
     # than 2 eps_interior beyond the cut.
     eps_interior: float = 1e-7
     dedup_tol: float = 1e-9       # hyperplane deduplication tolerance
-    zero_normal_tol: float = 1e-12  # pulled-back normals below this are skipped
+    zero_normal_tol: float = 1e-12  # pulled-back normals up to this are skipped
     fingerprint_tol: float = 1e-6   # relative rounding for piece fingerprints
     cell_budget: int = 10 ** 6
 
@@ -187,13 +194,24 @@ def _highs_solve(c, A, lhs, rhs, lb, ub, n_ub: int) -> Optional[np.ndarray]:
     return x
 
 
+def _unit_rows(N: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows (N, C) over their normals' norms, and the norm of each row
+    then: 1, or 0 for a zero row, which stays as it is."""
+    norms = row_norms(N)
+    nonzero = norms > 0.0
+    norms[~nonzero] = 1.0
+    return N / norms[:, None], C / norms, nonzero.astype(float)
+
+
 def interior_witness_report(constraints: Sequence[HalfSpace | tuple],
                             cfg: GeometryConfig = DEFAULT_CONFIG,
                             bounds: Optional[tuple[np.ndarray, np.ndarray]] = None,
                             equality: Optional[tuple[np.ndarray, float]] = None,
                             dim: Optional[int] = None) -> Witness:
     """Chebyshev-style LP: maximize eps s.t. a_i.x + c_i >= eps*||a_i|| within
-    |x_j| <= R_max (or the given bounds), eps <= R_max.
+    |x_j| <= R_max (or the given bounds), eps <= R_max. Every row, and the
+    equality row, is scaled to unit norm before solving (zero rows stay as
+    they are), so that HiGHS' absolute tolerances are distances.
 
     Status "interior" iff eps* > eps_interior; "degenerate" for
     0 <= eps* <= eps_interior; "empty" when infeasible or eps* < 0. HiGHS
@@ -222,14 +240,16 @@ def interior_witness_report(constraints: Sequence[HalfSpace | tuple],
         hi = np.asarray(bounds[1], dtype=float)
     if not len(N) and equality is None:
         return Witness((lo + hi) / 2.0, cfg.r_max, "interior")
-    # Variables (x_1..x_d, eps); maximize eps. Rows -a.x + ||a|| eps <= c,
+    # Variables (x_1..x_d, eps); maximize eps. Unit rows -a.x + eps <= c,
     # then the equality row a_eq.x = -c_eq.
-    N = N.reshape(len(N), dim)
-    A = np.hstack([-N, row_norms(N)[:, None]])
+    N, C, norms = _unit_rows(N.reshape(len(N), dim), C)
+    A = np.hstack([-N, norms[:, None]])
     lhs = np.full(len(N), -math.inf)
     if equality is not None:
-        A = np.vstack([A, np.append(np.asarray(equality[0], dtype=float), 0.0)])
-        C = np.append(C, -float(equality[1]))
+        a_eq, c_eq, _ = _unit_rows(np.asarray(equality[0], dtype=float)[None],
+                                np.array([float(equality[1])]))
+        A = np.vstack([A, np.append(a_eq, 0.0)])
+        C = np.append(C, -c_eq)
         lhs = np.append(lhs, C[-1])
     x = _highs_solve(np.concatenate([np.zeros(dim), [-1.0]]), A, lhs, C,
                      np.append(lo, -math.inf), np.append(hi, cfg.r_max), len(N))
@@ -459,15 +479,30 @@ class _VertexBackend:
 
     def split(self, cell: _Cell, a: np.ndarray, c: float):
         V, act = cell.geom
-        norm = float(np.linalg.norm(a))
-        dist = (V @ a + c) / norm
-        tol = _VERTEX_ROUNDING * (np.abs(V).max() * np.abs(a).sum() + abs(c)) / norm
-        dist[np.abs(dist) <= tol] = 0.0
-        depth = 2.0 * self.cfg.eps_interior
+        dist, depth = self._distances(V, a, c)
         if dist.max() <= depth or dist.min() >= -depth:
             return None
         sides = _clip_vertices(V, act, dist, 1 << (2 * V.shape[1] + len(cell.constraints)))
         return tuple(((W, bits), W.mean(axis=0)) for W, bits in sides)
+
+    def _distances(self, V: np.ndarray, a: np.ndarray, c: float):
+        """(each vertex's distance beyond the cut, the rounding snapped to
+        0; the depth beyond it that admits a side)."""
+        norm = float(np.linalg.norm(a))
+        dist = (V @ a + c) / norm
+        tol = _VERTEX_ROUNDING * (np.abs(V).max() * np.abs(a).sum() + abs(c)) / norm
+        dist[np.abs(dist) <= tol] = 0.0
+        return dist, 2.0 * self.cfg.eps_interior
+
+
+class _ExactBackend(_VertexBackend):
+    """Exact mode, any d: the cells of ``_VertexBackend`` on ``Fraction``
+    object arrays. A side of a cut is a cell iff one of its vertices lies
+    strictly beyond the cut, that is iff it has positive measure; nothing
+    is rounded, so nothing is snapped."""
+
+    def _distances(self, V, a, c):
+        return V @ a + c, 0
 
 
 def _backend_for(d: int, cfg: GeometryConfig):
@@ -502,16 +537,16 @@ def _clip_positive(backend, p: "_Cell", a: np.ndarray, c: float):
     geometry is never shaved off without an actual crossing."""
     res = backend.split(p, a, c)
     if res is None:
-        return p if float(a @ p.witness + c) > 0.0 else None
+        return p if a @ p.witness + c > 0 else None
     (_, _), (g_pos, w_pos) = res
     return _Cell(p.constraints + [(a, c)], w_pos, g_pos)
 
 
-def _maxout_parts(backend, cell: "_Cell", R: np.ndarray, s: np.ndarray,
+def _maxout_parts(backend, cell: "_Cell", R: np.ndarray, s: list,
                   cfg: GeometryConfig) -> list["_Cell"]:
     """Subdivide a cell into the argmax regions of every maxout unit, given
     the units' candidates pulled back through the cell's piece, ``R``
-    (units, rank, d) and ``s`` (units, rank).
+    (units, rank, d) and ``s`` (units, rank) as nested lists.
 
     Each unit contributes at most ``rank`` subcells per part (one per
     candidate attaining the max somewhere), so the subdivision never refines
@@ -528,8 +563,8 @@ def _maxout_parts(backend, cell: "_Cell", R: np.ndarray, s: np.ndarray,
                 for i in range(len(su)):
                     if i == j:
                         continue
-                    a, c = Ru[j] - Ru[i], float(su[j] - su[i])
-                    if np.abs(a).max() < tol:
+                    a, c = Ru[j] - Ru[i], su[j] - su[i]
+                    if np.abs(a).max() <= tol:
                         # Dominated everywhere, or an identical candidate: first wins.
                         if c < -tol or (abs(c) <= tol and i < j):
                             break
@@ -544,7 +579,7 @@ def _maxout_parts(backend, cell: "_Cell", R: np.ndarray, s: np.ndarray,
     return parts
 
 
-def _split_by_rows(backend, cell: "_Cell", N: np.ndarray, C: np.ndarray, live, keys: list,
+def _split_by_rows(backend, cell: "_Cell", N: np.ndarray, C: list, live, keys: Sequence,
                    layer, piece: tuple, cfg: GeometryConfig, done: int) -> list["_Cell"]:
     """Split a cell by its ``live`` switching rows ``N x + C = 0`` in order,
     skipping repeats by their ``keys``. A guarded row splits only parts
@@ -553,7 +588,7 @@ def _split_by_rows(backend, cell: "_Cell", N: np.ndarray, C: np.ndarray, live, k
     guard = layer.guard
     parts, seen = [cell], set()
     for r, key in zip(live, keys):
-        a, c = N[r], float(C[r])
+        a, c = N[r], C[r]
         if key in seen:
             continue
         seen.add(key)
@@ -578,6 +613,41 @@ def _split_by_rows(backend, cell: "_Cell", N: np.ndarray, C: np.ndarray, live, k
 # Main enumeration
 # ---------------------------------------------------------------------------
 
+def _subdivide(layers: list, backend, lo: np.ndarray, hi: np.ndarray, A: np.ndarray,
+               b: np.ndarray, cfg: GeometryConfig) -> tuple[list, np.ndarray, np.ndarray]:
+    """The cells of the box [lo, hi] under ``layers`` (a net's stacked layers
+    from ``switching``) and the network's piece on each, composed onto the
+    identity ``(A, b)``: returns (cells, A, b), the pieces stacked. Floats or
+    Fractions, the arrays carry the arithmetic; exact mode keys no rows, as
+    a repeated row cannot split a cell twice."""
+    geom, w = backend.root(lo, hi)
+    cells = [_Cell([], w, geom)]
+    for layer in layers:
+        maxout = layer.kind is Maxout  # per cell: its candidates, or else its rows
+        N, C = layer.candidates(A, b) if maxout else layer.rows(A, b)
+        if not maxout:  # skip near-zero normals (a constant piece) and padding rows
+            live = (np.abs(N).max(axis=2) > cfg.zero_normal_tol) & (C > -np.inf)
+            keys = range(live.sum()) if isinstance(backend, _ExactBackend) else \
+                _hyperplane_keys(N[live], C[live], cfg.dedup_tol)
+            cuts = [0] + np.cumsum(live.sum(axis=1)).tolist()
+        out_cells, parent = [], []
+        for i, cell in enumerate(cells):
+            if maxout:
+                parts = _maxout_parts(backend, cell, N[i], C[i].tolist(), cfg)
+                if len(out_cells) + len(parts) > cfg.cell_budget:
+                    raise BudgetExceeded(len(out_cells) + len(parts), cfg.cell_budget)
+            else:
+                parts = _split_by_rows(backend, cell, N[i], C[i].tolist(), live[i].nonzero()[0],
+                                       keys[cuts[i]:cuts[i + 1]], layer,
+                                       (A[i], b[i]), cfg, len(out_cells))
+            out_cells.extend(parts)
+            parent += [i] * len(parts)
+        cells, A, b = out_cells, A[parent], b[parent]
+        Z = (A @ np.array([cell.witness for cell in cells])[..., None])[..., 0] + b
+        A, b = layer.compose(A, b, Z, np.zeros_like(Z))
+    return cells, A, b
+
+
 def enumerate_regions(net: NetworkSpec, domain=None,
                       cfg: GeometryConfig = DEFAULT_CONFIG) -> RegionSet:
     """Subdivide the domain into the network's convex linear cells.
@@ -588,32 +658,8 @@ def enumerate_regions(net: NetworkSpec, domain=None,
     """
     d = net.input_dim
     lo, hi, bounded = _normalize_domain(domain, d, cfg.r_max)
-    backend = _backend_for(d, cfg)
-    geom, w = backend.root(lo, hi)
-    cells = [_Cell([], w, geom)]
-    A, b = np.eye(d)[None], np.zeros((1, d))  # every cell's piece, stacked
-    for layer in stack([raw_layers(net)]):
-        maxout = layer.kind is Maxout  # per cell: its candidates, or else its rows
-        N, C = layer.candidates(A, b) if maxout else layer.rows(A, b)
-        if not maxout:  # skip near-zero normals (a constant piece) and padding rows
-            live = (np.abs(N).max(axis=2) >= cfg.zero_normal_tol) & np.isfinite(C)
-            keys = _hyperplane_keys(N[live], C[live], cfg.dedup_tol)
-            cuts = [0] + np.cumsum(live.sum(axis=1)).tolist()
-        out_cells, parent = [], []
-        for i, cell in enumerate(cells):
-            if maxout:
-                parts = _maxout_parts(backend, cell, N[i], C[i], cfg)
-                if len(out_cells) + len(parts) > cfg.cell_budget:
-                    raise BudgetExceeded(len(out_cells) + len(parts), cfg.cell_budget)
-            else:
-                parts = _split_by_rows(backend, cell, N[i], C[i], live[i].nonzero()[0],
-                                       keys[cuts[i]:cuts[i + 1]], layer,
-                                       (A[i], b[i]), cfg, len(out_cells))
-            out_cells.extend(parts)
-            parent += [i] * len(parts)
-        cells, A, b = out_cells, A[parent], b[parent]
-        Z = (A @ np.array([cell.witness for cell in cells])[..., None])[..., 0] + b
-        A, b = layer.compose(A, b, Z, np.zeros_like(Z))
+    cells, A, b = _subdivide(stack([raw_layers(net)]), _backend_for(d, cfg), lo, hi,
+                             np.eye(d)[None], np.zeros((1, d)), cfg)
     W = np.round([cell.witness for cell in cells], 9).tolist()
     order = sorted(range(len(cells)), key=lambda i: (W[i], len(cells[i].constraints)))
     regions = [Region(cells[i].constraints, AffineMap(A[i], b[i]), cells[i].witness.copy(),
@@ -855,106 +901,33 @@ def count_report_to_csv(report: CountReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Exact-rational adjudication mode (d <= 2, affine + pointwise layers)
+# Exact-rational adjudication mode
 # ---------------------------------------------------------------------------
 
-def _frac_area2(verts: list) -> Fraction:
-    s = Fraction(0)
-    for i in range(len(verts)):
-        j = (i + 1) % len(verts)
-        s += verts[i][0] * verts[j][1] - verts[j][0] * verts[i][1]
-    return abs(s)
+def _fractions(x: np.ndarray) -> np.ndarray:
+    """``x`` as an object array of the rationals its floats encode;
+    infinities (the padding of pointwise breakpoints) stay floats."""
+    return np.array([v if math.isinf(v) else Fraction(v) for v in x.ravel().tolist()],
+                    dtype=object).reshape(x.shape)
 
 
 def exact_cell_count(net: NetworkSpec, domain) -> tuple[int, int]:
-    """Exact-rational subdivision for 1D/2D networks with affine and
-    pointwise layers only: every float input is treated as the rational it
-    exactly encodes, splits are decided by exact arithmetic (a side survives
-    iff it has positive measure), and distinct pieces compare exactly.
-    Returns (cell_count, distinct_piece_count). Adjudication tool: slower
-    than ``enumerate_regions`` but immune to tolerance artifacts.
+    """Exact-rational subdivision, in any input dimension, of networks with
+    affine, pointwise, maxout and group-sort layers: ``enumerate_regions``'
+    loop on the rationals that the float parameters exactly encode, with no
+    tolerance. A side of a cut survives iff it has positive measure, and
+    distinct pieces compare exactly. Returns (cell_count,
+    distinct_piece_count). Adjudication tool: slower than
+    ``enumerate_regions`` but immune to tolerance artifacts. Raises
+    ``BudgetExceeded`` past ``DEFAULT_CONFIG.cell_budget`` cells.
     """
-    d = net.input_dim
-    if d > 2:
-        raise ValidationError("exact mode supports 1 or 2 inputs")
-    for layer in net.layers:
-        if not isinstance(layer, (Affine, Pointwise)):
-            raise ValidationError("exact mode supports affine and pointwise layers only")
-    lo, hi, _ = _normalize_domain(domain, d, DEFAULT_CONFIG.r_max)
-    F = Fraction
-    if d == 1:
-        cells = [((F(lo[0]), F(hi[0])), [[F(1)]], [F(0)])]
-    else:
-        box = [(F(lo[0]), F(lo[1])), (F(hi[0]), F(lo[1])),
-               (F(hi[0]), F(hi[1])), (F(lo[0]), F(hi[1]))]
-        cells = [(box, [[F(1), F(0)], [F(0), F(1)]], [F(0), F(0)])]
-
-    def mid(geom):
-        if d == 1:
-            return [(geom[0] + geom[1]) / 2]
-        sx = sum(v[0] for v in geom) / len(geom)
-        sy = sum(v[1] for v in geom) / len(geom)
-        return [sx, sy]
-
-    for layer in net.layers:
-        if isinstance(layer, Affine):
-            M = [[F(x) for x in row] for row in layer.map.matrix.tolist()]
-            o = [F(x) for x in layer.map.offset.tolist()]
-            cells = [(geom,
-                      [[sum(M[i][k] * A[k][j] for k in range(len(A))) for j in range(d)]
-                       for i in range(len(M))],
-                      [sum(M[i][k] * b[k] for k in range(len(b))) + o[i]
-                       for i in range(len(M))])
-                     for geom, A, b in cells]
-            continue
-        new_cells = []
-        for geom, A, b in cells:
-            parts = [geom]
-            for k, f in enumerate(layer.units):
-                for brk in f.breakpoints:
-                    a_row = A[k]
-                    c_off = b[k] - F(brk)
-                    next_parts = []
-                    for g in parts:
-                        if d == 1:
-                            aa = a_row[0]
-                            if aa == 0:
-                                next_parts.append(g)
-                                continue
-                            t = -c_off / aa
-                            if g[0] < t < g[1]:
-                                next_parts.append((g[0], t))
-                                next_parts.append((t, g[1]))
-                            else:
-                                next_parts.append(g)
-                        else:
-                            if a_row[0] == 0 and a_row[1] == 0:
-                                next_parts.append(g)
-                                continue
-                            neg, pos = _clip(g, [a_row[0] * x + a_row[1] * y + c_off
-                                                 for x, y in g])
-                            if len(neg) >= 3 and _frac_area2(neg) > 0 and \
-                                    len(pos) >= 3 and _frac_area2(pos) > 0:
-                                next_parts.append(neg)
-                                next_parts.append(pos)
-                            else:
-                                next_parts.append(g)
-                    parts = next_parts
-            for g in parts:
-                w = mid(g)
-                z = [sum(A[i][k] * w[k] for k in range(d)) + b[i] for i in range(len(b))]
-                A2, b2 = [], []
-                for i, f in enumerate(layer.units):
-                    idx = 0
-                    for brk in f.breakpoints:
-                        if z[i] > F(brk):
-                            idx += 1
-                        else:
-                            break
-                    s, c0 = f.piece_line(idx)
-                    A2.append([F(s) * A[i][k] for k in range(d)])
-                    b2.append(F(s) * b[i] + F(c0))
-                new_cells.append((g, A2, b2))
-        cells = new_cells
-    pieces = {tuple(tuple(row) for row in A) + tuple(b) for _, A, b in cells}
+    if any(isinstance(layer, PWLU2D) for layer in net.layers):
+        raise ValidationError("exact mode does not support PWLU2D layers")
+    layers = [type(layer)(*(_fractions(p) if isinstance(p, np.ndarray) else p
+                            for p in layer.params)) for layer in stack([raw_layers(net)])]
+    d, cfg = net.input_dim, replace(DEFAULT_CONFIG, zero_normal_tol=0.0)  # zero is zero
+    lo, hi, _ = _normalize_domain(domain, d, cfg.r_max)
+    cells, A, b = _subdivide(layers, _ExactBackend(cfg), *map(_fractions, (
+        lo, hi, np.eye(d)[None], np.zeros((1, d)))), cfg)
+    pieces = {tuple(row) for row in np.hstack([A.reshape(len(A), -1), b]).tolist()}
     return len(cells), len(pieces)

@@ -103,17 +103,25 @@ def test_witness_accepts_halfspace_objects_and_equality():
     assert w.point[1] == pytest.approx(0.25, abs=1e-6)
 
 
+def _unit(a, c):
+    """(a / ||a||, c / ||a||, 1), or (a, c, 0) when a is zero."""
+    n = np.linalg.norm(a)
+    return (a / n, c / n, 1.0) if n else (a, c, 0.0)
+
+
 def _linprog_witness(rows, cfg, bounds, equality, dim):
-    """Reference: the witness LP of interior_witness_report through the
-    public scipy.optimize.linprog on the same model (no-row case excluded)."""
+    """Reference: the witness LP of interior_witness_report, on the same unit
+    rows, through the public scipy.optimize.linprog (no-row case excluded)."""
     from scipy.optimize import linprog
     lo, hi = bounds if bounds is not None else (np.full(dim, -cfg.r_max), np.full(dim, cfg.r_max))
-    A_ub = [np.concatenate([-a, [np.linalg.norm(a)]]) for a, _ in rows]
-    b_ub = [c for _, c in rows]
+    rows = [_unit(np.asarray(a, dtype=float), float(c)) for a, c in rows]
+    A_ub = [np.concatenate([-a, [n]]) for a, _, n in rows]
+    b_ub = [c for _, c, _ in rows]
     A_eq = b_eq = None
     if equality is not None:
-        A_eq = [np.concatenate([equality[0], [0.0]])]
-        b_eq = [-float(equality[1])]
+        a_eq, c_eq, _ = _unit(np.asarray(equality[0], dtype=float), float(equality[1]))
+        A_eq = [np.concatenate([a_eq, [0.0]])]
+        b_eq = [-c_eq]
     res = linprog(np.concatenate([np.zeros(dim), [-1.0]]),
                   A_ub=np.array(A_ub) if A_ub else None, b_ub=np.array(b_ub) if b_ub else None,
                   A_eq=A_eq, b_eq=b_eq, method="highs",
@@ -165,6 +173,23 @@ def test_witness_lp_matches_linprog():
         assert w.point.tobytes() == point.tobytes(), i
         statuses.add((w.status, equality is not None))
     assert statuses == {(s, e) for s in ("interior", "degenerate", "empty") for e in (False, True)}
+
+
+def test_interior_witnesses_satisfy_every_unit_row():
+    # The cells of the scaled relu nets on the unbounded domain, whose rows
+    # have norms down to about 1e-8: on raw rows, 56 of these witness LPs
+    # called a cell interior at a point up to 7.1e5 normalised units outside
+    # one of its rows (ROADMAP defect 5). On unit rows every interior
+    # witness satisfies every row.
+    interior = 0
+    for seed in range(60):
+        for r in enumerate_regions(_scaled_relu_net(seed)).regions:
+            w = interior_witness_report(r.rows)
+            if w.status == "interior":
+                interior += 1
+                N, C = np.array([a for a, _ in r.rows]), np.array([c for _, c in r.rows])
+                assert ((N @ w.point + C) / core.row_norms(N) >= 0.0).all(), seed
+    assert interior > 3000
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +477,10 @@ def _box_rows(rs):
 
 def _exhaustive_adjacent(p, q, rs, cfg):
     """Reference: try every constraint hyperplane of ``p`` as an equality
-    against the other rows of both cells and the domain, by witness LP."""
+    against the other rows of both cells and the domain, by witness LP. A
+    bounded domain also bounds the LP's variables, as its rows do: on the
+    R_max box HiGHS' absolute tolerances can misjudge a facet whose inscribed
+    radius is within about 1e-7 of eps_interior."""
     combined = [(h.normal, h.offset) for h in p.constraints + q.constraints]
     combined += _box_rows(rs)
     keys = [_reference_key(a, c, cfg.dedup_tol) for a, c in combined]
@@ -462,8 +490,8 @@ def _exhaustive_adjacent(p, q, rs, cfg):
             continue
         tried.add(key)
         rest = [row for row, k in zip(combined, keys) if k != key]
-        w = geometry.interior_witness_report(rest, cfg, equality=(h.normal, h.offset),
-                                             dim=rs.input_dim)
+        w = geometry.interior_witness_report(rest, cfg, bounds=rs.domain,
+                                             equality=(h.normal, h.offset), dim=rs.input_dim)
         if w.status == "interior":
             return True
     return False
@@ -1038,6 +1066,68 @@ def test_exact_cell_count_on_1d_sawtooth():
     cells, distinct = exact_cell_count(net, (-0.5, 1.5))
     assert cells == 8  # 7 interior knots
     assert distinct == 8  # slopes alternate but every intercept differs
+
+
+def _integer_net(kind: str, d: int, seed: int) -> NetworkSpec:
+    """Two hidden layers of width 3 and an affine read-out, every weight and
+    offset an integer in -2..2: relu, abs, rank-2 maxout or group-sort (one
+    group of 3) layers."""
+    rng = np.random.default_rng([seed, d, ("relu", "abs", "maxout", "groupsort").index(kind)])
+
+    def ints(*shape):
+        return rng.integers(-2, 3, size=shape).astype(float)
+    layers, n = [], d
+    for _ in range(2):
+        if kind == "maxout":
+            layers.append(Maxout(2, ints(3, 2, n), ints(3, 2)))
+        else:
+            layers += [Affine(AffineMap(ints(3, n), ints(3))),
+                       GroupSort(3) if kind == "groupsort" else
+                       Pointwise(((relu_unit if kind == "relu" else abs_unit)(),) * 3)]
+        n = 3
+    return NetworkSpec(d, tuple(layers) + (Affine(AffineMap(ints(1, 3), ints(1))),))
+
+
+def test_exact_counts_match_float_engine_on_integer_nets():
+    # Integer weights make concurrent and parallel planes and equal pieces,
+    # and every float piece is exact: the float cells, and their pieces by
+    # exact equality, count as the rational engine's.
+    for kind in ("relu", "abs", "maxout", "groupsort"):
+        for d in (1, 2, 3):
+            for domain in ((-3.0, 3.0), None):
+                for seed in range(12):
+                    net = _integer_net(kind, d, seed)
+                    rs = enumerate_regions(net, domain)
+                    pieces = {tuple(r.piece.matrix.ravel().tolist() + r.piece.offset.tolist())
+                              for r in rs.regions}
+                    assert exact_cell_count(net, domain) == (len(rs), len(pieces)), \
+                        (kind, d, domain, seed)
+
+
+def test_exact_counts_need_no_tolerance(monkeypatch):
+    # The nets of ROADMAP defect 2 behind x -> x / s on the box ±3s, where
+    # the float engine gives 35 and 15 cells at s = 1e-6; every vertex and
+    # piece entry of the rational runs is a Fraction.
+    runs, run = [], geometry._subdivide
+
+    def subdivide(*args):
+        runs.append(run(*args))
+        return runs[-1]
+    monkeypatch.setattr(geometry, "_subdivide", subdivide)
+    for family, dims, counts in (("relu", (3, 4, 4, 1), (51, 51)), ("abs", (2, 4, 4, 1), (42, 42))):
+        arch = ArchitectureDescriptor(dims, tuple((2,) * w for w in dims[1:]), family)
+        net = sample_network(arch, InitSpec(), 3)
+        d = dims[0]
+        for s in (1e-6, 1.0, 1e6):
+            scaled = NetworkSpec(d, (Affine(AffineMap(np.eye(d) / s, np.zeros(d))),) + net.layers)
+            assert exact_cell_count(scaled, (-3 * s, 3 * s)) == counts, (family, s)
+    for cells, A, b in runs:
+        values = [v for cell in cells for v in cell.geom[0].ravel()] + list(A.ravel()) + list(b.ravel())
+        assert all(type(v) is Fraction for v in values)
+    # No tolerance: the side 1e-8 thin that the float engine drops is a cell.
+    assert exact_cell_count(_lp_parity_nets()[9], (-2.0, 2.0)) == (2, 2)
+    with pytest.raises(ValidationError):
+        exact_cell_count(_lp_parity_nets()[7], (-2.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
