@@ -4,8 +4,8 @@ path restrictions, Monte Carlo density experiments, and brute-force oracles.
 """
 from .core import (Affine, AffineMap, GroupSort, Layer, Maxout, NetworkSpec,
                    Pointwise, PWLU2D, ScalarCPWL, ValidationError, abs_unit,
-                   compose, compose_scalar, eval_jacobian, eval_scalar,
-                   eval_scalar_net, identity_unit, layer_piece, layer_value,
+                   batch_pieces, compose, compose_scalar, eval_jacobian,
+                   eval_scalar, identity_unit, layer_piece, layer_value,
                    leaky_relu_unit, relu_unit, sum_scalar, zero_unit)
 from .bounds import (AlphaReport, ArchitectureDescriptor, BoundReport,
                      ChannelAssignment, EnvelopeReport, alpha_lower_constructive,
@@ -20,14 +20,14 @@ from .constructions import (SawtoothPlan, extremal_sum_network,
 from .geometry import (BudgetExceeded, CountReport, GeometryConfig, HalfSpace,
                        Region, RegionSet, Witness, count_report,
                        count_report_to_csv, enumerate_regions, exact_cell_count,
-                       interior_witness, interior_witness_report,
+                       interior_witness_report,
                        network_arrangement_upper, piece_fingerprint,
                        region_set_to_json, regions_containing, render_svg)
 from .paths import (InequalityReport, KnotReport, PATH_VERTEX, PolygonalPath,
                     check_composition_bound, check_subadditivity, count_knots,
                     image_length, image_path)
-from .oracle import (GridFingerprint, batch_pieces, grid_fingerprint,
-                     grid_knot_count, grid_region_count)
+from .oracle import (GridFingerprint, grid_fingerprint, grid_knot_count,
+                     grid_region_count)
 from .stochastic import (CompositionalBound, InitSpec, McEstimate,
                          compositional_density_bound, default_probe,
                          estimate_directional_expansion, estimate_unit_density,

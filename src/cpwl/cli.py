@@ -325,6 +325,8 @@ def _mc_arch(args) -> tuple[bnd.ArchitectureDescriptor, dict]:
     if per_unit is None:
         raise ValidationError(f"family {fam!r} needs "
                               + ("--kappa" if fam == "deepspline" else "--rank"))
+    if args.depth < 1:
+        raise ValidationError("--depth must be at least 1")
     if fam == "groupsort":
         # The sampler keeps the final layer affine, so `depth` sorting stages
         # need depth+1 width rows; width defaults to the input dimension.
@@ -351,12 +353,7 @@ def cmd_mc(args) -> int:
             rows.append(sto.mc_table_row(args.family, width, depth,
                                          per_unit, init, est))
     else:
-        bound = None
-        if args.family == "groupsort" and args.depth == 1:
-            bound = sto.unit_density_bound("groupsort", init, d=args.d,
-                                           group_size=args.group_size)
-        est = sto.mc_knot_density(arch, init, trials=args.trials, bound=bound,
-                                  **kw)
+        est = sto.mc_knot_density(arch, init, trials=args.trials, **kw)
         rows.append(sto.mc_table_row(args.family, width, args.depth,
                                      per_unit, init, est))
     csv = sto.mc_table_csv(rows)

@@ -412,186 +412,174 @@ class NetworkSpec:
 
 
 # ---------------------------------------------------------------------------
-# Local piece selection (shared conventions for all exact engines).
+# Reference evaluation: one batched step per layer type.
 #
-# At a point z the active piece of a layer is an affine map (S, c) with
-# out = S @ z + c near z. Boundary ties resolve to the "upper" piece
-# (right piece of a scalar unit, first argmax line, stable ascending sort,
-# right/upper grid triangle); one-sided queries override ties using the
-# directional derivative dz of the pre-activation along the query direction.
+# A step takes the points ``Z`` (n, width) of the layer input, the
+# derivatives ``dZ`` of ``Z`` along a query direction, and the profiles
+# ``(A, b)`` with ``Z = A x + b`` near each point; it returns the layer values
+# and the profiles composed with the piece active at each point. A tie goes
+# the way ``dZ`` points; a zero direction gives the two-sided choice: the
+# right piece of a scalar unit, the first argmax candidate, a stable ascending
+# sort and the upper grid triangle. Pointwise and sorting pieces apply
+# elementwise. The exact engines (``switching``) are tested against these
+# steps, so they share no code with them.
 # ---------------------------------------------------------------------------
 
-def _pwlu_locate(layer: PWLU2D, u: float, du: float, tol: float = 0.0
-                 ) -> tuple[int, float, bool]:
-    """Column index along one grid coordinate plus the clamped value and a
-    flag for whether the coordinate is clamped (piece has zero u-coefficient)."""
-    m = layer.grid_m
-    h = layer.grid_step
-    if u < -1.0 or (u == -1.0 and du < 0):
-        return 0, -1.0, True
-    if u > 1.0 or (u == 1.0 and du > 0):
-        return m - 2, 1.0, True
-    raw = (u + 1.0) / h
-    i = int(math.floor(raw))
-    if i * h - 1.0 == u and du < 0:  # exactly on a grid node, moving left
-        i -= 1
-    i = min(max(i, 0), m - 2)
-    return i, u, False
+def _affine_step(layer: Affine, Z, dZ, A, b):
+    M, o = layer.map.matrix, layer.map.offset
+    return Z @ M.T + o, M @ A, b @ M.T + o
 
 
-def layer_piece(layer: Layer, z: np.ndarray, dz: Optional[np.ndarray] = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Active affine piece ``(S, c)`` of ``layer`` at pre-activation ``z``.
+def _pointwise_step(layer: Pointwise, Z, dZ, A, b):
+    # Per unit, inf-padded breakpoints, the values ``eval_scalar`` chains from
+    # (the anchor at 0 for a unit without breakpoints) and the piece lines.
+    fs, units = layer.units, np.arange(len(layer.units))
+    m = max(1, max((len(f.breakpoints) for f in fs), default=0))
 
-    ``dz`` (optional) is the derivative of ``z`` along a probe direction and
-    resolves boundary ties one-sidedly.
+    def table(rows, fill, k):
+        return np.array([list(r) + [fill] * (k - len(r)) for r in rows])
+    bps = table((f.breakpoints for f in fs), np.inf, m)
+    knots = np.where(bps < np.inf, bps, 0.0)
+    bp_values = table((f._bp_values or (f.anchor_value,) for f in fs), 0.0, m)
+    lines = table(([f.piece_line(i) for i in range(len(f.slopes))] for f in fs), (0.0, 0.0), m + 1)
+    # The value from the right piece, as eval_scalar takes it; the profile
+    # from the left one on a breakpoint the profile decreases through.
+    right = (bps <= Z[..., None]).sum(axis=2)
+    idx = right - ((bps == Z[..., None]) & (dZ < 0)[..., None]).sum(axis=2)
+    j = np.maximum(right - 1, 0)
+    values = bp_values[units, j] + lines[units, right, 0] * (Z - knots[units, j])
+    s, c = lines[units, idx, 0], lines[units, idx, 1]
+    return values, s[..., None] * A, s * b + c
+
+
+def _maxout_step(layer: Maxout, Z, dZ, A, b):
+    W, o = layer.weights, layer.offsets
+    vals = np.einsum("ukd,nd->nuk", W, Z) + o
+    dirs = np.einsum("ukd,nd->nuk", W, dZ)
+    # Lexicographic argmax on (value, directional slope).
+    top = vals.max(axis=2)
+    sel = np.where(vals == top[..., None], dirs, -np.inf).argmax(axis=2)
+    units = np.arange(W.shape[0])
+    S = W[units, sel]
+    return top, S @ A, (S @ b[..., None])[..., 0] + o[units, sel]
+
+
+def _groupsort_step(layer: GroupSort, Z, dZ, A, b):
+    # Stable ascending sort by (value, directional slope).
+    g, (n, w) = layer.group_size, Z.shape
+    order = np.lexsort((dZ.reshape(n, -1, g), Z.reshape(n, -1, g)), axis=2)
+    src, rows = (order + np.arange(0, w, g)[:, None]).reshape(n, w), np.arange(n)[:, None]
+    return Z[rows, src], A[rows, src], b[rows, src]
+
+
+def _grid_locate(u, du, m: int, h: float):
+    """Grid column along one coordinate, the clamped coordinate, and whether
+    it is clamped (the piece then has no term in it)."""
+    low = (u < -1.0) | ((u == -1.0) & (du < 0))
+    high = ~low & ((u > 1.0) | ((u == 1.0) & (du > 0)))
+    i = np.floor((u + 1.0) / h)
+    i = np.where((i * h - 1.0 == u) & (du < 0), i - 1, i)  # on a grid node, moving left
+    i = np.where(low, 0, np.where(high, m - 2, np.clip(i, 0, m - 2)))
+    return i.astype(int), np.where(low, -1.0, np.where(high, 1.0, u)), low | high
+
+
+def _pwlu2d_step(layer: PWLU2D, Z, dZ, A, b):
+    V, m, h = layer.values, layer.grid_m, layer.grid_step
+    M = np.stack([r.matrix for r in layer.readins])
+    off = np.stack([r.offset for r in layer.readins])
+    uv, duv = (M @ Z[:, None, :, None])[..., 0] + off, (M @ dZ[:, None, :, None])[..., 0]
+    i, uc, ucl = _grid_locate(uv[..., 0], duv[..., 0], m, h)
+    j, vc, vcl = _grid_locate(uv[..., 1], duv[..., 1], m, h)
+    nodes = -1.0 + np.arange(m) * h
+    # On a diagonal the lower triangle (see ``cell_piece``) only when u - v grows.
+    s, s0 = uc - vc, nodes[i] - nodes[j]
+    lower = np.where((s == s0) & ~(ucl & vcl), (duv[..., 0] - duv[..., 1]) > 0, s >= s0)
+    k = np.arange(V.shape[0])
+    v00, v01, v10, v11 = V[k, i, j], V[k, i, j + 1], V[k, i + 1, j], V[k, i + 1, j + 1]
+    p = np.where(lower, (v10 - v00) / h, (v11 - v01) / h)
+    q = np.where(lower, (v11 - v10) / h, (v01 - v00) / h)
+    c = v00 - p * nodes[i] - q * nodes[j]
+    # Value p*u + q*v + c, a clamped coordinate entering as a constant.
+    S = np.where(ucl[..., None], 0.0, 0.0 + p[..., None] * M[:, 0])
+    S = np.where(vcl[..., None], S, S + q[..., None] * M[:, 1])
+    c = np.where(ucl, c + p * uc, c + p * off[:, 0])
+    c = np.where(vcl, c + q * vc, c + q * off[:, 1])
+    return (S @ Z[..., None])[..., 0] + c, S @ A, (S @ b[..., None])[..., 0] + c
+
+
+_STEPS = {Affine: _affine_step, Pointwise: _pointwise_step, Maxout: _maxout_step,
+          GroupSort: _groupsort_step, PWLU2D: _pwlu2d_step}
+
+
+def _step(layer: Layer, Z, dZ, A, b):
+    step = _STEPS.get(type(layer))
+    if step is None:
+        raise ValidationError(f"unknown layer type {type(layer).__name__}")
+    return step(layer, Z, dZ, A, b)
+
+
+def batch_pieces(net: NetworkSpec, X: np.ndarray, side: Optional[np.ndarray] = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values and active affine pieces ``(Z, A, b)`` of the network at the
+    points ``X`` (n, d_in): ``Z`` (n, d_out), ``A`` (n, d_out, d_in) and ``b``
+    (n, d_out), with ``net(x) = A[i] @ x + b[i]`` for ``x`` near ``X[i]``.
+
+    ``side`` (optional, one direction (d_in,) or one per point (n, d_in))
+    selects the one-sided piece active at ``X[i] + eps * side`` for small
+    ``eps > 0``; without it, or where it is zero, ties resolve to the
+    upper/right piece.
     """
-    z = np.asarray(z, dtype=float)
-    n = z.shape[0]
-    if isinstance(layer, Affine):
-        return layer.map.matrix, layer.map.offset
-    if isinstance(layer, Pointwise):
-        S = np.zeros((n, n))
-        c = np.zeros(n)
-        for k, f in enumerate(layer.units):
-            side = 0
-            if dz is not None and f.breakpoints:
-                j = bisect.bisect_left(f.breakpoints, z[k])
-                if j < len(f.breakpoints) and f.breakpoints[j] == z[k]:
-                    side = 1 if dz[k] >= 0 else -1
-            s, b = f.piece_line(f.piece_index(z[k], side if side else 0))
-            S[k, k] = s
-            c[k] = b
-        return S, c
-    if isinstance(layer, Maxout):
-        vals = np.einsum("ukd,d->uk", layer.weights, z) + layer.offsets  # (units, rank)
-        if dz is None:
-            sel = np.argmax(vals, axis=1)
-        else:
-            dirs = np.einsum("ukd,d->uk", layer.weights, dz)
-            # Lexicographic argmax on (value, directional slope).
-            m = vals.max(axis=1, keepdims=True)
-            masked = np.where(vals == m, dirs, -np.inf)
-            sel = np.argmax(masked, axis=1)
-        S = layer.weights[np.arange(vals.shape[0]), sel, :]
-        c = layer.offsets[np.arange(vals.shape[0]), sel]
-        return S, c
-    if isinstance(layer, GroupSort):
-        g = layer.group_size
-        S = np.zeros((n, n))
-        c = np.zeros(n)
-        for start in range(0, n, g):
-            block = z[start:start + g]
-            if dz is None:
-                order = np.argsort(block, kind="stable")
-            else:
-                order = np.lexsort((dz[start:start + g], block))
-            for pos, src in enumerate(order):
-                S[start + pos, start + src] = 1.0
-        return S, c
-    if isinstance(layer, PWLU2D):
-        units = layer.values.shape[0]
-        S = np.zeros((units, n))
-        c = np.zeros(units)
-        for k, rmap in enumerate(layer.readins):
-            uv = rmap(z)
-            duv = rmap.matrix @ dz if dz is not None else np.zeros(2)
-            i, uc, uclamp = _pwlu_locate(layer, uv[0], duv[0])
-            j, vc, vclamp = _pwlu_locate(layer, uv[1], duv[1])
-            s = uc - vc
-            s0 = layer.grid_node(i) - layer.grid_node(j)
-            if s == s0 and not (uclamp and vclamp):
-                lower = (duv[0] - duv[1]) > 0
-            else:
-                lower = s >= s0
-            a, b, c0 = layer.cell_piece(i, j, lower, k)
-            row = np.zeros(n)
-            off = c0
-            if uclamp:
-                off += a * uc
-            else:
-                row += a * rmap.matrix[0]
-                off += a * rmap.offset[0]
-            if vclamp:
-                off += b * vc
-            else:
-                row += b * rmap.matrix[1]
-                off += b * rmap.offset[1]
-            S[k] = row
-            c[k] = off
-        return S, c
-    raise ValidationError(f"unknown layer type {type(layer).__name__}")
-
-
-def layer_value(layer: Layer, z: np.ndarray) -> np.ndarray:
-    """Forward value of one layer (ties resolved as in ``layer_piece``)."""
-    z = np.asarray(z, dtype=float)
-    if isinstance(layer, Affine):
-        return layer.map(z)
-    if isinstance(layer, Pointwise):
-        return np.array([eval_scalar(f, t) for f, t in zip(layer.units, z)])
-    if isinstance(layer, Maxout):
-        return (np.einsum("ukd,d->uk", layer.weights, z) + layer.offsets).max(axis=1)
-    if isinstance(layer, GroupSort):
-        g = layer.group_size
-        out = z.copy()
-        for start in range(0, z.shape[0], g):
-            out[start:start + g] = np.sort(out[start:start + g], kind="stable")
-        return out
-    if isinstance(layer, PWLU2D):
-        S, c = layer_piece(layer, z)
-        return S @ z + c
-    raise ValidationError(f"unknown layer type {type(layer).__name__}")
-
-
-def eval(net: NetworkSpec, x: np.ndarray) -> np.ndarray:  # noqa: A001 - spec'd name
-    """Exact forward evaluation."""
-    z = np.asarray(x, dtype=float)
-    if z.shape != (net.input_dim,):
-        raise ValidationError(f"input shape {z.shape} != ({net.input_dim},)")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != net.input_dim:
+        raise ValidationError(f"points of shape {X.shape} for input dim {net.input_dim}")
+    n, d = X.shape
+    U = np.zeros((n, d)) if side is None else np.broadcast_to(np.asarray(side, dtype=float), (n, d))
+    nrm = row_norms(U)
+    U = U / np.where(nrm > 0, nrm, 1.0)[:, None]
+    Z, A, b = X, np.broadcast_to(np.eye(d), (n, d, d)), np.zeros((n, d))
     for layer in net.layers:
-        z = layer_value(layer, z)
-    return z
-
-
-def eval_scalar_net(net: NetworkSpec, t: float) -> float:
-    """Forward evaluation of a 1-in / 1-out network at a scalar input."""
-    out = eval(net, np.array([float(t)]))
-    if out.shape != (1,):
-        raise ValidationError("network is not scalar-valued")
-    return float(out[0])
+        Z, A, b = _step(layer, Z, (A @ U[..., None])[..., 0], A, b)
+    return Z, A, b
 
 
 def eval_jacobian(net: NetworkSpec, x: np.ndarray, side: Optional[np.ndarray] = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value and active affine piece ``(value, A, b)`` of the network at ``x``.
-
-    ``side`` (optional direction vector) selects the one-sided piece active
-    for ``x + eps * side`` with small ``eps > 0``; without it, boundary ties
-    resolve to the upper/right piece. ``net(x + eps*side) = A(x+eps*side) + b``
-    for small enough eps.
-    """
+    """Value and active affine piece ``(value, A, b)`` of the network at one
+    point ``x``: the one-row case of ``batch_pieces``."""
     x = np.asarray(x, dtype=float)
     if x.shape != (net.input_dim,):
         raise ValidationError(f"input shape {x.shape} != ({net.input_dim},)")
-    A = np.eye(net.input_dim)
-    b = np.zeros(net.input_dim)
-    u = None
-    if side is not None:
-        u = np.asarray(side, dtype=float)
-        nrm = np.linalg.norm(u)
-        if nrm == 0:
-            u = None
-        else:
-            u = u / nrm
-    z = x
-    for layer in net.layers:
-        dz = A @ u if u is not None else None
-        S, c = layer_piece(layer, z, dz)
-        A = S @ A
-        b = S @ b + c
-        z = layer_value(layer, z)
-    return z, A, b
+    Z, A, b = batch_pieces(net, x[None], side)
+    return Z[0], A[0], b[0]
+
+
+def eval(net: NetworkSpec, x: np.ndarray) -> np.ndarray:  # noqa: A001 - spec'd name
+    """Exact forward evaluation."""
+    return eval_jacobian(net, x)[0]
+
+
+def _layer_row(layer: Layer, z: np.ndarray, dz: Optional[np.ndarray] = None):
+    """The step of ``layer`` at the one point ``z``, its profile ``z`` itself."""
+    z = np.asarray(z, dtype=float)
+    dz = np.zeros_like(z) if dz is None else np.asarray(dz, dtype=float)
+    out = _step(layer, z[None], dz[None], np.eye(len(z))[None], np.zeros((1, len(z))))
+    return [a[0] for a in out]
+
+
+def layer_piece(layer: Layer, z: np.ndarray, dz: Optional[np.ndarray] = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Active affine piece ``(S, c)`` of ``layer`` at its input ``z``.
+
+    ``dz`` (optional) is the derivative of ``z`` along a probe direction and
+    resolves boundary ties one-sidedly.
+    """
+    _, S, c = _layer_row(layer, z, dz)
+    return S, c
+
+
+def layer_value(layer: Layer, z: np.ndarray) -> np.ndarray:
+    """Forward value of one layer (ties resolved as in ``layer_piece``)."""
+    return _layer_row(layer, z)[0]
 
 
 def compose(first: NetworkSpec, second: NetworkSpec) -> NetworkSpec:

@@ -264,15 +264,6 @@ def interior_witness_report(constraints: Sequence[HalfSpace | tuple],
     return Witness(point, eps, "empty")
 
 
-def interior_witness(constraints: Sequence[HalfSpace | tuple],
-                     cfg: GeometryConfig = DEFAULT_CONFIG,
-                     dim: Optional[int] = None) -> Optional[Witness]:
-    """Interior point of the half-space intersection, or None when the
-    interior is empty or thinner than the configured margin."""
-    w = interior_witness_report(constraints, cfg, dim=dim)
-    return w if w.status == "interior" else None
-
-
 # ---------------------------------------------------------------------------
 # Subdivision cells and backends
 # ---------------------------------------------------------------------------

@@ -10,19 +10,18 @@ breaks a wedge tip thinner than a pixel into separate islands, which raises it
 above even the exact cell count. A dense 1D variant counts knots along a
 segment the same way.
 
-This module deliberately re-derives pieces by direct per-sample evaluation
-(batched, but point-by-point in meaning) so it shares no machinery with the
-exact subdivision engine it cross-checks.
+The pieces come from ``core.batch_pieces``, the reference evaluator: it
+evaluates every sample on its own (batched, but point by point in meaning)
+and imports nothing from ``switching``, ``geometry`` or ``paths``, so the
+oracle shares no machinery with the exact engines it cross-checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import (Affine, GroupSort, Maxout, NetworkSpec, Pointwise, PWLU2D,
-                   ValidationError, eval_jacobian)
+from .core import NetworkSpec, ValidationError, batch_pieces
 
 FINGERPRINT_REL_TOL = 1e-6
 MIN_RESOLUTION = 8
@@ -35,76 +34,6 @@ class GridFingerprint:
     labels: np.ndarray        # one integer fingerprint label per sample
     n_distinct: int
     n_components: int
-
-
-def batch_pieces(net: NetworkSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided affine pieces at many points: returns (A, b) with shapes
-    (n, d_out, d_in), (n, d_out) so that F(x) = A[i] @ x + b[i] near X[i]."""
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
-    if d != net.input_dim:
-        raise ValidationError("sample dimension must match the network input")
-    if any(isinstance(l, PWLU2D) for l in net.layers):
-        # Grid-unit layers go point by point through the reference evaluator.
-        d_out = net.output_dim
-        A = np.empty((n, d_out, d))
-        b = np.empty((n, d_out))
-        for i in range(n):
-            zi, Ai, bi = eval_jacobian(net, X[i])
-            A[i], b[i] = Ai, bi
-        return A, b
-    Z = X.copy()
-    A = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    for layer in net.layers:
-        if isinstance(layer, Affine):
-            Z = Z @ layer.map.matrix.T + layer.map.offset
-            A = np.einsum("kw,nwd->nkd", layer.map.matrix, A)
-        elif isinstance(layer, Pointwise):
-            w = Z.shape[1]
-            Z2 = np.empty_like(Z)
-            S = np.empty_like(Z)
-            for k, f in enumerate(layer.units):
-                z = Z[:, k]
-                if f.breakpoints:
-                    bps = np.array(f.breakpoints)
-                    idx = np.searchsorted(bps, z, side="right")
-                    s = np.array(f.slopes)[idx]
-                    j = np.maximum(idx - 1, 0)
-                    vals = np.array(f._bp_values)
-                    Z2[:, k] = vals[j] + s * (z - bps[j])
-                else:
-                    s = np.full(n, f.slopes[0])
-                    Z2[:, k] = f.anchor_value + s * z
-                S[:, k] = s
-            Z = Z2
-            A = A * S[:, :, None]
-        elif isinstance(layer, Maxout):
-            n_units = layer.weights.shape[0]
-            Z2 = np.empty((n, n_units))
-            A2 = np.empty((n, n_units, A.shape[2]))
-            for u in range(n_units):
-                V = Z @ layer.weights[u].T + layer.offsets[u]  # (n, rank)
-                best = np.argmax(V, axis=1)  # first max on ties
-                Z2[:, u] = V[np.arange(n), best]
-                Wb = layer.weights[u][best]  # (n, w)
-                A2[:, u, :] = np.einsum("nw,nwd->nd", Wb, A)
-            Z, A = Z2, A2
-        elif isinstance(layer, GroupSort):
-            g = layer.group_size
-            w = Z.shape[1]
-            Z2 = np.empty_like(Z)
-            A2 = np.empty_like(A)
-            for start in range(0, w, g):
-                block = Z[:, start:start + g]
-                order = np.argsort(block, axis=1, kind="stable")
-                rows = np.arange(n)[:, None]
-                Z2[:, start:start + g] = block[rows, order]
-                A2[:, start:start + g, :] = A[:, start:start + g, :][rows, order]
-            Z, A = Z2, A2
-        else:
-            raise ValidationError(f"unsupported layer type {type(layer).__name__}")
-    b = Z - np.einsum("nkd,nd->nk", A, X)
-    return A, b
 
 
 def _quantize(rows: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -140,7 +69,7 @@ def grid_fingerprint(net: NetworkSpec, box, resolution: int,
         X = np.stack([GX.ravel(), GY.ravel()], axis=1)
     else:
         raise ValidationError("grid oracle supports 1 or 2 inputs")
-    A, b = batch_pieces(net, X)
+    _, A, b = batch_pieces(net, X)
     labels, n_distinct = _labels(A, b, rel_tol)
     if d == 1:
         n_comp = 1 + int(np.count_nonzero(labels[1:] != labels[:-1]))
@@ -193,9 +122,8 @@ def grid_knot_count(net: NetworkSpec, segment, resolution: int,
     u = (p1 - p0) / L
     ts = (np.arange(resolution) + 0.5) * L / resolution
     X = p0[None, :] + ts[:, None] * u[None, :]
-    A, b = batch_pieces(net, X)
+    vals, A, _ = batch_pieces(net, X)
     slope = np.einsum("nkd,d->nk", A, u)
-    vals = np.einsum("nkd,nd->nk", A, X) + b
     intercept = vals - slope * ts[:, None]
     labels, _ = _labels(slope[:, :, None], intercept, rel_tol)
     return int(np.count_nonzero(labels[1:] != labels[:-1]))

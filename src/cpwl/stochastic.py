@@ -448,8 +448,8 @@ def mc_knot_density(arch: ArchitectureDescriptor, init: InitSpec, trials: int = 
                     rank: Optional[int] = None, group_size: int = 2) -> McEstimate:
     """Mean exact knot density of random networks along ``default_probe``
     paths. ``bound`` defaults to the per-unit closed form times the layer
-    width for single-activation-layer networks, and must be supplied for deep
-    ones.
+    width for single-activation-layer networks (for groupsort, the bound of
+    its one sorting layer), and must be supplied for deep ones.
     """
     if trials < 100:
         raise ValidationError("density estimation needs at least 100 trials")
@@ -461,19 +461,19 @@ def mc_knot_density(arch: ArchitectureDescriptor, init: InitSpec, trials: int = 
 
 
 def _auto_bound(arch, init, rank, group_size) -> Optional[float]:
-    fam = arch.family
-    if fam not in ("relu", "leaky", "abs", "maxout", "groupsort"):
+    """The closed-form bound of a net with one activation layer, else None.
+    A sampled groupsort net keeps its readout affine, so its one sorting
+    layer needs dims (d, w, w)."""
+    fam, dims = arch.family, arch.dims
+    if fam == "groupsort":
+        return (unit_density_bound("groupsort", init, d=dims[0], group_size=group_size)
+                if len(dims) == 3 else None)
+    if fam not in ("relu", "leaky", "abs", "maxout") or len(dims) != 2:
         return None
-    if len(arch.dims) != 2:
-        return None
-    width = arch.dims[1]
     if fam == "maxout":
         K = rank if rank is not None else max(arch.kappas[0])
-        return width * unit_density_bound("maxout", init, rank=K)
-    if fam == "groupsort":
-        return unit_density_bound("groupsort", init, d=arch.dims[0],
-                                  group_size=group_size)
-    return width * unit_density_bound(fam, init)
+        return dims[1] * unit_density_bound("maxout", init, rank=K)
+    return dims[1] * unit_density_bound(fam, init)
 
 
 def mc_knot_density_by_depth(arch: ArchitectureDescriptor, init: InitSpec,

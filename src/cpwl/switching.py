@@ -13,9 +13,9 @@ batch of affine profiles ``z = A x + b`` of the layer input, ``A`` of shape
   and v grid lines interleaved, then the diagonals (PWLU2D).
 - ``compose(A, b, Z, dZ)``: the profiles composed with the piece active at
   the points ``Z`` (n, width), a tie going the way the directions ``dZ``
-  point, as in ``core.layer_piece`` (zero directions give its two-sided
-  choice). Pointwise and sorting pieces apply elementwise: as products with
-  diagonal or permutation matrices they would cost more.
+  point, as in the reference steps of ``core`` (zero directions give their
+  two-sided choice). Pointwise and sorting pieces apply elementwise: as
+  products with diagonal or permutation matrices they would cost more.
 
 Region enumeration uses d = the input dimension and one profile per cell;
 the knot engine d = 1 and one profile per interval, cutting at ``-c / N``.
@@ -167,7 +167,8 @@ class _GroupSort(_Layer):
 
 
 def _grid_locate(u: np.ndarray, du: np.ndarray, m: int, h: float):
-    """Array form of ``core._pwlu_locate``: column, clamped coordinate, clamped."""
+    """Column, clamped coordinate and clamp flag, as ``core._grid_locate``
+    (the reference this is tested against) gives them."""
     low = (u < -1.0) | ((u == -1.0) & (du < 0))
     high = ~low & ((u > 1.0) | ((u == 1.0) & (du > 0)))
     i = np.floor((u + 1.0) / h)

@@ -338,6 +338,11 @@ def test_mc_deepspline_needs_kappa():
     assert main(["mc", "--family", "deepspline", "--trials", "100"]) == 2
 
 
+def test_mc_needs_an_activation_layer():
+    for fam in ("relu", "groupsort"):
+        assert main(["mc", "--family", fam, "--depth", "0", "--trials", "100"]) == 2
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and error handling
 # ---------------------------------------------------------------------------

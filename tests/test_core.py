@@ -167,6 +167,74 @@ def test_eval_jacobian_side_convention_at_breakpoint():
     assert A_left[0, 0] == 0.0
 
 
+def _tie_cases():
+    """(net, x, side, expected (A, b)) at points where pieces tie; ``side``
+    None is the two-sided query."""
+    def pw(f):
+        return NetworkSpec(1, (Pointwise((f,)),))
+    f = ScalarCPWL((1.0,), (2.0, -3.0), 5.0)  # at t = 1: left 2t + 3, right -3t + 8
+    yield pw(f), [1.0], None, ([[-3.0]], [8.0])
+    yield pw(f), [1.0], [1.0], ([[-3.0]], [8.0])
+    yield pw(f), [1.0], [-1.0], ([[2.0]], [3.0])
+    # Three maxout candidates equal at (1, 1), slopes (1, 0), (0, 1), (-1, -1):
+    # the largest directional slope wins, then the first candidate.
+    W, o = np.array([[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]]), np.array([[0.0, 0.0, 3.0]])
+    mx = NetworkSpec(2, (Maxout(3, W, o),))
+    for side, k in ((None, 0), ([1.0, 0.0], 0), ([0.0, 1.0], 1), ([-1.0, -1.0], 2),
+                    ([1.0, 1.0], 0), ([-1.0, 2.0], 1)):
+        yield mx, [1.0, 1.0], side, (W[:, k], o[:, k])
+    # Equal entries sort by directional slope, then stably.
+    gs = NetworkSpec(3, (GroupSort(3),))
+    for side, order in ((None, [0, 1, 2]), ([3.0, 1.0, 2.0], [1, 2, 0]),
+                        ([0.0, 1.0, 0.0], [0, 2, 1]), ([1.0, 1.0, 1.0], [0, 1, 2])):
+        yield gs, [2.0, 2.0, 2.0], side, (np.eye(3)[order], np.zeros(3))
+    # PWLU2D, grid_m = 3: nodes -1, 0, 1 and step 1.
+    layer = PWLU2D(3, np.random.default_rng(5).normal(size=(1, 3, 3)),
+                   (AffineMap(np.eye(2), np.zeros(2)),))
+    net = NetworkSpec(2, (layer,))
+
+    def tri(col, row, lower, u_clamp=None, v_clamp=None):
+        a, b, c = layer.cell_piece(col, row, lower, 0)
+        if u_clamp is not None:
+            a, c = 0.0, c + a * u_clamp
+        if v_clamp is not None:
+            b, c = 0.0, c + b * v_clamp
+        return [[a, b]], [c]
+    # On the grid line u = 0: the right column, the left one moving left.
+    for side, piece in ((None, tri(1, 1, False)), ([1.0, 0.0], tri(1, 1, False)),
+                        ([-1.0, 0.0], tri(0, 1, True)), ([-1.0, -1.0], tri(0, 1, True))):
+        yield net, [0.0, 0.3], side, piece
+    # On the diagonal u - v = 1 of cell (1, 0): the lower triangle only when
+    # u - v grows; along the diagonal, the upper one.
+    for side, piece in ((None, tri(1, 0, False)), ([1.0, -1.0], tri(1, 0, True)),
+                        ([-1.0, 1.0], tri(1, 0, False)), ([1.0, 1.0], tri(1, 0, False)),
+                        ([1.0, 0.0], tri(1, 0, True))):
+        yield net, [0.5, -0.5], side, piece
+    # On the clamp edge u = 1: moving outward, u enters as the constant 1.
+    for side, piece in ((None, tri(1, 1, True)), ([-1.0, 0.0], tri(1, 1, True)),
+                        ([1.0, 0.0], tri(1, 1, True, u_clamp=1.0)),
+                        ([1.0, -1.0], tri(1, 1, True, u_clamp=1.0))):
+        yield net, [1.0, 0.3], side, piece
+    # At the corner (1, 1) moving outward both coordinates clamp.
+    yield net, [1.0, 1.0], [1.0, 1.0], tri(1, 1, True, u_clamp=1.0, v_clamp=1.0)
+
+
+def test_tie_conventions_pinned_for_every_layer_type():
+    # The reference and the engines' piece selection (switching.compose) pick
+    # the same hand-computed piece at every tie, one-sided and two-sided.
+    from cpwl.switching import raw_layers, stack
+    for net, x, side, (A_ref, b_ref) in _tie_cases():
+        x = np.array(x)
+        A_ref, b_ref = np.array(A_ref, dtype=float), np.array(b_ref, dtype=float)
+        z, A, b = eval_jacobian(net, x, side=None if side is None else np.array(side))
+        assert np.allclose(A, A_ref, atol=1e-12) and np.allclose(b, b_ref, atol=1e-12)
+        assert np.allclose(z, A_ref @ x + b_ref, atol=1e-12)
+        u = np.zeros_like(x) if side is None else np.array(side) / np.linalg.norm(side)
+        (layer,) = stack([raw_layers(net)])
+        A_sw, b_sw = layer.compose(np.eye(len(x))[None], np.zeros((1, len(x))), x[None], u[None])
+        assert np.allclose(A_sw[0], A_ref, atol=1e-12) and np.allclose(b_sw[0], b_ref, atol=1e-12)
+
+
 def test_compose_networks_evaluates_sequentially():
     rng = np.random.default_rng(10)
     f = NetworkSpec(2, (Affine(AffineMap(rng.normal(size=(3, 2)), rng.normal(size=3))),

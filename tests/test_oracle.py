@@ -7,10 +7,10 @@ from cpwl.constructions import (extremal_sum_network,
                                 general_position_partitions, sawtooth)
 from cpwl.core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
                        Pointwise, PWLU2D, ValidationError, abs_unit,
-                       eval_jacobian, relu_unit)
+                       batch_pieces, eval_jacobian, relu_unit)
 from cpwl.geometry import count_report, enumerate_regions
-from cpwl.oracle import (MIN_RESOLUTION, batch_pieces, grid_fingerprint,
-                         grid_knot_count, grid_region_count)
+from cpwl.oracle import (MIN_RESOLUTION, grid_fingerprint, grid_knot_count,
+                         grid_region_count)
 from cpwl.paths import PolygonalPath, count_knots
 
 
@@ -36,7 +36,7 @@ def test_batch_pieces_matches_pointwise_jacobians():
     net = mixed_net()
     rng = np.random.default_rng(11)
     X = rng.uniform(-2, 2, size=(200, 2))
-    A, b = batch_pieces(net, X)
+    _, A, b = batch_pieces(net, X)
     for i in range(len(X)):
         _, Ai, bi = eval_jacobian(net, X[i])
         assert np.allclose(A[i], Ai, atol=1e-10)
@@ -47,7 +47,7 @@ def test_batch_pieces_reconstructs_values():
     net = mixed_net()
     rng = np.random.default_rng(1)
     X = rng.uniform(-2, 2, size=(100, 2))
-    A, b = batch_pieces(net, X)
+    _, A, b = batch_pieces(net, X)
     from cpwl import core
     for i in range(len(X)):
         assert np.allclose(A[i] @ X[i] + b[i], core.eval(net, X[i]), atol=1e-10)
@@ -58,7 +58,7 @@ def test_batch_pieces_handles_grid_units():
     net = NetworkSpec(2, (PWLU2D(4, rng.normal(size=(1, 4, 4)),
                                  (AffineMap(np.eye(2), np.zeros(2)),)),))
     X = rng.uniform(-1.5, 1.5, size=(50, 2))
-    A, b = batch_pieces(net, X)
+    _, A, b = batch_pieces(net, X)
     for i in range(len(X)):
         _, Ai, bi = eval_jacobian(net, X[i])
         assert np.allclose(A[i], Ai) and np.allclose(b[i], bi)

@@ -8,7 +8,7 @@ from cpwl import core
 from cpwl.bounds import ArchitectureDescriptor
 from cpwl.constructions import sawtooth, sawtooth_network
 from cpwl.core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
-                       eval_jacobian, PWLU2D,
+                       batch_pieces, PWLU2D,
                        Pointwise, ValidationError, abs_unit, relu_unit)
 from cpwl.paths import (PATH_VERTEX, InequalityReport, PolygonalPath,
                         check_composition_bound, check_subadditivity,
@@ -148,11 +148,8 @@ def test_random_paths_agree_with_dense_sampling():
         # along the segment; count its value changes on a dense grid.
         direction = (p1 - p0) / np.linalg.norm(p1 - p0)
         ts = np.linspace(0.0, 1.0, 4001)
-        dirslopes = []
-        for t in ts:
-            _, A, _ = eval_jacobian(net, p0 + t * (p1 - p0))
-            dirslopes.append(float((A @ direction)[0]))
-        dirslopes = np.array(dirslopes)
+        _, A, _ = batch_pieces(net, np.array([p0 + t * (p1 - p0) for t in ts]))
+        dirslopes = (A @ direction)[:, 0]
         scale = max(np.max(np.abs(dirslopes)), 1e-12)
         sampled = int(np.sum(np.abs(np.diff(dirslopes)) > 1e-7 * scale))
         assert rep.count == sampled

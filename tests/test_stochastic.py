@@ -451,9 +451,20 @@ def test_mc_image_length_runs():
     assert est.mean > 0
 
 
+def test_auto_bound_covers_one_groupsort_stage():
+    # The readout stays affine: dims (4, 4, 4) hold one sorting layer, whose
+    # bound the library supplies; dims (4, 4) hold none.
+    init = InitSpec(seed=5)
+    one = ArchitectureDescriptor((4, 4, 4), ((2,) * 4, (2,) * 4), family="groupsort")
+    est = mc_knot_density(one, init, trials=100, group_size=2)
+    assert est.bound == unit_density_bound("groupsort", init, d=4, group_size=2)
+    affine = ArchitectureDescriptor((4, 4), ((2,) * 4,), family="groupsort")
+    assert mc_knot_density(affine, init, trials=100).bound is None
+
+
 def test_groupsort_density_respects_its_bound():
     # One sorting stage on 4 inputs; the readout stays affine, so the bound
-    # for a single sorting layer applies and must be passed explicitly.
+    # for a single sorting layer applies.
     arch = ArchitectureDescriptor((4, 4, 4), ((2,) * 4, (2,) * 4), family="groupsort")
     bound = unit_density_bound("groupsort", InitSpec(seed=5), d=4, group_size=2)
     est = mc_knot_density(arch, InitSpec(seed=5), trials=200, group_size=2,
