@@ -17,7 +17,7 @@ from .constructions import (SawtoothPlan, extremal_sum_network,
                             general_position_partitions, sawtooth,
                             sawtooth_decompose, sawtooth_network,
                             sawtooth_network_plan)
-from .geometry import (BudgetExceeded, CountReport, GeometryConfig, HalfSpace,
+from .geometry import (BudgetExceeded, CountReport, HalfSpace,
                        Region, RegionSet, Witness, count_report,
                        count_report_to_csv, enumerate_regions, exact_cell_count,
                        interior_witness_report,

@@ -251,16 +251,10 @@ def cmd_audit(args) -> int:
 # count / render / knots
 # ---------------------------------------------------------------------------
 
-def _geometry_config(args) -> geo.GeometryConfig:
-    if getattr(args, "budget", None) is None:
-        return geo.DEFAULT_CONFIG
-    return geo.GeometryConfig(cell_budget=args.budget)
-
-
 def cmd_count(args) -> int:
     net = load_network(args.net)
     domain = _parse_box(args.box) if args.box else None
-    rs = geo.enumerate_regions(net, domain=domain, cfg=_geometry_config(args))
+    rs = geo.enumerate_regions(net, domain=domain, cell_budget=args.budget)
     report = geo.count_report(rs, net=net)
     print(f"cell_count = {report.cell_count}")
     print(f"distinct_piece_count = {report.distinct_piece_count}")
@@ -279,7 +273,7 @@ def cmd_render(args) -> int:
     if net.input_dim != 2:
         raise ValidationError("rendering requires a 2-input network")
     domain = _parse_box(args.box)
-    rs = geo.enumerate_regions(net, domain=domain, cfg=_geometry_config(args))
+    rs = geo.enumerate_regions(net, domain=domain, cell_budget=args.budget)
     report = geo.count_report(rs, net=net)
     svg = geo.render_svg(rs, domain)
     print(f"cell_count = {report.cell_count}")
@@ -347,8 +341,7 @@ def cmd_mc(args) -> int:
     width, per_unit = arch.dims[1], arch.kappas[0][0]
     rows = []
     if args.by_depth:
-        ests = sto.mc_knot_density_by_depth(arch, init, trials=args.trials,
-                                            kappa=args.kappa)
+        ests = sto.mc_knot_density_by_depth(arch, init, trials=args.trials, **kw)
         for depth, est in enumerate(ests, start=1):
             rows.append(sto.mc_table_row(args.family, width, depth,
                                          per_unit, init, est))
@@ -442,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None,
                         help="output directory (default: print-only for "
                              "reports; current directory for file products)")
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
 
     p = sub.add_parser("bound", parents=[common],
                        help="closed-form region bounds for architectures")
@@ -482,14 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", default=None,
                    help="domain box lo,hi or per-coordinate bounds "
                         "(default: unbounded)")
-    p.add_argument("--budget", type=int, default=None, help="max cells")
+    p.add_argument("--budget", type=int, default=geo.CELL_BUDGET, help="max cells")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("render", parents=[common],
                        help="SVG region map of a 2-input network")
     p.add_argument("--net", required=True, help="network JSON file")
     p.add_argument("--box", required=True, help="view box lo,hi")
-    p.add_argument("--budget", type=int, default=None, help="max cells")
+    p.add_argument("--budget", type=int, default=geo.CELL_BUDGET, help="max cells")
     p.add_argument("--name", default=None, help="SVG file name")
     p.set_defaults(func=cmd_render)
 
@@ -523,6 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-size", type=int, default=2)
     p.add_argument("--by-depth", action="store_true",
                    help="one CSV row per depth prefix 1..depth")
+    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("construct", parents=[common],
@@ -543,6 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--ns", type=_int_list, default=None)
     p.add_argument("--name", default=None, help="output file name")
+    p.add_argument("--seed", type=int, default=0,
+                   help="RNG seed of --gp and --extremal-sum")
     p.set_defaults(func=cmd_construct)
 
     return parser

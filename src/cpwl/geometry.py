@@ -8,22 +8,27 @@ surviving cell's piece with the layer piece active at its witness, selected
 for all of the layer's cells at once.
 
 Backends: exact interval splitting (1 input; each side of a cut at t is
-longer than eps_interior * max(1, |t|)), convex-polygon clipping on
+longer than EPS_INTERIOR * max(1, |t|)), convex-polygon clipping on
 Python floats (2 inputs; a side is a cell iff its area/perimeter, a lower
-bound on its inradius, exceeds eps_interior; a scalar area test with a
+bound on its inradius, exceeds EPS_INTERIOR; a scalar area test with a
 derived rounding bound hands close calls and polygons of 8+ vertices to
 numpy's formulas, so cells and witnesses are theirs bit for bit), and, for
 3+ inputs, cells that keep their vertices: a side is a cell iff one of its
-vertices lies more than 2 eps_interior beyond the cut, and its witness is
+vertices lies more than 2 EPS_INTERIOR beyond the cut, and its witness is
 its vertex centroid. Every region keeps its cell's geometry, from which
 ``count_report`` reads facet adjacency; neither solves an LP. Cell
 processing is pure and order-independent; the output ordering is
 canonicalized, so results are deterministic.
 
+The float engine's tolerances are the module constants R_MAX, EPS_INTERIOR,
+DEDUP_TOL, ZERO_NORMAL_TOL and FINGERPRINT_TOL; ``enumerate_regions``' cell
+budget is the one setting.
+
 Exact mode (``exact_cell_count``: any d; affine, pointwise, maxout and
 group-sort layers) runs the same layer loop, ``_subdivide``, on Fractions:
-its backend keeps the vertex cells of 3+ inputs in every dimension and
-admits a side iff a vertex lies strictly beyond the cut.
+its backend keeps the vertex cells of 3+ inputs in every dimension, admits
+a side iff a vertex lies strictly beyond the cut, skips only exactly zero
+normals and keys no rows.
 
 The witness LP serves the public ``interior_witness_report`` alone, on
 rows scaled to unit norm. Its kernel calls scipy's HiGHS bindings
@@ -39,7 +44,7 @@ import functools
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -52,21 +57,17 @@ from .core import (AffineMap, Maxout, NetworkSpec, PWLU2D, ValidationError,  # n
 from .switching import raw_layers, stack, unit_pieces
 
 
-@dataclass(frozen=True)
-class GeometryConfig:
-    r_max: float = 1e6            # artificial bounding box for unbounded domains
-    # Interior margin of a cell: each side of a 1-input cut at t is longer
-    # than eps_interior * max(1, |t|), a 2-input side's area/perimeter and a
-    # witness LP's margin exceed it, and a 3+-input side has a vertex more
-    # than 2 eps_interior beyond the cut.
-    eps_interior: float = 1e-7
-    dedup_tol: float = 1e-9       # hyperplane deduplication tolerance
-    zero_normal_tol: float = 1e-12  # pulled-back normals up to this are skipped
-    fingerprint_tol: float = 1e-6   # relative rounding for piece fingerprints
-    cell_budget: int = 10 ** 6
-
-
-DEFAULT_CONFIG = GeometryConfig()
+R_MAX = 1e6  # half-width of the box that bounds an unbounded domain
+# Interior margin of a cell: each side of a 1-input cut at t is longer than
+# EPS_INTERIOR * max(1, |t|), a 2-input side's area/perimeter and a witness
+# LP's margin exceed it, and a 3+-input side has a vertex more than
+# 2 EPS_INTERIOR beyond the cut.
+EPS_INTERIOR = 1e-7
+DEDUP_TOL = 1e-9  # rows whose unit-norm forms round alike at this are one hyperplane
+ZERO_NORMAL_TOL = 1e-12  # pulled-back normals up to this are skipped
+FINGERPRINT_TOL = 1e-6  # relative rounding of piece fingerprints
+CELL_BUDGET = 10 ** 6  # enumerate_regions' default cell_budget
+_ON_ROW_TOL = 1e-9  # regions_containing's slack, relative to max(1, ||a||)
 
 
 class BudgetExceeded(RuntimeError):
@@ -204,17 +205,16 @@ def _unit_rows(N: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
 
 def interior_witness_report(constraints: Sequence[HalfSpace | tuple],
-                            cfg: GeometryConfig = DEFAULT_CONFIG,
                             bounds: Optional[tuple[np.ndarray, np.ndarray]] = None,
                             equality: Optional[tuple[np.ndarray, float]] = None,
                             dim: Optional[int] = None) -> Witness:
     """Chebyshev-style LP: maximize eps s.t. a_i.x + c_i >= eps*||a_i|| within
-    |x_j| <= R_max (or the given bounds), eps <= R_max. Every row, and the
+    |x_j| <= R_MAX (or the given bounds), eps <= R_MAX. Every row, and the
     equality row, is scaled to unit norm before solving (zero rows stay as
     they are), so that HiGHS' absolute tolerances are distances.
 
-    Status "interior" iff eps* > eps_interior; "degenerate" for
-    0 <= eps* <= eps_interior; "empty" when infeasible or eps* < 0. HiGHS
+    Status "interior" iff eps* > EPS_INTERIOR; "degenerate" for
+    0 <= eps* <= EPS_INTERIOR; "empty" when infeasible or eps* < 0. HiGHS
     solves it as linprog(method="highs") would: presolve on, dual simplex, no
     debug checks or output. As in linprog, an optimum that has NaNs or misses
     a bound, inequality or equality by more than sqrt(1e-9) * 10 is "empty".
@@ -233,13 +233,13 @@ def interior_witness_report(constraints: Sequence[HalfSpace | tuple],
         else:
             raise ValidationError("cannot infer dimension for the witness LP")
     if bounds is None:
-        lo = np.full(dim, -cfg.r_max)
-        hi = np.full(dim, cfg.r_max)
+        lo = np.full(dim, -R_MAX)
+        hi = np.full(dim, R_MAX)
     else:
         lo = np.asarray(bounds[0], dtype=float)
         hi = np.asarray(bounds[1], dtype=float)
     if not len(N) and equality is None:
-        return Witness((lo + hi) / 2.0, cfg.r_max, "interior")
+        return Witness((lo + hi) / 2.0, R_MAX, "interior")
     # Variables (x_1..x_d, eps); maximize eps. Unit rows -a.x + eps <= c,
     # then the equality row a_eq.x = -c_eq.
     N, C, norms = _unit_rows(N.reshape(len(N), dim), C)
@@ -252,12 +252,12 @@ def interior_witness_report(constraints: Sequence[HalfSpace | tuple],
         C = np.append(C, -c_eq)
         lhs = np.append(lhs, C[-1])
     x = _highs_solve(np.concatenate([np.zeros(dim), [-1.0]]), A, lhs, C,
-                     np.append(lo, -math.inf), np.append(hi, cfg.r_max), len(N))
+                     np.append(lo, -math.inf), np.append(hi, R_MAX), len(N))
     if x is None:
         return Witness(np.zeros(dim), -math.inf, "empty")
     eps = float(x[-1])
     point = x[:-1]
-    if eps > cfg.eps_interior:
+    if eps > EPS_INTERIOR:
         return Witness(point, eps, "interior")
     if eps >= 0.0:
         return Witness(point, eps, "degenerate")
@@ -275,10 +275,10 @@ class _Cell:
     geom: object
 
 
-def _normalize_domain(domain, d: int, r_max: float):
+def _normalize_domain(domain, d: int):
     """Returns (lo, hi, bounded)."""
     if domain is None:
-        return np.full(d, -r_max), np.full(d, r_max), False
+        return np.full(d, -R_MAX), np.full(d, R_MAX), False
     lo, hi = domain
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (d,)).copy()
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (d,)).copy()
@@ -287,11 +287,19 @@ def _normalize_domain(domain, d: int, r_max: float):
     return lo, hi, True
 
 
-class _IntervalBackend:
-    """d = 1: cells are intervals (lo, hi)."""
+class _FloatBackend:
+    """The float engine's rows: a normal up to ``ZERO_NORMAL_TOL`` (relative,
+    for maxout candidates) is zero, and rows whose keys agree at
+    ``DEDUP_TOL`` are one hyperplane, split by once."""
 
-    def __init__(self, cfg: GeometryConfig):
-        self.cfg = cfg
+    zero_normal_tol = ZERO_NORMAL_TOL
+
+    def keys(self, N: np.ndarray, C: np.ndarray) -> Sequence:
+        return _hyperplane_keys(N, C)
+
+
+class _IntervalBackend(_FloatBackend):
+    """d = 1: cells are intervals (lo, hi)."""
 
     def root(self, lo, hi):
         return (float(lo[0]), float(hi[0])), np.array([(lo[0] + hi[0]) / 2.0])
@@ -300,7 +308,7 @@ class _IntervalBackend:
         lo, hi = cell.geom
         aa = float(a[0])
         t = -c / aa
-        eps = self.cfg.eps_interior * max(1.0, abs(t))
+        eps = EPS_INTERIOR * max(1.0, abs(t))
         if not (lo + eps < t < hi - eps):
             return None
         left = ((lo, t), np.array([(lo + t) / 2.0]))
@@ -386,7 +394,7 @@ def _polygon_cell(verts: list, eps: float):
     return arr, np.array([sx / (6.0 * a), sy / (6.0 * a)])
 
 
-class _PolygonBackend:
+class _PolygonBackend(_FloatBackend):
     """d = 2: cells are convex polygons, split by Sutherland-Hodgman clipping.
 
     A clipped side survives if its area/perimeter ratio (a lower bound on the
@@ -394,21 +402,18 @@ class _PolygonBackend:
     exceeds the interior margin.
     """
 
-    def __init__(self, cfg: GeometryConfig):
-        self.cfg = cfg
-
     def root(self, lo, hi):
         verts = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
         return verts, verts.mean(axis=0)
 
     def split(self, cell: _Cell, a: np.ndarray, c: float):
         vals = (cell.geom @ a + c).tolist()
-        m = self.cfg.eps_interior * math.sqrt(a.dot(a))  # np.linalg.norm(a), bit for bit
+        m = EPS_INTERIOR * math.sqrt(a.dot(a))  # np.linalg.norm(a), bit for bit
         if min(vals) >= -m or max(vals) <= m:
             return None  # clearly one-sided (possibly touching)
         neg, pos = _clip(cell.geom.tolist(), vals)
-        neg = _polygon_cell(neg, self.cfg.eps_interior)
-        pos = neg and _polygon_cell(pos, self.cfg.eps_interior)
+        neg = _polygon_cell(neg, EPS_INTERIOR)
+        pos = neg and _polygon_cell(pos, EPS_INTERIOR)
         return (neg, pos) if pos else None
 
 
@@ -446,21 +451,18 @@ def _clip_vertices(V: np.ndarray, act: list, dist: np.ndarray, bit: int):
     return [(np.vstack([V[s], W]), [act[k] for k in s] + cut) for s in sides]
 
 
-class _VertexBackend:
+class _VertexBackend(_FloatBackend):
     """d >= 3: a cell is its vertices, ``geom`` being ``(V, act)`` with
     ``act`` holding each vertex's active rows as bits (box faces 2j and
     2j + 1 for lo_j and hi_j, then the constraints in order); its witness is
     the vertex centroid. The root is the domain box.
 
     A side of a cut is a cell iff one of its vertices lies more than
-    2 eps_interior beyond the cut, the depth that a ball of radius
-    eps_interior inside the side needs; box faces count as facets. A vertex
+    2 EPS_INTERIOR beyond the cut, the depth that a ball of radius
+    EPS_INTERIOR inside the side needs; box faces count as facets. A vertex
     within ``_VERTEX_ROUNDING`` of the cut is snapped onto it, and the
     children get their vertices from ``_clip_vertices``.
     """
-
-    def __init__(self, cfg: GeometryConfig):
-        self.cfg = cfg
 
     def root(self, lo, hi):
         corners = list(itertools.product((0, 1), repeat=len(lo)))
@@ -483,41 +485,47 @@ class _VertexBackend:
         dist = (V @ a + c) / norm
         tol = _VERTEX_ROUNDING * (np.abs(V).max() * np.abs(a).sum() + abs(c)) / norm
         dist[np.abs(dist) <= tol] = 0.0
-        return dist, 2.0 * self.cfg.eps_interior
+        return dist, 2.0 * EPS_INTERIOR
 
 
 class _ExactBackend(_VertexBackend):
     """Exact mode, any d: the cells of ``_VertexBackend`` on ``Fraction``
     object arrays. A side of a cut is a cell iff one of its vertices lies
     strictly beyond the cut, that is iff it has positive measure; nothing
-    is rounded, so nothing is snapped."""
+    is rounded, so nothing is snapped, a zero normal is exactly zero, and
+    rows get no keys, as a repeated row cannot split a cell twice."""
+
+    zero_normal_tol = 0
+
+    def keys(self, N, C):
+        return range(len(N))
 
     def _distances(self, V, a, c):
         return V @ a + c, 0
 
 
-def _backend_for(d: int, cfg: GeometryConfig):
+def _backend_for(d: int):
     if d == 1:
-        return _IntervalBackend(cfg)
+        return _IntervalBackend()
     if d == 2:
-        return _PolygonBackend(cfg)
-    return _VertexBackend(cfg)
+        return _PolygonBackend()
+    return _VertexBackend()
 
 
 # ---------------------------------------------------------------------------
 # Splitting a cell by one layer
 # ---------------------------------------------------------------------------
 
-def _hyperplane_keys(N: np.ndarray, C: np.ndarray, tol: float, signed: bool = False) -> list:
+def _hyperplane_keys(N: np.ndarray, C: np.ndarray, signed: bool = False) -> list:
     """Key of each hyperplane N x + C = 0: its row (a, c) over ||a||, rounded
-    at ``tol``; unless ``signed``, the sign is fixed (first entry of a past
-    ``tol`` positive) so that (a, c) and (-a, -c) share one key."""
+    at ``DEDUP_TOL``; unless ``signed``, the sign is fixed (first entry of a
+    past ``DEDUP_TOL`` positive) so that (a, c) and (-a, -c) share one key."""
     V = np.hstack([N, np.reshape(C, (-1, 1))]) / row_norms(N)[:, None]
     if not signed:
-        big = np.abs(V[:, :-1]) > tol
+        big = np.abs(V[:, :-1]) > DEDUP_TOL
         first = V[np.arange(len(V)), big.argmax(axis=1)]
         V[big.any(axis=1) & (first < 0)] *= -1.0
-    digits = max(0, int(round(-math.log10(tol))))
+    digits = max(0, int(round(-math.log10(DEDUP_TOL))))
     return list(map(tuple, np.round(V, digits).tolist()))
 
 
@@ -533,8 +541,7 @@ def _clip_positive(backend, p: "_Cell", a: np.ndarray, c: float):
     return _Cell(p.constraints + [(a, c)], w_pos, g_pos)
 
 
-def _maxout_parts(backend, cell: "_Cell", R: np.ndarray, s: list,
-                  cfg: GeometryConfig) -> list["_Cell"]:
+def _maxout_parts(backend, cell: "_Cell", R: np.ndarray, s: list) -> list["_Cell"]:
     """Subdivide a cell into the argmax regions of every maxout unit, given
     the units' candidates pulled back through the cell's piece, ``R``
     (units, rank, d) and ``s`` (units, rank) as nested lists.
@@ -545,7 +552,7 @@ def _maxout_parts(backend, cell: "_Cell", R: np.ndarray, s: list,
     neither candidate attains the max are not folds and must not split."""
     parts = [cell]
     for Ru, su in zip(R, s):
-        tol = cfg.zero_normal_tol * max(1.0, float(np.abs(Ru).max()))
+        tol = backend.zero_normal_tol * max(1.0, float(np.abs(Ru).max()))
         new_parts = []
         for p in parts:
             kept = []
@@ -571,11 +578,11 @@ def _maxout_parts(backend, cell: "_Cell", R: np.ndarray, s: list,
 
 
 def _split_by_rows(backend, cell: "_Cell", N: np.ndarray, C: list, live, keys: Sequence,
-                   layer, piece: tuple, cfg: GeometryConfig, done: int) -> list["_Cell"]:
+                   layer, piece: tuple, done: int, budget: int) -> list["_Cell"]:
     """Split a cell by its ``live`` switching rows ``N x + C = 0`` in order,
     skipping repeats by their ``keys``. A guarded row splits only parts
     whose witness the cell's ``piece`` maps inside its unit's clamp box.
-    ``done`` cells of the layer count against the budget already."""
+    ``done`` cells of the layer count against the ``budget`` already."""
     guard = layer.guard
     parts, seen = [cell], set()
     for r, key in zip(live, keys):
@@ -595,8 +602,8 @@ def _split_by_rows(backend, cell: "_Cell", N: np.ndarray, C: list, live, keys: S
                 new_parts += [_Cell(p.constraints + [(-a, -c)], w_neg, g_neg),
                               _Cell(p.constraints + [(a, c)], w_pos, g_pos)]
         parts = new_parts
-        if done + len(parts) > cfg.cell_budget:
-            raise BudgetExceeded(done + len(parts), cfg.cell_budget)
+        if done + len(parts) > budget:
+            raise BudgetExceeded(done + len(parts), budget)
     return parts
 
 
@@ -605,32 +612,32 @@ def _split_by_rows(backend, cell: "_Cell", N: np.ndarray, C: list, live, keys: S
 # ---------------------------------------------------------------------------
 
 def _subdivide(layers: list, backend, lo: np.ndarray, hi: np.ndarray, A: np.ndarray,
-               b: np.ndarray, cfg: GeometryConfig) -> tuple[list, np.ndarray, np.ndarray]:
+               b: np.ndarray, budget: int) -> tuple[list, np.ndarray, np.ndarray]:
     """The cells of the box [lo, hi] under ``layers`` (a net's stacked layers
     from ``switching``) and the network's piece on each, composed onto the
     identity ``(A, b)``: returns (cells, A, b), the pieces stacked. Floats or
-    Fractions, the arrays carry the arithmetic; exact mode keys no rows, as
-    a repeated row cannot split a cell twice."""
+    Fractions, the arrays carry the arithmetic; the backend says which
+    normals are zero and which rows repeat. Raises ``BudgetExceeded`` past
+    ``budget`` cells in a layer."""
     geom, w = backend.root(lo, hi)
     cells = [_Cell([], w, geom)]
     for layer in layers:
         maxout = layer.kind is Maxout  # per cell: its candidates, or else its rows
         N, C = layer.candidates(A, b) if maxout else layer.rows(A, b)
         if not maxout:  # skip near-zero normals (a constant piece) and padding rows
-            live = (np.abs(N).max(axis=2) > cfg.zero_normal_tol) & (C > -np.inf)
-            keys = range(live.sum()) if isinstance(backend, _ExactBackend) else \
-                _hyperplane_keys(N[live], C[live], cfg.dedup_tol)
+            live = (np.abs(N).max(axis=2) > backend.zero_normal_tol) & (C > -np.inf)
+            keys = backend.keys(N[live], C[live])
             cuts = [0] + np.cumsum(live.sum(axis=1)).tolist()
         out_cells, parent = [], []
         for i, cell in enumerate(cells):
             if maxout:
-                parts = _maxout_parts(backend, cell, N[i], C[i].tolist(), cfg)
-                if len(out_cells) + len(parts) > cfg.cell_budget:
-                    raise BudgetExceeded(len(out_cells) + len(parts), cfg.cell_budget)
+                parts = _maxout_parts(backend, cell, N[i], C[i].tolist())
+                if len(out_cells) + len(parts) > budget:
+                    raise BudgetExceeded(len(out_cells) + len(parts), budget)
             else:
                 parts = _split_by_rows(backend, cell, N[i], C[i].tolist(), live[i].nonzero()[0],
                                        keys[cuts[i]:cuts[i + 1]], layer,
-                                       (A[i], b[i]), cfg, len(out_cells))
+                                       (A[i], b[i]), len(out_cells), budget)
             out_cells.extend(parts)
             parent += [i] * len(parts)
         cells, A, b = out_cells, A[parent], b[parent]
@@ -639,18 +646,18 @@ def _subdivide(layers: list, backend, lo: np.ndarray, hi: np.ndarray, A: np.ndar
     return cells, A, b
 
 
-def enumerate_regions(net: NetworkSpec, domain=None,
-                      cfg: GeometryConfig = DEFAULT_CONFIG) -> RegionSet:
+def enumerate_regions(net: NetworkSpec, domain=None, *,
+                      cell_budget: int = CELL_BUDGET) -> RegionSet:
     """Subdivide the domain into the network's convex linear cells.
 
-    ``domain`` is None (unbounded; an R_max box bounds the search) or a box
+    ``domain`` is None (unbounded; an R_MAX box bounds the search) or a box
     ``(lo, hi)`` with scalars or per-coordinate arrays. Raises
-    ``BudgetExceeded`` past ``cfg.cell_budget`` cells.
+    ``BudgetExceeded`` past ``cell_budget`` cells.
     """
     d = net.input_dim
-    lo, hi, bounded = _normalize_domain(domain, d, cfg.r_max)
-    cells, A, b = _subdivide(stack([raw_layers(net)]), _backend_for(d, cfg), lo, hi,
-                             np.eye(d)[None], np.zeros((1, d)), cfg)
+    lo, hi, bounded = _normalize_domain(domain, d)
+    cells, A, b = _subdivide(stack([raw_layers(net)]), _backend_for(d), lo, hi,
+                             np.eye(d)[None], np.zeros((1, d)), cell_budget)
     W = np.round([cell.witness for cell in cells], 9).tolist()
     order = sorted(range(len(cells)), key=lambda i: (W[i], len(cells[i].constraints)))
     regions = [Region(cells[i].constraints, AffineMap(A[i], b[i]), cells[i].witness.copy(),
@@ -658,18 +665,18 @@ def enumerate_regions(net: NetworkSpec, domain=None,
     return RegionSet(d, regions, (lo, hi) if bounded else None)
 
 
-def _piece_fingerprints(M: np.ndarray, B: np.ndarray, tol: float) -> list:
+def _piece_fingerprints(M: np.ndarray, B: np.ndarray) -> list:
     """Quantized (matrix, offset) key of each piece (M[i], B[i]); equal
-    pieces map to equal keys, pieces differing by more than the relative
-    tolerance map to different keys."""
+    pieces map to equal keys, pieces differing by more than
+    ``FINGERPRINT_TOL`` (relative) map to different keys."""
     F = np.hstack([M.reshape(len(M), -1), B.reshape(len(B), -1)])
-    q = tol * np.maximum(1.0, np.abs(F).max(axis=1))
+    q = FINGERPRINT_TOL * np.maximum(1.0, np.abs(F).max(axis=1))
     return list(map(tuple, np.round(F / q[:, None]).astype(np.int64).tolist()))
 
 
-def piece_fingerprint(piece: AffineMap, tol: float = DEFAULT_CONFIG.fingerprint_tol) -> tuple:
+def piece_fingerprint(piece: AffineMap) -> tuple:
     """``_piece_fingerprints`` of the one piece."""
-    return _piece_fingerprints(piece.matrix[None], piece.offset[None], tol)[0]
+    return _piece_fingerprints(piece.matrix[None], piece.offset[None])[0]
 
 
 def _stack_rows(rows: list, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -697,7 +704,7 @@ def _facet_is_thick(V: np.ndarray, act: list, N: np.ndarray, C: np.ndarray, bit:
     return _facet_is_thick(V, act, N[m + 1:], C[m + 1:], bit + m + 1, depth)
 
 
-def _components(cells: list, d: int, box: float, cfg: GeometryConfig) -> int:
+def _components(cells: list, d: int, box: float) -> int:
     """Connected components of one piece's cells under facet adjacency (see
     ``count_report``); ``box`` is the largest coordinate of the domain box
     that their vertices were clipped from."""
@@ -706,7 +713,7 @@ def _components(cells: list, d: int, box: float, cfg: GeometryConfig) -> int:
     if any(r.geom is None for r in cells):
         raise ValidationError("facet adjacency needs the cells of enumerate_regions")
     N, C = _stack_rows([row for r in cells for row in r.rows], d)
-    keys = _hyperplane_keys(np.vstack([N, -N]), np.concatenate([C, -C]), cfg.dedup_tol, True)
+    keys = _hyperplane_keys(np.vstack([N, -N]), np.concatenate([C, -C]), True)
     signed, negated = keys[:len(N)], keys[len(N):]
     planes = [min(k, n) for k, n in zip(signed, negated)]
     bounds = list(itertools.pairwise([0] + np.cumsum([len(r.rows) for r in cells]).tolist()))
@@ -748,21 +755,20 @@ def _components(cells: list, d: int, box: float, cfg: GeometryConfig) -> int:
             on = [w >> (2 * d + g - bounds[p][0]) & 1 == 1 for w in act]
             rest = [h for c in (p, q) for h in range(*bounds[c]) if planes[h] != planes[g]]
             if not _facet_is_thick(V[on], [w for w, o in zip(act, on) if o], N[rest], C[rest],
-                                   2 * d + len(cells[p].rows), 2 * cfg.eps_interior):
+                                   2 * d + len(cells[p].rows), 2 * EPS_INTERIOR):
                 continue
-        elif d == 2 and -overlap <= 2 * cfg.eps_interior:
+        elif d == 2 and -overlap <= 2 * EPS_INTERIOR:
             continue
         root[find(p)] = find(q)
     return sum(find(i) == i for i in range(len(cells)))
 
 
-def count_report(rs: RegionSet, net: Optional[NetworkSpec] = None,
-                 cfg: GeometryConfig = DEFAULT_CONFIG) -> CountReport:
+def count_report(rs: RegionSet, net: Optional[NetworkSpec] = None) -> CountReport:
     """Cell count, distinct affine pieces, and connected components of
     equal-piece cells under facet adjacency, read off the cells' geometry
     with no LP. Two cells of one piece are adjacent iff exactly one
     hyperplane separates them (a row of one whose negation is a row of the
-    other) and their facets on it overlap by more than 2 eps_interior. In 1
+    other) and their facets on it overlap by more than 2 EPS_INTERIOR. In 1
     input the cut is an endpoint of both intervals; in 2 their edges on the
     line overlap by more than that; in 3+, p's facet (its vertices whose
     ``act`` holds the row), clipped by q's other rows with ``_clip_vertices``,
@@ -770,12 +776,12 @@ def count_report(rs: RegionSet, net: Optional[NetworkSpec] = None,
     that admits cells. Candidate pairs come from joining the rows' signed
     keys within a piece and sweeping the facets' spans along each plane."""
     fps = _piece_fingerprints(np.array([r.piece.matrix for r in rs.regions]),
-                              np.array([r.piece.offset for r in rs.regions]), cfg.fingerprint_tol)
+                              np.array([r.piece.offset for r in rs.regions]))
     groups: dict[tuple, list[Region]] = {}
     for r, fp in zip(rs.regions, fps):
         groups.setdefault(fp, []).append(r)
-    box = cfg.r_max if rs.domain is None else float(np.abs(rs.domain).max())
-    components = sum(_components(cells, rs.input_dim, box, cfg) for cells in groups.values())
+    box = R_MAX if rs.domain is None else float(np.abs(rs.domain).max())
+    components = sum(_components(cells, rs.input_dim, box) for cells in groups.values())
     bounds_attached = {}
     if net is not None:
         bounds_attached["arrangement_upper"] = network_arrangement_upper(net)
@@ -795,15 +801,15 @@ def network_arrangement_upper(net: NetworkSpec) -> int:
     return total
 
 
-def regions_containing(rs: RegionSet, x: np.ndarray, tol: float = 1e-9) -> list[int]:
-    """Indices of cells whose half-spaces all hold at ``x`` within tolerance
-    (points on facets belong to every touching cell)."""
+def regions_containing(rs: RegionSet, x: np.ndarray) -> list[int]:
+    """Indices of cells whose half-spaces all hold at ``x`` up to
+    ``_ON_ROW_TOL`` (points on facets belong to every touching cell)."""
     x = np.asarray(x, dtype=float)
     out = []
     for i, r in enumerate(rs.regions):
         N, C = _stack_rows(r.rows, rs.input_dim)
         vals = (N[:, None, :] @ x[:, None])[:, 0, 0] + C  # each a.x bit for bit; N @ x is not
-        if not (vals < -tol * np.maximum(1.0, row_norms(N))).any():
+        if not (vals < -_ON_ROW_TOL * np.maximum(1.0, row_norms(N))).any():
             out.append(i)
     return out
 
@@ -831,15 +837,14 @@ def _fingerprint_color(fp: tuple) -> str:
     return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
 
 
-def render_svg(rs: RegionSet, box, style: Optional[dict] = None) -> str:
-    """SVG map of a 2D RegionSet clipped to ``box``; cells filled by a color
-    hashed from their piece fingerprint, total cell count annotated."""
+def render_svg(rs: RegionSet, box) -> str:
+    """640 x 640 SVG map of a 2D RegionSet clipped to ``box``; cells filled
+    by a color hashed from their piece fingerprint, total cell count
+    annotated."""
     if rs.input_dim != 2:
         raise ValidationError("rendering requires a 2D region set")
-    lo, hi, _ = _normalize_domain(box, 2, DEFAULT_CONFIG.r_max)
-    style = style or {}
-    width = style.get("width", 640)
-    height = style.get("height", 640)
+    lo, hi, _ = _normalize_domain(box, 2)
+    width = height = 640
     sx = width / (hi[0] - lo[0])
     sy = height / (hi[1] - lo[1])
 
@@ -910,15 +915,15 @@ def exact_cell_count(net: NetworkSpec, domain) -> tuple[int, int]:
     distinct pieces compare exactly. Returns (cell_count,
     distinct_piece_count). Adjudication tool: slower than
     ``enumerate_regions`` but immune to tolerance artifacts. Raises
-    ``BudgetExceeded`` past ``DEFAULT_CONFIG.cell_budget`` cells.
+    ``BudgetExceeded`` past ``CELL_BUDGET`` cells.
     """
     if any(isinstance(layer, PWLU2D) for layer in net.layers):
         raise ValidationError("exact mode does not support PWLU2D layers")
     layers = [type(layer)(*(_fractions(p) if isinstance(p, np.ndarray) else p
                             for p in layer.params)) for layer in stack([raw_layers(net)])]
-    d, cfg = net.input_dim, replace(DEFAULT_CONFIG, zero_normal_tol=0.0)  # zero is zero
-    lo, hi, _ = _normalize_domain(domain, d, cfg.r_max)
-    cells, A, b = _subdivide(layers, _ExactBackend(cfg), *map(_fractions, (
-        lo, hi, np.eye(d)[None], np.zeros((1, d)))), cfg)
+    d = net.input_dim
+    lo, hi, _ = _normalize_domain(domain, d)
+    cells, A, b = _subdivide(layers, _ExactBackend(), *map(_fractions, (
+        lo, hi, np.eye(d)[None], np.zeros((1, d)))), CELL_BUDGET)
     pieces = {tuple(row) for row in np.hstack([A.reshape(len(A), -1), b]).tolist()}
     return len(cells), len(pieces)

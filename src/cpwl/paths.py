@@ -156,7 +156,7 @@ def _switch(seg: _Segments, li: int, layer) -> None:
     """A non-affine layer: cut every interval where the layer switches, then
     compose each interval's profile with the piece active at its midpoint."""
     N, c = layer.per(seg.owner).rows(seg.P[..., None], seg.Q)
-    seg.refine(li, -c, N[..., 0])
+    seg.refine(li, -c, N[..., 0])  # new intervals: gather the nets' parameters anew
     A, seg.Q = layer.per(seg.owner).compose(seg.P[..., None], seg.Q, seg.midpoints(), seg.P)
     seg.P = A[..., 0]
 
@@ -187,27 +187,27 @@ def _propagate(nets: Sequence[Sequence[tuple]], seg: _Segments):
         yield li
 
 
-def _differ(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Rows where ``a`` and ``b`` differ by more than ``tol`` times the
-    larger of their largest entries and 1."""
+def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows where ``a`` and ``b`` differ by more than ``KNOT_REL_TOL`` times
+    the larger of their largest entries and 1."""
     def size(x):
         return np.maximum.reduce(np.abs(x), axis=1, initial=0.0)
-    return size(a - b) > tol * np.maximum(1.0, np.maximum(size(a), size(b)))
+    return size(a - b) > KNOT_REL_TOL * np.maximum(1.0, np.maximum(size(a), size(b)))
 
 
-def _piece_changes(seg: _Segments, tol: float) -> np.ndarray:
+def _piece_changes(seg: _Segments) -> np.ndarray:
     """Mask over adjacent intervals i, i+1 of one segment where the restricted
     piece differs between them: the slope vectors, or the values at the cut."""
     P, Q, s = seg.P, seg.Q, seg.hi[:-1, None]
-    changed = _differ(P[:-1], P[1:], tol) | _differ(Q[:-1] + P[:-1] * s, Q[1:] + P[1:] * s, tol)
+    changed = _differ(P[:-1], P[1:]) | _differ(Q[:-1] + P[:-1] * s, Q[1:] + P[1:] * s)
     return changed & (seg.owner[1:] == seg.owner[:-1])
 
 
-def _bends(seg: _Segments, tol: float) -> list[bool]:
+def _bends(seg: _Segments) -> list[bool]:
     """Whether the slope (per unit arc length) changes where each segment
     meets the next one, for segments that form one path."""
     k = seg.bounds()[1:-1]
-    return _differ(seg.P[k - 1], seg.P[k], tol).tolist()
+    return _differ(seg.P[k - 1], seg.P[k]).tolist()
 
 
 def segment_knot_counts(nets: Sequence[Sequence[tuple]], starts: np.ndarray,
@@ -221,7 +221,7 @@ def segment_knot_counts(nets: Sequence[Sequence[tuple]], starts: np.ndarray,
     counts = np.zeros((len(after), len(starts)), dtype=int)
     for li in _propagate(nets, seg):
         for k in (after == li).nonzero()[0]:
-            counts[k] = np.bincount(seg.owner[1:][_piece_changes(seg, KNOT_REL_TOL)],
+            counts[k] = np.bincount(seg.owner[1:][_piece_changes(seg)],
                                     minlength=len(starts))
     return counts
 
@@ -238,7 +238,7 @@ def segment_image_lengths(nets: Sequence[Sequence[tuple]], starts: np.ndarray,
     return [float(np.sum(w[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def count_knots(net: NetworkSpec, path: PolygonalPath, tol: float = KNOT_REL_TOL,
+def count_knots(net: NetworkSpec, path: PolygonalPath,
                 prefixes: bool | Sequence[int] = False) -> KnotReport:
     """Exact knots of the network restricted to the path.
 
@@ -247,7 +247,7 @@ def count_knots(net: NetworkSpec, path: PolygonalPath, tol: float = KNOT_REL_TOL
     the earlier segment with layer ``PATH_VERTEX``. ``prefixes=True``
     additionally reports the knot count of every depth-truncated network; a
     sequence of layer indices reports the networks truncated after those
-    layers only, in its order.
+    layers only, in its order. Pieces differ past ``KNOT_REL_TOL``.
     """
     if path.dim != net.input_dim:
         raise ValidationError("path dimension must match the network input")
@@ -256,12 +256,12 @@ def count_knots(net: NetworkSpec, path: PolygonalPath, tol: float = KNOT_REL_TOL
     seg, found = _Segments(path.vertices[:-1], path.vertices[1:]), {}
     for li in _propagate([raw_layers(net)], seg):
         if li in asked:
-            found[li] = int(_piece_changes(seg, tol).sum()) + sum(_bends(seg, tol))
-    hits = _piece_changes(seg, tol).nonzero()[0]
+            found[li] = int(_piece_changes(seg).sum()) + sum(_bends(seg))
+    hits = _piece_changes(seg).nonzero()[0]
     offsets = [0.0, *accumulate(seg.length.tolist())]
     params = np.array(offsets)[seg.owner[hits]] + seg.hi[hits]
     knots = list(zip(params.tolist(), seg.layer_of[hits + 1].tolist(), repeat(False)))
-    knots += [(off, PATH_VERTEX, True) for off, bend in zip(offsets[1:], _bends(seg, tol)) if bend]
+    knots += [(off, PATH_VERTEX, True) for off, bend in zip(offsets[1:], _bends(seg)) if bend]
     knots.sort(key=lambda k: k[0])  # stable: (parameter, layer, at_vertex)
     prefix_counts = None if prefixes is False else tuple(found[li] for li in asked)
     kt, length = len(knots), path.length

@@ -477,7 +477,8 @@ def _auto_bound(arch, init, rank, group_size) -> Optional[float]:
 
 
 def mc_knot_density_by_depth(arch: ArchitectureDescriptor, init: InitSpec,
-                             trials: int = 2000, *, kappa: Optional[int] = None
+                             trials: int = 2000, *, kappa: Optional[int] = None,
+                             rank: Optional[int] = None, group_size: int = 2
                              ) -> list[McEstimate]:
     """Knot densities of every depth prefix of the sampled networks, one
     propagation per trial (prefix l reuses the work of prefix l+1). Returns
@@ -485,7 +486,7 @@ def mc_knot_density_by_depth(arch: ArchitectureDescriptor, init: InitSpec,
     aligned across depths so paired comparisons are valid."""
     if trials < 100:
         raise ValidationError("density estimation needs at least 100 trials")
-    cols = _probe_densities(arch, init, trials, kappa, None, 2,
+    cols = _probe_densities(arch, init, trials, kappa, rank, group_size,
                             lambda layers: [i for i, (kind, *_) in enumerate(layers)
                                             if kind is not Affine])
     return [McEstimate.from_values(cols[:, j]) for j in range(cols.shape[1])]
@@ -519,24 +520,21 @@ def estimate_unit_density(fan_in: int, init: InitSpec, trials: int = 1000,
                           family: str = "relu", *, rank: int = 2,
                           group_size: int = 2) -> McEstimate:
     """lambda0-hat: mean exact knot density of a single random component
-    (one unit on ``fan_in`` inputs) along the default probe."""
+    (one unit on ``fan_in`` inputs) along the default probe, with the
+    bound of ``mc_knot_density``."""
     if family in ("relu", "leaky", "abs"):
         arch = ArchitectureDescriptor((fan_in, 1), ((2,),), family=family)
-        bound = unit_density_bound(family, init)
     elif family == "maxout":
         arch = ArchitectureDescriptor((fan_in, 1), ((rank,),), family="maxout")
-        bound = unit_density_bound("maxout", init, rank=rank)
     elif family == "groupsort":
         # The readout of a sampled groupsort net stays affine, so one sorting
         # layer needs dims (fan_in, fan_in, fan_in).
         arch = ArchitectureDescriptor((fan_in, fan_in, fan_in),
                                       ((2,) * fan_in, (2,) * fan_in),
                                       family="groupsort")
-        bound = unit_density_bound("groupsort", init, d=fan_in, group_size=group_size)
     else:
         raise ValidationError(f"no unit density for family {family!r}")
-    return mc_knot_density(arch, init, trials=trials, bound=bound, rank=rank,
-                           group_size=group_size)
+    return mc_knot_density(arch, init, trials=trials, rank=rank, group_size=group_size)
 
 
 def mc_image_length(arch: ArchitectureDescriptor, init: InitSpec,

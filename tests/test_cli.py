@@ -323,6 +323,20 @@ def test_mc_by_depth_rows(tmp_path):
     assert [l.split(",")[2] for l in lines[1:]] == ["1", "2", "3"]
 
 
+def test_mc_by_depth_uses_group_size(tmp_path):
+    # The L=1 row of --by-depth is the plain --depth 1 estimate, at the
+    # default group size and at 3 (which --by-depth once ignored: 0.2605).
+    def means(*flags):
+        assert main(["mc", "--family", "groupsort", "--d", "3", "--width", "6",
+                     "--trials", "200", "--seed", "1", "--out", str(tmp_path), *flags]) == 0
+        lines = (tmp_path / "mc_table.csv").read_text().strip().split("\n")
+        return [float(l.split(",")[7]) for l in lines[1:]]
+    for g, mean in (("2", 0.2605), ("3", 0.528)):
+        deep = means("--group-size", g, "--depth", "2", "--by-depth")
+        assert len(deep) == 2 and deep[0] == means("--group-size", g, "--depth", "1")[0]
+        assert deep[0] == pytest.approx(mean, abs=1e-12)
+
+
 def test_mc_groupsort_single_stage_bound(tmp_path, capsys):
     from cpwl.stochastic import InitSpec, unit_density_bound
     expected = unit_density_bound("groupsort", InitSpec(), d=4, group_size=2)
@@ -367,6 +381,16 @@ def test_budget_exhaustion_exit_code(tmp_path):
     main(["construct", "--gp", "--d", "2", "--ns", "3,3", "--out", str(tmp_path)])
     assert main(["count", "--net", str(tmp_path / "gp_net.json"),
                  "--budget", "2"]) == 3
+
+
+def test_seed_only_on_commands_that_draw(tmp_path, capsys):
+    main(["construct", "--gp", "--d", "2", "--ns", "3,3", "--seed", "1", "--out", str(tmp_path)])
+    for argv in (["count", "--net", str(tmp_path / "gp_net.json")],
+                 ["audit"], ["bound", "--beta", "2", "3,3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_unknown_mc_family():

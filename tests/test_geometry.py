@@ -14,8 +14,8 @@ from cpwl.constructions import (extremal_sum_network,
 from cpwl.core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
                        Pointwise, PWLU2D, ValidationError, abs_unit,
                        eval_jacobian, relu_unit)
-from cpwl.geometry import (DEFAULT_CONFIG, BudgetExceeded, GeometryConfig,
-                           HalfSpace, count_report, count_report_to_csv,
+from cpwl.geometry import (DEDUP_TOL, EPS_INTERIOR, FINGERPRINT_TOL, R_MAX,
+                           BudgetExceeded, HalfSpace, count_report, count_report_to_csv,
                            enumerate_regions, exact_cell_count,
                            interior_witness_report, network_arrangement_upper,
                            piece_fingerprint, region_set_to_json,
@@ -80,7 +80,7 @@ def test_witness_interior_point_of_interval():
 def test_witness_no_constraints_needs_dim():
     w = interior_witness_report([], dim=2)
     assert w.status == "interior"
-    assert w.margin == DEFAULT_CONFIG.r_max
+    assert w.margin == R_MAX
     with pytest.raises(ValidationError):
         interior_witness_report([])
 
@@ -109,11 +109,11 @@ def _unit(a, c):
     return (a / n, c / n, 1.0) if n else (a, c, 0.0)
 
 
-def _linprog_witness(rows, cfg, bounds, equality, dim):
+def _linprog_witness(rows, bounds, equality, dim):
     """Reference: the witness LP of interior_witness_report, on the same unit
     rows, through the public scipy.optimize.linprog (no-row case excluded)."""
     from scipy.optimize import linprog
-    lo, hi = bounds if bounds is not None else (np.full(dim, -cfg.r_max), np.full(dim, cfg.r_max))
+    lo, hi = bounds if bounds is not None else (np.full(dim, -R_MAX), np.full(dim, R_MAX))
     rows = [_unit(np.asarray(a, dtype=float), float(c)) for a, c in rows]
     A_ub = [np.concatenate([-a, [n]]) for a, _, n in rows]
     b_ub = [c for _, c, _ in rows]
@@ -125,11 +125,11 @@ def _linprog_witness(rows, cfg, bounds, equality, dim):
     res = linprog(np.concatenate([np.zeros(dim), [-1.0]]),
                   A_ub=np.array(A_ub) if A_ub else None, b_ub=np.array(b_ub) if b_ub else None,
                   A_eq=A_eq, b_eq=b_eq, method="highs",
-                  bounds=[(float(l), float(h)) for l, h in zip(lo, hi)] + [(None, cfg.r_max)])
+                  bounds=[(float(l), float(h)) for l, h in zip(lo, hi)] + [(None, R_MAX)])
     if not res.success:
         return "empty", -np.inf, np.zeros(dim)
     eps = float(res.x[-1])
-    status = "interior" if eps > cfg.eps_interior else "degenerate" if eps >= 0.0 else "empty"
+    status = "interior" if eps > EPS_INTERIOR else "degenerate" if eps >= 0.0 else "empty"
     return status, eps, np.array(res.x[:-1])
 
 
@@ -166,9 +166,8 @@ def test_witness_lp_matches_linprog():
     statuses = set()
     for i in range(300):
         rows, bounds, equality, dim = _witness_lp_case(i)
-        w = interior_witness_report(rows, DEFAULT_CONFIG, bounds=bounds,
-                                    equality=equality, dim=dim)
-        status, margin, point = _linprog_witness(rows, DEFAULT_CONFIG, bounds, equality, dim)
+        w = interior_witness_report(rows, bounds=bounds, equality=equality, dim=dim)
+        status, margin, point = _linprog_witness(rows, bounds, equality, dim)
         assert (w.status, w.margin) == (status, margin), i
         assert w.point.tobytes() == point.tobytes(), i
         statuses.add((w.status, equality is not None))
@@ -458,8 +457,8 @@ def test_layer_keys_match_per_row_keys():
             N[::11, 0] = 1e-10 * N[::11, -1]
         C = rng.normal(size=400) * 10.0 ** rng.uniform(-6, 6, 400)
         for signed in (False, True):
-            keys = geometry._hyperplane_keys(N, C, 1e-9, signed)
-            assert keys == [_reference_key(a, c, 1e-9, signed) for a, c in zip(N, C)]
+            keys = geometry._hyperplane_keys(N, C, signed)
+            assert keys == [_reference_key(a, c, DEDUP_TOL, signed) for a, c in zip(N, C)]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +474,7 @@ def _box_rows(rs):
             for row in ((e[j], -float(lo[j])), (-e[j], float(hi[j])))]
 
 
-def _exhaustive_adjacent(p, q, rs, cfg):
+def _exhaustive_adjacent(p, q, rs):
     """Reference: try every constraint hyperplane of ``p`` as an equality
     against the other rows of both cells and the domain, by witness LP. A
     bounded domain also bounds the LP's variables, as its rows do: on the
@@ -483,14 +482,14 @@ def _exhaustive_adjacent(p, q, rs, cfg):
     radius is within about 1e-7 of eps_interior."""
     combined = [(h.normal, h.offset) for h in p.constraints + q.constraints]
     combined += _box_rows(rs)
-    keys = [_reference_key(a, c, cfg.dedup_tol) for a, c in combined]
+    keys = [_reference_key(a, c, DEDUP_TOL) for a, c in combined]
     tried = set()
     for h, key in zip(p.constraints, keys):
         if key in tried:
             continue
         tried.add(key)
         rest = [row for row, k in zip(combined, keys) if k != key]
-        w = geometry.interior_witness_report(rest, cfg, bounds=rs.domain,
+        w = geometry.interior_witness_report(rest, bounds=rs.domain,
                                              equality=(h.normal, h.offset), dim=rs.input_dim)
         if w.status == "interior":
             return True
@@ -507,7 +506,7 @@ def _lp_counts(rs):
     for g in groups.values():
         comp = list(range(len(g)))
         for i, j in itertools.combinations(range(len(g)), 2):
-            if comp[i] != comp[j] and _exhaustive_adjacent(g[i], g[j], rs, DEFAULT_CONFIG):
+            if comp[i] != comp[j] and _exhaustive_adjacent(g[i], g[j], rs):
                 comp = [comp[i] if c == comp[j] else c for c in comp]
         connected += len(set(comp))
     return len(rs), len(groups), connected
@@ -515,8 +514,8 @@ def _lp_counts(rs):
 
 def _adjacent(p, q, rs):
     """count_report's facet adjacency of the pair: one component or two."""
-    box = DEFAULT_CONFIG.r_max if rs.domain is None else float(np.abs(rs.domain).max())
-    return geometry._components([p, q], rs.input_dim, box, DEFAULT_CONFIG) == 1
+    box = R_MAX if rs.domain is None else float(np.abs(rs.domain).max())
+    return geometry._components([p, q], rs.input_dim, box) == 1
 
 
 @pytest.fixture
@@ -551,7 +550,7 @@ def test_facet_filter_matches_exhaustive_scan(lp_calls):
         pairs = [(p, q) for g in groups.values() for i, p in enumerate(g) for q in g[i + 1:]]
         assert pairs
         for p, q in pairs:
-            expected = _exhaustive_adjacent(p, q, rs, DEFAULT_CONFIG)
+            expected = _exhaustive_adjacent(p, q, rs)
             assert _adjacent(p, q, rs) == expected
             seen.add((net.input_dim, expected))
         lp_calls[0] = 0
@@ -566,7 +565,7 @@ def test_two_separating_hyperplanes_need_no_lp(lp_calls):
     quadrant = {tuple(np.sign(r.witness)): r for r in rs.regions}
     for far, adjacent in (((-1.0, -1.0), False), ((1.0, -1.0), True)):
         p, q = quadrant[1.0, 1.0], quadrant[far]
-        assert _adjacent(p, q, rs) == _exhaustive_adjacent(p, q, rs, DEFAULT_CONFIG) == adjacent
+        assert _adjacent(p, q, rs) == _exhaustive_adjacent(p, q, rs) == adjacent
     lp_calls[0] = 0
     assert count_report(rs).connected_piece_count == 4
     assert lp_calls[0] == 0
@@ -672,21 +671,18 @@ def _two_lp_split(self, cell, a, c):
     """Reference split: one witness LP per side, both always solved; the
     split happens iff both sides are interior (``cell.geom`` is the box)."""
     pos_w, neg_w = (geometry.interior_witness_report(cell.constraints + [(s * a, s * c)],
-                                                     self.cfg, bounds=cell.geom)
+                                                     bounds=cell.geom)
                     for s in (1.0, -1.0))
     if pos_w.status != "interior" or neg_w.status != "interior":
         return None
     return (cell.geom, neg_w.point), (cell.geom, pos_w.point)
 
 
-class _TwoLPBackend:
+class _TwoLPBackend(geometry._FloatBackend):
     """Reference backend for 3+ inputs: a cell is its constraint list inside
     the domain box, split by ``_two_lp_split``."""
 
     split = _two_lp_split
-
-    def __init__(self, cfg):
-        self.cfg = cfg
 
     def root(self, lo, hi):
         return (lo, hi), (lo + hi) / 2.0
@@ -770,7 +766,7 @@ def _scaled_relu_net(seed: int):
 
 def _cell_keys(rs):
     """Every cell as the set of its signed constraint keys."""
-    return Counter(frozenset(_reference_key(h.normal, h.offset, DEFAULT_CONFIG.dedup_tol,
+    return Counter(frozenset(_reference_key(h.normal, h.offset, DEDUP_TOL,
                                             signed=True) for h in r.constraints)
                    for r in rs.regions)
 
@@ -808,8 +804,8 @@ def _rational_vertex_count(net):
     in exact rational arithmetic, with no rounding bound: a side is a cell
     iff a vertex lies more than 2 eps_interior beyond the cut (compared
     squared), and each cell's piece is taken at its vertex centroid."""
-    d, r, F = net.input_dim, Fraction(DEFAULT_CONFIG.r_max), Fraction
-    deep = 4 * F(DEFAULT_CONFIG.eps_interior) ** 2
+    d, r, F = net.input_dim, Fraction(R_MAX), Fraction
+    deep = 4 * F(EPS_INTERIOR) ** 2
     corners = list(itertools.product((0, 1), repeat=d))
     V = np.array([[r if bit else -r for bit in corner] for corner in corners], dtype=object)
     act = [sum(1 << (2 * j + bit) for j, bit in enumerate(corner)) for corner in corners]
@@ -861,8 +857,8 @@ def _degenerate_nets():
     interior, degenerate and degenerate, and the vertices all too thin."""
     W = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, -1, 0], [0, 0, 1], [1, 1, 1],
                   [1, 1, 1], [1, -1, 1], [1, 1, 1]], dtype=float)
-    o = np.array([0, 0, 0, 0, 0, 0, -2, -2, -DEFAULT_CONFIG.r_max])
-    eps = DEFAULT_CONFIG.eps_interior
+    o = np.array([0, 0, 0, 0, 0, 0, -2, -2, -R_MAX])
+    eps = EPS_INTERIOR
     rng = np.random.default_rng(7)
     return [NetworkSpec(3, (Affine(AffineMap(W, o)), Pointwise((relu_unit(),) * 9),
                             Affine(AffineMap(rng.integers(-2, 3, (2, 9)).astype(float),
@@ -896,7 +892,7 @@ def test_cut_cells_list_exactly_their_vertices():
     # witness is their centroid, strictly inside every row.
     cells_seen = 0
     for d, planes, seeds, kind in ((3, 8, 10, "int"), (4, 6, 4, "int"), (3, 7, 5, "concurrent")):
-        backend = geometry._VertexBackend(DEFAULT_CONFIG)
+        backend = geometry._VertexBackend()
         box = [row for j in range(d) for row in ((np.eye(d)[j], 2.0), (-np.eye(d)[j], 2.0))]
         for seed in range(seeds):
             rng = np.random.default_rng(seed)
@@ -1001,10 +997,22 @@ def test_enumeration_is_deterministic():
     assert a == b
 
 
+def test_tolerances_are_named_constants():
+    assert (R_MAX, EPS_INTERIOR, DEDUP_TOL, geometry.ZERO_NORMAL_TOL, FINGERPRINT_TOL,
+            geometry.CELL_BUDGET) == (1e6, 1e-7, 1e-9, 1e-12, 1e-6, 10 ** 6)
+    # Exact mode's backend: a zero normal is exactly zero, and no row is a
+    # repeat of another.
+    exact = geometry._ExactBackend()
+    assert exact.zero_normal_tol == 0 and list(exact.keys(np.ones((3, 2)), np.ones(3))) == [0, 1, 2]
+    for backend in (geometry._IntervalBackend(), geometry._PolygonBackend(),
+                    geometry._VertexBackend()):
+        assert backend.zero_normal_tol == geometry.ZERO_NORMAL_TOL
+        assert len(set(backend.keys(np.ones((3, 2)), np.ones(3)))) == 1
+
+
 def test_budget_is_enforced():
-    cfg = GeometryConfig(cell_budget=5)
     with pytest.raises(BudgetExceeded) as exc:
-        enumerate_regions(mixed_net(), domain=(-2.0, 2.0), cfg=cfg)
+        enumerate_regions(mixed_net(), domain=(-2.0, 2.0), cell_budget=5)
     assert exc.value.budget == 5
 
 
@@ -1041,13 +1049,13 @@ def test_batched_fingerprints_match_per_piece_loop():
             M[10:20], B[10:20] = 3.0 * M[20:30], 3.0 * B[20:30]  # scalar multiples
             M[30:35] *= 1.0 + 1e-9 * rng.normal(size=(5, m, d))
             pieces = [AffineMap(a, b) for a, b in zip(M, B)]
-            tol = DEFAULT_CONFIG.fingerprint_tol
+            tol = FINGERPRINT_TOL
             expected = [_reference_fingerprint(p, tol) for p in pieces]
-            assert geometry._piece_fingerprints(M, B, tol) == expected
+            assert geometry._piece_fingerprints(M, B) == expected
             assert [piece_fingerprint(p) for p in pieces] == expected
     net = relu_dead_net(3, (3, 3, 1), 3.0)
     rs = enumerate_regions(net, domain=(-3.0, 3.0))
-    fps = [_reference_fingerprint(r.piece, DEFAULT_CONFIG.fingerprint_tol) for r in rs.regions]
+    fps = [_reference_fingerprint(r.piece, FINGERPRINT_TOL) for r in rs.regions]
     assert count_report(rs).distinct_piece_count == len(set(fps)) < len(rs)
 
 

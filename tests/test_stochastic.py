@@ -322,6 +322,20 @@ def test_single_unit_mean_matches_integral_oracle():
     assert est.mean <= est.bound
 
 
+def test_unit_density_estimate_bound_is_the_closed_form():
+    # estimate_unit_density takes mc_knot_density's bound: bit for bit the
+    # closed form of one unit on 4 inputs.
+    for init in (InitSpec(), InitSpec(weight_dist="uniform", sigma_w=0.7, sigma_b=1.3)):
+        for family, kw, bound in (
+                ("relu", {}, unit_density_bound("relu", init)),
+                ("leaky", {}, unit_density_bound("leaky", init)),
+                ("maxout", {"rank": 3}, unit_density_bound("maxout", init, rank=3)),
+                ("groupsort", {"group_size": 2},
+                 unit_density_bound("groupsort", init, d=4, group_size=2))):
+            est = estimate_unit_density(4, init, trials=100, family=family, **kw)
+            assert est.bound == bound, (family, init)
+
+
 def test_auto_bound_only_for_single_block():
     deep = ArchitectureDescriptor((2, 3, 3), ((2,) * 3, (2,) * 3), family="relu")
     est = mc_knot_density(deep, InitSpec(seed=3), trials=100)
