@@ -5,7 +5,7 @@ import pytest
 from cpwl import core
 from cpwl.core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
                        Pointwise, PWLU2D, ScalarCPWL, ValidationError,
-                       abs_unit, batch_pieces, compose, compose_scalar, eval_jacobian,
+                       abs_unit, compose, compose_scalar, eval_jacobian,
                        eval_scalar, identity_unit, layer_piece, layer_value,
                        leaky_relu_unit, relu_unit, sum_scalar, zero_unit)
 
@@ -165,28 +165,6 @@ def test_eval_jacobian_side_convention_at_breakpoint():
     _, A_left, _ = eval_jacobian(net, x, side=np.array([-1.0]))
     assert A_right[0, 0] == 1.0
     assert A_left[0, 0] == 0.0
-
-
-def test_batch_pieces_matches_its_rows():
-    # Each row of a batch is the piece of the one-row batch, eval_jacobian:
-    # through maxout and group-sort layers, and through a PWLU2D grid unit.
-    rng = np.random.default_rng(11)
-    mixed = NetworkSpec(2, (
-        Affine(AffineMap(rng.normal(size=(4, 2)), rng.normal(size=4))),
-        Maxout(2, rng.normal(size=(4, 2, 4)), rng.normal(size=(4, 2))),
-        GroupSort(2),
-        Affine(AffineMap(rng.normal(size=(1, 4)), rng.normal(size=1))),
-    ))
-    X_mixed = np.random.default_rng(11).uniform(-2, 2, size=(200, 2))
-    rng = np.random.default_rng(3)
-    grid = NetworkSpec(2, (PWLU2D(4, rng.normal(size=(1, 4, 4)),
-                                  (AffineMap(np.eye(2), np.zeros(2)),)),))
-    X_grid = rng.uniform(-1.5, 1.5, size=(50, 2))
-    for net, X, atol in ((mixed, X_mixed, 1e-10), (grid, X_grid, 1e-8)):
-        _, A, b = batch_pieces(net, X)
-        for i in range(len(X)):
-            _, Ai, bi = eval_jacobian(net, X[i])
-            assert np.allclose(A[i], Ai, atol=atol) and np.allclose(b[i], bi, atol=atol)
 
 
 def _tie_cases():

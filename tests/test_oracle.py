@@ -7,7 +7,7 @@ from cpwl.constructions import (extremal_sum_network,
                                 general_position_partitions, sawtooth)
 from cpwl.core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
                        Pointwise, PWLU2D, ValidationError, abs_unit,
-                       batch_pieces, relu_unit)
+                       batch_pieces, eval_jacobian, relu_unit)
 from cpwl.geometry import count_report, enumerate_regions
 from cpwl.oracle import (MIN_RESOLUTION, grid_fingerprint, grid_knot_count,
                          grid_region_count)
@@ -32,6 +32,17 @@ def mixed_net():
 # batch_pieces
 # ---------------------------------------------------------------------------
 
+def test_batch_pieces_matches_pointwise_jacobians():
+    net = mixed_net()
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-2, 2, size=(200, 2))
+    _, A, b = batch_pieces(net, X)
+    for i in range(len(X)):
+        _, Ai, bi = eval_jacobian(net, X[i])
+        assert np.allclose(A[i], Ai, atol=1e-10)
+        assert np.allclose(b[i], bi, atol=1e-10)
+
+
 def test_batch_pieces_reconstructs_values():
     net = mixed_net()
     rng = np.random.default_rng(1)
@@ -40,6 +51,17 @@ def test_batch_pieces_reconstructs_values():
     from cpwl import core
     for i in range(len(X)):
         assert np.allclose(A[i] @ X[i] + b[i], core.eval(net, X[i]), atol=1e-10)
+
+
+def test_batch_pieces_handles_grid_units():
+    rng = np.random.default_rng(3)
+    net = NetworkSpec(2, (PWLU2D(4, rng.normal(size=(1, 4, 4)),
+                                 (AffineMap(np.eye(2), np.zeros(2)),)),))
+    X = rng.uniform(-1.5, 1.5, size=(50, 2))
+    _, A, b = batch_pieces(net, X)
+    for i in range(len(X)):
+        _, Ai, bi = eval_jacobian(net, X[i])
+        assert np.allclose(A[i], Ai) and np.allclose(b[i], bi)
 
 
 def test_batch_pieces_validates_dimension():
