@@ -240,6 +240,16 @@ class AffineMap:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "offset", o)
 
+    @classmethod
+    def view(cls, matrix: np.ndarray, offset: np.ndarray) -> "AffineMap":
+        """The map on ``matrix`` and ``offset`` as they are, without a copy
+        or a check: read-only finite float arrays of matching shapes, as the
+        caller has made sure."""
+        piece = object.__new__(cls)
+        object.__setattr__(piece, "matrix", matrix)
+        object.__setattr__(piece, "offset", offset)
+        return piece
+
     @property
     def in_dim(self) -> int:
         return self.matrix.shape[1]

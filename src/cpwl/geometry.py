@@ -20,6 +20,18 @@ its vertex centroid. Every region keeps its cell's geometry, from which
 processing is pure and order-independent; the output ordering is
 canonicalized, so results are deterministic.
 
+In 2 inputs a row is tried on the parts of a cell only if it crosses the
+cell, which one pass over all cells of a layer decides from their
+vertices: it crosses unless every vertex lies within split's margin
+m = EPS_INTERIOR ||a|| of one side of it. Such a row leaves on its other
+side at most a strip about EPS_INTERIOR wide of the cell, and so of each
+part (a part lies in its cell); the strip's area/perimeter, at most its
+inradius, half that width, fails the 2-input test with room for rounding,
+so the filter drops only splits that would not happen, and the cells are
+the same bit for bit. Also in 2 inputs, one split along the tie of two
+maxout candidates gives both their cuts, as negated values clip to the
+same vertices; 3+-input clips build only the side they keep.
+
 The float engine's tolerances are the module constants R_MAX, EPS_INTERIOR,
 DEDUP_TOL, ZERO_NORMAL_TOL and FINGERPRINT_TOL; ``enumerate_regions``' cell
 budget is the one setting.
@@ -121,12 +133,25 @@ class Region:
 
 @dataclass
 class RegionSet:
+    """The regions of a subdivision. ``pieces``, where enumeration set it,
+    holds their pieces stacked as read-only (matrices, offsets) arrays in
+    the order of ``regions``, each region's piece being a view of its row."""
+
     input_dim: int
     regions: list[Region]
     domain: Optional[tuple[np.ndarray, np.ndarray]]  # None = unbounded (R_max box)
+    pieces: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False,
+                                                            compare=False)
 
     def __len__(self) -> int:
         return len(self.regions)
+
+    def stacked_pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """(matrices, offsets) of the regions' pieces, in order."""
+        if self.pieces is not None:
+            return self.pieces
+        return (np.array([r.piece.matrix for r in self.regions]),
+                np.array([r.piece.offset for r in self.regions]))
 
 
 @dataclass
@@ -290,12 +315,28 @@ def _normalize_domain(domain, d: int):
 class _FloatBackend:
     """The float engine's rows: a normal up to ``ZERO_NORMAL_TOL`` (relative,
     for maxout candidates) is zero, and rows whose keys agree at
-    ``DEDUP_TOL`` are one hyperplane, split by once."""
+    ``DEDUP_TOL`` are one hyperplane, split by once.
+
+    Every backend has ``split(cell, a, c)``: None, or the sides a.x + c < 0
+    and > 0 as (geom, witness) pairs. ``split_positive`` gives the second
+    side alone, or None. ``crossing(cells, N, C)`` tells, for each cell of a
+    layer and each of its rows, whether the row may split the cell or a part
+    of it (here: always). Where ``shares_ties`` is set, a split by the
+    negated row gives the same two sides swapped, bit for bit, so one split
+    serves both candidates of a maxout tie."""
 
     zero_normal_tol = ZERO_NORMAL_TOL
+    shares_ties = False
 
     def keys(self, N: np.ndarray, C: np.ndarray) -> Sequence:
         return _hyperplane_keys(N, C)
+
+    def crossing(self, cells: list, N: np.ndarray, C: np.ndarray) -> np.ndarray:
+        return np.ones(C.shape, dtype=bool)
+
+    def split_positive(self, cell: _Cell, a: np.ndarray, c: float):
+        res = self.split(cell, a, c)
+        return res and res[1]
 
 
 class _IntervalBackend(_FloatBackend):
@@ -399,12 +440,25 @@ class _PolygonBackend(_FloatBackend):
 
     A clipped side survives if its area/perimeter ratio (a lower bound on the
     inradius: eroding a convex set by t removes at most perimeter*t of area)
-    exceeds the interior margin.
+    exceeds the interior margin. ``crossing`` drops only rows that split no
+    part of a cell (see the module docstring).
     """
+
+    shares_ties = True
 
     def root(self, lo, hi):
         verts = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
         return verts, verts.mean(axis=0)
+
+    def crossing(self, cells, N, C):
+        # Row r of cell i at the cell's vertices, all cells of a layer at once.
+        sizes = [len(cell.geom) for cell in cells]
+        owner = np.repeat(np.arange(len(cells)), sizes)
+        X = np.concatenate([cell.geom for cell in cells])
+        D = X[:, :1] * N[owner, :, 0] + X[:, 1:] * N[owner, :, 1] + C[owner]
+        starts = np.cumsum([0] + sizes[:-1])
+        m = EPS_INTERIOR * np.sqrt((N * N).sum(axis=2))
+        return (np.minimum.reduceat(D, starts) < -m) & (np.maximum.reduceat(D, starts) > m)
 
     def split(self, cell: _Cell, a: np.ndarray, c: float):
         vals = (cell.geom @ a + c).tolist()
@@ -426,14 +480,14 @@ class _PolygonBackend(_FloatBackend):
 _VERTEX_ROUNDING = 2.0 ** -48
 
 
-def _clip_vertices(V: np.ndarray, act: list, dist: np.ndarray, bit: int):
-    """(V, act) of the sides dist < 0 and dist > 0 of a polytope with
-    vertices ``V`` and active-row bit sets ``act``, cut by the row ``bit``;
-    vertices with dist == 0 go to both sides. New vertices lie on the edges
-    whose ends have opposite signs: two vertices share an edge when their
-    sets share d - 1 rows and no third vertex's set holds those rows (the
-    double-description method's combinatorial test; moot when one of the
-    two has only d rows)."""
+def _clip_vertices(V: np.ndarray, act: list, dist: np.ndarray, bit: int, keep=(0, 1)):
+    """(V, act) of the sides dist < 0 and dist > 0 (those numbered in
+    ``keep``) of a polytope with vertices ``V`` and active-row bit sets
+    ``act``, cut by the row ``bit``; vertices with dist == 0 go to both
+    sides. New vertices lie on the edges whose ends have opposite signs:
+    two vertices share an edge when their sets share d - 1 rows and no third
+    vertex's set holds those rows (the double-description method's
+    combinatorial test; moot when one of the two has only d rows)."""
     d, vals = V.shape[1], dist.tolist()
     sides = ([i for i, v in enumerate(vals) if v < 0], [i for i, v in enumerate(vals) if v > 0])
     on = [i for i, v in enumerate(vals) if v == 0]
@@ -448,7 +502,7 @@ def _clip_vertices(V: np.ndarray, act: list, dist: np.ndarray, bit: int):
     t = (dist[I] / (dist[I] - dist[J]))[:, None]
     W = np.vstack([V[I] + t * (V[J] - V[I]), V[on]])
     cut = [act[i] & act[j] | bit for i, j in zip(I, J)] + [act[k] | bit for k in on]
-    return [(np.vstack([V[s], W]), [act[k] for k in s] + cut) for s in sides]
+    return [(np.vstack([V[sides[k]], W]), [act[i] for i in sides[k]] + cut) for k in keep]
 
 
 class _VertexBackend(_FloatBackend):
@@ -470,13 +524,19 @@ class _VertexBackend(_FloatBackend):
         act = [sum(1 << (2 * j + b) for j, b in enumerate(bits)) for bits in corners]
         return (V, act), V.mean(axis=0)
 
-    def split(self, cell: _Cell, a: np.ndarray, c: float):
+    def split(self, cell: _Cell, a: np.ndarray, c: float, keep=(0, 1)):
+        """The sides numbered in ``keep`` (0 for a.x + c < 0, 1 for > 0), or
+        None."""
         V, act = cell.geom
         dist, depth = self._distances(V, a, c)
         if dist.max() <= depth or dist.min() >= -depth:
             return None
-        sides = _clip_vertices(V, act, dist, 1 << (2 * V.shape[1] + len(cell.constraints)))
+        sides = _clip_vertices(V, act, dist, 1 << (2 * V.shape[1] + len(cell.constraints)), keep)
         return tuple(((W, bits), W.mean(axis=0)) for W, bits in sides)
+
+    def split_positive(self, cell, a, c):
+        res = self.split(cell, a, c, (1,))
+        return res and res[0]
 
     def _distances(self, V: np.ndarray, a: np.ndarray, c: float):
         """(each vertex's distance beyond the cut, the rounding snapped to
@@ -529,16 +589,32 @@ def _hyperplane_keys(N: np.ndarray, C: np.ndarray, signed: bool = False) -> list
     return list(map(tuple, np.round(V, digits).tolist()))
 
 
-def _clip_positive(backend, p: "_Cell", a: np.ndarray, c: float):
-    """Clip cell ``p`` to the side {a.x + c >= 0}: returns ``p`` itself when
-    the cell (up to slivers) already lies there, ``None`` when essentially
-    nothing does, or a new smaller cell. Sliver sides follow the witness, so
-    geometry is never shaved off without an actual crossing."""
-    res = backend.split(p, a, c)
-    if res is None:
+def _side_cell(p: "_Cell", a: np.ndarray, c: float, side):
+    """Cell ``p`` clipped to {a.x + c >= 0}, given ``side``, that side's
+    (geom, witness) where the row splits ``p``, else None: returns ``p``
+    itself when the cell (up to slivers) already lies there, ``None`` when
+    essentially nothing does, or a new smaller cell. Sliver sides follow the
+    witness, so geometry is never shaved off without an actual crossing."""
+    if side is None:
         return p if a @ p.witness + c > 0 else None
-    (_, _), (g_pos, w_pos) = res
-    return _Cell(p.constraints + [(a, c)], w_pos, g_pos)
+    return _Cell(p.constraints + [(a, c)], side[1], side[0])
+
+
+def _clip_positive(backend, p: "_Cell", a: np.ndarray, c: float):
+    """Clip cell ``p`` to the side {a.x + c >= 0} (see ``_side_cell``)."""
+    return _side_cell(p, a, c, backend.split_positive(p, a, c))
+
+
+def _clip_tie(backend, p: "_Cell", row: tuple, other: tuple) -> tuple:
+    """``_clip_positive`` of ``p`` by ``row`` and by ``other``, its negation
+    (R_j - R_i and R_i - R_j of two maxout candidates), from one split by
+    ``row``. Where ``backend.shares_ties`` holds, the negated values clip to
+    the same vertices in the same order on the other side, and a row splits
+    a cell iff its negation does, so both cells are as the two calls give
+    them, bit for bit; each keeps its own row."""
+    (a, c), (a2, c2) = row, other
+    neg, pos = backend.split(p, a, c) or (None, None)
+    return _side_cell(p, a, c, pos), _side_cell(p, a2, c2, neg)
 
 
 def _maxout_parts(backend, cell: "_Cell", R: np.ndarray, s: list) -> list["_Cell"]:
@@ -549,13 +625,16 @@ def _maxout_parts(backend, cell: "_Cell", R: np.ndarray, s: list) -> list["_Cell
     Each unit contributes at most ``rank`` subcells per part (one per
     candidate attaining the max somewhere), so the subdivision never refines
     beyond the unit's actual fold set — pairwise tie hyperplanes where
-    neither candidate attains the max are not folds and must not split."""
+    neither candidate attains the max are not folds and must not split.
+
+    Where the backend ``shares_ties``, candidate j's cut of the part itself
+    against candidate i also gives i's cut of it against j (``_clip_tie``)."""
     parts = [cell]
     for Ru, su in zip(R, s):
         tol = backend.zero_normal_tol * max(1.0, float(np.abs(Ru).max()))
         new_parts = []
         for p in parts:
-            kept = []
+            kept, halves = [], {}  # (j, i): candidate j's cut of p against i
             for j in range(len(su)):
                 q = p
                 for i in range(len(su)):
@@ -567,7 +646,13 @@ def _maxout_parts(backend, cell: "_Cell", R: np.ndarray, s: list) -> list["_Cell
                         if c < -tol or (abs(c) <= tol and i < j):
                             break
                         continue
-                    q = _clip_positive(backend, q, a, c)
+                    if q is p and (j, i) in halves:
+                        q = halves.pop((j, i))
+                    elif q is p and backend.shares_ties:
+                        q, halves[i, j] = _clip_tie(backend, p, (a, c),
+                                                    (Ru[i] - Ru[j], su[i] - su[j]))
+                    else:
+                        q = _clip_positive(backend, q, a, c)
                     if q is None:
                         break
                 else:
@@ -578,30 +663,32 @@ def _maxout_parts(backend, cell: "_Cell", R: np.ndarray, s: list) -> list["_Cell
 
 
 def _split_by_rows(backend, cell: "_Cell", N: np.ndarray, C: list, live, keys: Sequence,
-                   layer, piece: tuple, done: int, budget: int) -> list["_Cell"]:
+                   cross: list, layer, piece: tuple, done: int, budget: int) -> list["_Cell"]:
     """Split a cell by its ``live`` switching rows ``N x + C = 0`` in order,
-    skipping repeats by their ``keys``. A guarded row splits only parts
-    whose witness the cell's ``piece`` maps inside its unit's clamp box.
-    ``done`` cells of the layer count against the ``budget`` already."""
+    skipping repeats by their ``keys``, then the rows that do not ``cross``
+    the cell (``backend.crossing``), which split none of its parts. A
+    guarded row splits only parts whose witness the cell's ``piece`` maps
+    inside its unit's clamp box. ``done`` cells of the layer count against
+    the ``budget`` already."""
     guard = layer.guard
     parts, seen = [cell], set()
     for r, key in zip(live, keys):
-        a, c = N[r], C[r]
         if key in seen:
             continue
         seen.add(key)
-        new_parts = []
-        for p in parts:
-            blocked = guard is not None and guard[r] >= 0 and \
-                not layer.inside((piece[0] @ p.witness + piece[1])[None])[0, guard[r]]
-            res = None if blocked else backend.split(p, a, c)
-            if res is None:
-                new_parts.append(p)
-            else:
-                (g_neg, w_neg), (g_pos, w_pos) = res
-                new_parts += [_Cell(p.constraints + [(-a, -c)], w_neg, g_neg),
-                              _Cell(p.constraints + [(a, c)], w_pos, g_pos)]
-        parts = new_parts
+        if cross[r]:
+            a, c, new_parts = N[r], C[r], []
+            for p in parts:
+                blocked = guard is not None and guard[r] >= 0 and \
+                    not layer.inside((piece[0] @ p.witness + piece[1])[None])[0, guard[r]]
+                res = None if blocked else backend.split(p, a, c)
+                if res is None:
+                    new_parts.append(p)
+                else:
+                    (g_neg, w_neg), (g_pos, w_pos) = res
+                    new_parts += [_Cell(p.constraints + [(-a, -c)], w_neg, g_neg),
+                                  _Cell(p.constraints + [(a, c)], w_pos, g_pos)]
+            parts = new_parts
         if done + len(parts) > budget:
             raise BudgetExceeded(done + len(parts), budget)
     return parts
@@ -628,6 +715,8 @@ def _subdivide(layers: list, backend, lo: np.ndarray, hi: np.ndarray, A: np.ndar
             live = (np.abs(N).max(axis=2) > backend.zero_normal_tol) & (C > -np.inf)
             keys = backend.keys(N[live], C[live])
             cuts = [0] + np.cumsum(live.sum(axis=1)).tolist()
+            rows, offsets = live.nonzero()[1].tolist(), C.tolist()
+            cross = backend.crossing(cells, N, C).tolist()
         out_cells, parent = [], []
         for i, cell in enumerate(cells):
             if maxout:
@@ -635,8 +724,9 @@ def _subdivide(layers: list, backend, lo: np.ndarray, hi: np.ndarray, A: np.ndar
                 if len(out_cells) + len(parts) > budget:
                     raise BudgetExceeded(len(out_cells) + len(parts), budget)
             else:
-                parts = _split_by_rows(backend, cell, N[i], C[i].tolist(), live[i].nonzero()[0],
-                                       keys[cuts[i]:cuts[i + 1]], layer,
+                f, e = cuts[i], cuts[i + 1]
+                parts = _split_by_rows(backend, cell, N[i], offsets[i], rows[f:e], keys[f:e],
+                                       cross[i], layer,
                                        (A[i], b[i]), len(out_cells), budget)
             out_cells.extend(parts)
             parent += [i] * len(parts)
@@ -660,9 +750,14 @@ def enumerate_regions(net: NetworkSpec, domain=None, *,
                              np.eye(d)[None], np.zeros((1, d)), cell_budget)
     W = np.round([cell.witness for cell in cells], 9).tolist()
     order = sorted(range(len(cells)), key=lambda i: (W[i], len(cells[i].constraints)))
-    regions = [Region(cells[i].constraints, AffineMap(A[i], b[i]), cells[i].witness.copy(),
-                      cells[i].geom) for i in order]
-    return RegionSet(d, regions, (lo, hi) if bounded else None)
+    A, b = A[order], b[order]
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValidationError("non-finite affine data")
+    A.setflags(write=False)
+    b.setflags(write=False)
+    regions = [Region(cells[i].constraints, AffineMap.view(A[k], b[k]), cells[i].witness.copy(),
+                      cells[i].geom) for k, i in enumerate(order)]
+    return RegionSet(d, regions, (lo, hi) if bounded else None, (A, b))
 
 
 def _piece_fingerprints(M: np.ndarray, B: np.ndarray) -> list:
@@ -719,19 +814,27 @@ def _components(cells: list, d: int, box: float) -> int:
     bounds = list(itertools.pairwise([0] + np.cumsum([len(r.rows) for r in cells]).tolist()))
     # A cell's facet on a row: its vertices within rounding of the row at the
     # box's scale, in 3+ inputs those whose act holds the row. Its span runs
-    # along the line in 2 inputs, else along the axis the normal leans on least.
+    # along the line in 2 inputs, else along the axis the normal leans on least,
+    # and in 3+ inputs its bounding box, widened by that rounding as a
+    # distance, must meet the other facet's in every coordinate as well.
     P = np.array([p[:-1] for p in planes]).reshape(len(N), d)
     U = P[:, ::-1] * [-1.0, 1.0] if d == 2 else np.eye(d)[np.abs(P).argmin(axis=1)]
     tol = _VERTEX_ROUNDING * (box * np.abs(N).sum(axis=1) + np.abs(C))
     spans: dict[tuple, list] = {}
-    for i, (r, (f, e)) in enumerate(zip(cells, bounds)):
+    reach = np.empty((2, len(N)))  # each facet's span (lo, hi)
+    facets = []  # (vertices, their rows) of every cell's facets in 3+ inputs
+    for r, (f, e) in zip(cells, bounds):
         V = r.geom[0] if d >= 3 else np.reshape(r.geom, (-1, d))
         on = np.array([[w >> k & 1 for k in range(2 * d, 2 * d + e - f)] for w in r.geom[1]],
                       dtype=bool) if d >= 3 else np.abs(V @ N[f:e].T + C[f:e]) <= tol[f:e]
         x = V @ U[f:e].T
         lo, hi = np.where(on, x, np.inf).min(axis=0), np.where(on, x, -np.inf).max(axis=0)
+        reach[:, f:e] = lo, hi
+        if d >= 3:
+            k, g = np.nonzero(on)
+            facets.append((V[k], f + g))
         for g in (f + np.flatnonzero(on.any(axis=0))).tolist():
-            spans.setdefault(planes[g], []).append((lo[g - f], hi[g - f], signed[g] < negated[g], i, g))
+            spans.setdefault(planes[g], []).append((lo[g - f], hi[g - f], signed[g] < negated[g], g))
     ksets, nsets = [set(signed[f:e]) for f, e in bounds], [set(negated[f:e]) for f, e in bounds]
     root = list(range(len(cells)))
 
@@ -740,14 +843,28 @@ def _components(cells: list, d: int, box: float) -> int:
             root[i] = i = root[root[i]]
         return i
 
-    pairs = []  # (-overlap, p, row of p, q) of spans that overlap or touch
+    G, H = [], []  # the rows of spans that overlap or touch: the later one's, its rival's
     for plane_spans in spans.values():  # sweep along the hyperplane
         open_ = ([], [])
-        for lo, hi, side, p, g in sorted(plane_spans):
+        for lo, hi, side, g in sorted(plane_spans):
             open_[side][:] = [s for s in open_[side] if s[0] >= lo]
-            pairs += [(lo - min(hi, q_hi), p, g, q) for q_hi, q in open_[side]]
-            open_[not side].append((hi, p))
-    for overlap, p, g, q in sorted(pairs):  # the longest first: fewer facets to clip
+            G += [g] * len(open_[side])
+            H += [h for _, h in open_[side]]
+            open_[not side].append((hi, g))
+    G, H = np.array(G, dtype=np.intp), np.array(H, dtype=np.intp)
+    if d >= 3:
+        X, rows = (np.concatenate(a) for a in zip(*facets))
+        gap = (tol / row_norms(N))[:, None]
+        boxes = np.stack([np.full((len(N), d), np.inf), np.full((len(N), d), -np.inf)])
+        np.minimum.at(boxes[0], rows, X)
+        np.maximum.at(boxes[1], rows, X)
+        boxes += [-gap, gap]
+        meet = ((boxes[0, G] <= boxes[1, H]) & (boxes[0, H] <= boxes[1, G])).all(axis=1)
+        G, H = G[meet], H[meet]
+    owner = np.repeat(np.arange(len(cells)), [e - f for f, e in bounds])
+    pairs = (reach[0, G] - np.minimum(reach[1, G], reach[1, H]), owner[G], G, owner[H])
+    order = np.lexsort(pairs[::-1])  # the longest overlap first: fewer facets to clip
+    for overlap, p, g, q in zip(*(v[order].tolist() for v in pairs)):
         if find(p) == find(q) or len(ksets[p] & nsets[q]) != 1:
             continue
         if d >= 3:
@@ -774,9 +891,9 @@ def count_report(rs: RegionSet, net: Optional[NetworkSpec] = None) -> CountRepor
     ``act`` holds the row), clipped by q's other rows with ``_clip_vertices``,
     has a vertex more than that beyond every other row of both, the rule
     that admits cells. Candidate pairs come from joining the rows' signed
-    keys within a piece and sweeping the facets' spans along each plane."""
-    fps = _piece_fingerprints(np.array([r.piece.matrix for r in rs.regions]),
-                              np.array([r.piece.offset for r in rs.regions]))
+    keys within a piece and sweeping the facets' spans along each plane; in
+    3+ inputs the facets' bounding boxes must also meet."""
+    fps = _piece_fingerprints(*rs.stacked_pieces())
     groups: dict[tuple, list[Region]] = {}
     for r, fp in zip(rs.regions, fps):
         groups.setdefault(fp, []).append(r)
@@ -840,10 +957,12 @@ def _fingerprint_color(fp: tuple) -> str:
 def render_svg(rs: RegionSet, box) -> str:
     """640 x 640 SVG map of a 2D RegionSet clipped to ``box``; cells filled
     by a color hashed from their piece fingerprint, total cell count
-    annotated."""
+    annotated. On the box it was enumerated on, each cell's kept polygon is
+    its box clipped by its rows in order, the polygon drawn, bit for bit."""
     if rs.input_dim != 2:
         raise ValidationError("rendering requires a 2D region set")
     lo, hi, _ = _normalize_domain(box, 2)
+    own = rs.domain is not None and all(map(np.array_equal, (lo, hi), rs.domain))
     width = height = 640
     sx = width / (hi[0] - lo[0])
     sy = height / (hi[1] - lo[1])
@@ -852,11 +971,10 @@ def render_svg(rs: RegionSet, box) -> str:
         return (p[0] - lo[0]) * sx, height - (p[1] - lo[1]) * sy
 
     polys = []
-    for r in rs.regions:
-        verts = _region_polygon(r, (lo, hi))
+    for r, fp in zip(rs.regions, _piece_fingerprints(*rs.stacked_pieces())):
+        verts = r.geom.tolist() if own and r.geom is not None else _region_polygon(r, (lo, hi))
         if len(verts) < 3:
             continue
-        fp = piece_fingerprint(r.piece)
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(v) for v in verts))
         polys.append(f'<polygon points="{pts}" fill="{_fingerprint_color(fp)}" '
                      f'stroke="#333333" stroke-width="1"/>')

@@ -463,11 +463,12 @@ def mc_knot_density(arch: ArchitectureDescriptor, init: InitSpec, trials: int = 
 def _auto_bound(arch, init, rank, group_size) -> Optional[float]:
     """The closed-form bound of a net with one activation layer, else None.
     A sampled groupsort net keeps its readout affine, so its one sorting
-    layer needs dims (d, w, w)."""
+    layer needs dims (d, w, w), and the sampler adds it only where the
+    group size divides w."""
     fam, dims = arch.family, arch.dims
     if fam == "groupsort":
         return (unit_density_bound("groupsort", init, d=dims[0], group_size=group_size)
-                if len(dims) == 3 else None)
+                if len(dims) == 3 and dims[1] % group_size == 0 else None)
     if fam not in ("relu", "leaky", "abs", "maxout") or len(dims) != 2:
         return None
     if fam == "maxout":

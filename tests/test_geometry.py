@@ -1060,6 +1060,184 @@ def test_batched_fingerprints_match_per_piece_loop():
 
 
 # ---------------------------------------------------------------------------
+# Splitting work: crossing filter, shared tie splits, one-sided clips
+# ---------------------------------------------------------------------------
+
+def _layer_type_nets(d: int, seed: int) -> list:
+    """Seeded nets on ``d`` inputs of every layer type: pointwise (relu, abs
+    and a spline), maxout of ranks 2 and 3, group-sort, PWLU2D, maxout with
+    a repeated candidate and a dominated one, and relus whose planes leave
+    slabs and a corner 2.2e-7 to 1e-6 thin inside the box ±2."""
+    rng = np.random.default_rng(seed)
+
+    def affine(m, n):
+        return Affine(AffineMap(rng.normal(size=(m, n)), rng.normal(size=m)))
+
+    spline = core.ScalarCPWL(tuple(np.sort(rng.normal(size=2))), tuple(rng.normal(size=3)),
+                             float(rng.normal()))
+    W, o = rng.normal(size=(2, 3, d)), rng.normal(size=(2, 3))
+    W[0, 1], o[0, 1] = W[0, 0], o[0, 0]  # identical candidates
+    W[1, 2], o[1, 2] = W[1, 0], o[1, 0] - 1.0  # dominated everywhere
+    readins = tuple(AffineMap(0.5 * rng.normal(size=(2, 3)), 0.2 * rng.normal(size=2))
+                    for _ in range(2))
+    return [
+        NetworkSpec(d, (affine(3, d), Pointwise((relu_unit(), abs_unit(), spline)),
+                        affine(3, 3), Pointwise((relu_unit(),) * 3), affine(1, 3))),
+        NetworkSpec(d, (Maxout(2, rng.normal(size=(3, 2, d)), rng.normal(size=(3, 2))),
+                        Maxout(2, rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 2))))),
+        NetworkSpec(d, (Maxout(3, rng.normal(size=(2, 3, d)), rng.normal(size=(2, 3))),
+                        affine(1, 2))),
+        NetworkSpec(d, (affine(4, d), GroupSort(2), affine(3, 4), GroupSort(3))),
+        NetworkSpec(d, (affine(3, d), PWLU2D(3, rng.normal(size=(2, 3, 3)), readins),
+                        affine(1, 2))),
+        NetworkSpec(d, (Maxout(3, W, o), affine(1, 2))),
+        NetworkSpec(d, (Affine(AffineMap(np.vstack([np.eye(d)[0], np.ones(d), -np.eye(d)[-1]]),
+                                         np.array([5e-7 - 2.0, 1e-6 - 2.0 * d, 2.2e-7 - 2.0]))),
+                        Pointwise((relu_unit(),) * 3), affine(1, 3))),
+    ]
+
+
+def _bits(x):
+    """``x`` (arrays, floats and nestings of them) as exact, hashable data."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(v) for v in x)
+    return x.hex() if isinstance(x, float) else x
+
+
+def _region_bits(rs) -> list:
+    return [_bits((r.rows, r.piece.matrix, r.piece.offset, r.witness, r.geom))
+            for r in rs.regions]
+
+
+def test_crossing_filter_changes_no_bit(monkeypatch):
+    # Enumeration with the crossing filter, and with every row tried on
+    # every part: the same cells, rows, witnesses, pieces and geometry, bit
+    # for bit, in 1-3 inputs, on a box and unbounded.
+    def run():
+        return [_region_bits(enumerate_regions(net, domain))
+                for d in (1, 2, 3) for seed in range(3) for net in _layer_type_nets(d, seed)
+                for domain in ((-2.0, 2.0), None)]
+
+    splits, split = [0], geometry._PolygonBackend.split
+
+    def counted(self, *args):
+        splits[0] += 1
+        return split(self, *args)
+    monkeypatch.setattr(geometry._PolygonBackend, "split", counted)
+    filtered, filtered_splits = run(), splits[0]
+    monkeypatch.setattr(geometry._PolygonBackend, "crossing", geometry._FloatBackend.crossing)
+    splits[0] = 0
+    assert run() == filtered
+    assert filtered_splits < splits[0]  # the filter passed over some rows
+
+
+def _polygon_cells(seed: int, cuts: int) -> list:
+    """Cells of the box ±2 cut by ``cuts`` random lines."""
+    rng, backend = np.random.default_rng(seed), geometry._PolygonBackend()
+    cells = [geometry._Cell([], *backend.root(np.full(2, -2.0), np.full(2, 2.0))[::-1])]
+    for _ in range(cuts):
+        a, c = rng.normal(size=2), float(rng.normal())
+        new = []
+        for cell in cells:
+            res = backend.split(cell, a, c)
+            new += [cell] if res is None else [geometry._Cell([], w, g) for g, w in res]
+        cells = new
+    return cells
+
+
+def test_shared_tie_split_is_two_one_sided_clips(monkeypatch):
+    # One split along the tie of candidates i and j gives both cuts as the
+    # two _clip_positive calls do, bit for bit, the cell itself and None
+    # included; and maxout subdivision with and without the sharing makes
+    # the same parts, for ranks 2 and 3 with identical and dominated
+    # candidates.
+    backend, seen = geometry._PolygonBackend(), Counter()
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        for p in _polygon_cells(seed, 3):
+            for rank in (2, 3):
+                R, s = rng.normal(size=(2, rank, 2)), rng.normal(size=(2, rank))
+                R[0, 1], s[0, 1] = R[0, 0], s[0, 0]
+                R[1, -1], s[1, -1] = R[1, 0], s[1, 0] - 0.5
+                if seed % 3 == 0:  # a tie through a vertex of the cell
+                    s[1, 1] = s[1, 0] + (R[1, 0] - R[1, 1]) @ p.geom[0]
+                for Ru, su in zip(R, s.tolist()):
+                    for i, j in itertools.permutations(range(rank), 2):
+                        row, other = (Ru[j] - Ru[i], su[j] - su[i]), (Ru[i] - Ru[j], su[i] - su[j])
+                        got = geometry._clip_tie(backend, p, row, other)
+                        ref = (geometry._clip_positive(backend, p, *row),
+                               geometry._clip_positive(backend, p, *other))
+                        for g, r in zip(got, ref):
+                            seen["none" if r is None else "whole" if r is p else "cut"] += 1
+                            assert (g is None, g is p) == (r is None, r is p)
+                            if r is not None:
+                                assert _bits((g.constraints, g.witness, g.geom)) == \
+                                    _bits((r.constraints, r.witness, r.geom))
+                shared = geometry._maxout_parts(backend, p, R, s.tolist())
+                monkeypatch.setattr(geometry._PolygonBackend, "shares_ties", False)
+                alone = geometry._maxout_parts(backend, p, R, s.tolist())
+                monkeypatch.undo()
+                assert [_bits((q.constraints, q.witness, q.geom)) for q in shared] == \
+                    [_bits((q.constraints, q.witness, q.geom)) for q in alone]
+    assert min(seen.values()) > 100, seen
+
+
+def test_one_sided_vertex_clip_is_the_positive_side():
+    # split_positive builds only the side a.x + c > 0: the second side of
+    # split, bit for bit, and None where split gives None.
+    backend, sides = geometry._VertexBackend(), 0
+    for d in (3, 4):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            geom, w = backend.root(np.full(d, -2.0), np.full(d, 2.0))
+            cells = [geometry._Cell([], w, geom)]
+            for k in range(6):
+                a = rng.integers(-2, 3, d).astype(float) if k % 2 else rng.normal(size=d)
+                c = float(rng.integers(-2, 3))
+                if not a.any():
+                    continue
+                new = []
+                for cell in cells:
+                    res, pos = backend.split(cell, a, c), backend.split_positive(cell, a, c)
+                    assert (res is None) == (pos is None)
+                    if res is None:
+                        new.append(cell)
+                        continue
+                    assert _bits(pos) == _bits(res[1])
+                    sides += 1
+                    new += [geometry._Cell(cell.constraints + [(s * a, s * c)], *side[::-1])
+                            for s, side in zip((-1.0, 1.0), res)]
+                cells = new
+    assert sides > 100
+
+
+def test_region_pieces_are_read_only_views():
+    net = mixed_net()
+    rs = enumerate_regions(net, domain=(-2.0, 2.0))
+    M, B = rs.pieces
+    for k, r in enumerate(rs.regions):
+        for x, stack in ((r.piece.matrix, M), (r.piece.offset, B)):
+            assert np.shares_memory(x, stack) and np.array_equal(x, stack[k])
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 1.0
+    with pytest.raises(ValueError):
+        M[0, 0, 0] = 1.0
+    # A region set without stacked pieces stacks its regions' pieces.
+    again = geometry.RegionSet(rs.input_dim, rs.regions, rs.domain)
+    assert count_report(again) == count_report(rs)
+    assert render_svg(again, (-2.0, 2.0)) == render_svg(rs, (-2.0, 2.0))
+    # A piece that overflows is still refused.
+    big = NetworkSpec(2, (Affine(AffineMap(np.diag([1e308, 1.0]), np.zeros(2))),
+                          Pointwise((relu_unit(),) * 2),
+                          Affine(AffineMap(np.array([[10.0, 1.0]]), np.zeros(1)))))
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="non-finite"):
+        enumerate_regions(big, domain=(-2.0, 2.0))
+
+
+# ---------------------------------------------------------------------------
 # Exact-rational adjudication
 # ---------------------------------------------------------------------------
 
@@ -1149,6 +1327,28 @@ def test_render_svg_draws_every_cell():
     assert svg.count("<polygon") == len(rs)
     assert "(9)" in svg
     assert svg.startswith("<svg")
+
+
+def test_render_draws_kept_polygons_as_the_box_clip(monkeypatch):
+    # On the box it was enumerated on, rendering draws each cell's kept
+    # polygon; on a region set that has forgotten its box it clips the box
+    # by each cell's rows: the same SVG, byte for byte, for every 2-input
+    # layer type, maxout ties and thin slabs included.
+    clips, clip = [0], geometry._region_polygon
+
+    def counted(*args):
+        clips[0] += 1
+        return clip(*args)
+    monkeypatch.setattr(geometry, "_region_polygon", counted)
+    for seed in range(3):
+        for net in _layer_type_nets(2, seed) + [mixed_net()]:
+            rs = enumerate_regions(net, (-2.0, 2.0))
+            kept = render_svg(rs, (-2.0, 2.0))
+            assert clips[0] == 0
+            forgot = geometry.RegionSet(2, rs.regions, None, rs.pieces)
+            assert render_svg(forgot, (-2.0, 2.0)) == kept
+            assert clips[0] == len(rs)
+            clips[0] = 0
 
 
 def test_render_requires_two_dims():

@@ -476,6 +476,20 @@ def test_auto_bound_covers_one_groupsort_stage():
     assert mc_knot_density(affine, init, trials=100).bound is None
 
 
+def test_auto_bound_needs_a_sorting_layer():
+    # Width 3 is no multiple of the group size 2, so the sampler adds no
+    # sorting layer: the net is affine, has no knots and gets no bound.
+    init = InitSpec(seed=5)
+    arch = ArchitectureDescriptor((4, 3, 3), ((2,) * 3, (2,) * 3), family="groupsort")
+    net = sample_network(arch, init, group_size=2)
+    assert not any(isinstance(layer, GroupSort) for layer in net.layers)
+    est = mc_knot_density(arch, init, trials=100, group_size=2)
+    assert est.mean == 0.0 and est.bound is None
+    # Group size 3 divides the width: one sorting layer, and its bound.
+    assert mc_knot_density(arch, init, trials=100, group_size=3).bound == \
+        unit_density_bound("groupsort", init, d=4, group_size=3)
+
+
 def test_groupsort_density_respects_its_bound():
     # One sorting stage on 4 inputs; the readout stays affine, so the bound
     # for a single sorting layer applies.
