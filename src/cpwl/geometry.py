@@ -21,16 +21,20 @@ processing is pure and order-independent; the output ordering is
 canonicalized, so results are deterministic.
 
 In 2 inputs a row is tried on the parts of a cell only if it crosses the
-cell, which one pass over all cells of a layer decides from their
-vertices: it crosses unless every vertex lies within split's margin
-m = EPS_INTERIOR ||a|| of one side of it. Such a row leaves on its other
-side at most a strip about EPS_INTERIOR wide of the cell, and so of each
-part (a part lies in its cell); the strip's area/perimeter, at most its
-inradius, half that width, fails the 2-input test with room for rounding,
-so the filter drops only splits that would not happen, and the cells are
-the same bit for bit. Also in 2 inputs, one split along the tie of two
-maxout candidates gives both their cuts, as negated values clip to the
-same vertices; 3+-input clips build only the side they keep.
+cell, which a pass over the vertices of a layer's cells decides: it crosses
+unless every vertex lies within m - r of one side of it, where
+m = EPS_INTERIOR ||a|| is split's margin and r = 2^-48 (max |x| ||a||_1 +
+|c|), 32 units of rounding at the cells' scale, bounds how far split's
+values at a part's vertices (a part lies in its cell, its vertices up to
+rounding) can stray from the cell's. So split finds the row within m of
+that side on every part and returns None; even were r exceeded, the other
+side would be a strip about EPS_INTERIOR wide, whose area/perimeter, at
+most half that width, fails the 2-input test. Past |x| of about 1e7 r
+exceeds m, and only rows clear of a cell by more than rounding are passed
+over. The filter thus drops only splits that would not happen, and the
+cells are the same bit for bit. Also in 2 inputs, one split along the tie
+of two maxout candidates gives both their cuts, as negated values clip to
+the same vertices; 3+-input clips build only the side they keep.
 
 The float engine's tolerances are the module constants R_MAX, EPS_INTERIOR,
 DEDUP_TOL, ZERO_NORMAL_TOL and FINGERPRINT_TOL; ``enumerate_regions``' cell
@@ -133,25 +137,17 @@ class Region:
 
 @dataclass
 class RegionSet:
-    """The regions of a subdivision. ``pieces``, where enumeration set it,
-    holds their pieces stacked as read-only (matrices, offsets) arrays in
-    the order of ``regions``, each region's piece being a view of its row."""
+    """The regions of a subdivision; ``pieces`` holds their pieces stacked
+    as read-only (matrices, offsets) arrays in the order of ``regions``,
+    each region's piece being a view of its row."""
 
     input_dim: int
     regions: list[Region]
     domain: Optional[tuple[np.ndarray, np.ndarray]]  # None = unbounded (R_max box)
-    pieces: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False,
-                                                            compare=False)
+    pieces: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.regions)
-
-    def stacked_pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """(matrices, offsets) of the regions' pieces, in order."""
-        if self.pieces is not None:
-            return self.pieces
-        return (np.array([r.piece.matrix for r in self.regions]),
-                np.array([r.piece.offset for r in self.regions]))
 
 
 @dataclass
@@ -331,8 +327,8 @@ class _FloatBackend:
     def keys(self, N: np.ndarray, C: np.ndarray) -> Sequence:
         return _hyperplane_keys(N, C)
 
-    def crossing(self, cells: list, N: np.ndarray, C: np.ndarray) -> np.ndarray:
-        return np.ones(C.shape, dtype=bool)
+    def crossing(self, cells: list, N: np.ndarray, C: np.ndarray) -> list:
+        return np.ones(C.shape, dtype=bool).tolist()
 
     def split_positive(self, cell: _Cell, a: np.ndarray, c: float):
         res = self.split(cell, a, c)
@@ -451,14 +447,23 @@ class _PolygonBackend(_FloatBackend):
         return verts, verts.mean(axis=0)
 
     def crossing(self, cells, N, C):
-        # Row r of cell i at the cell's vertices, all cells of a layer at once.
-        sizes = [len(cell.geom) for cell in cells]
-        owner = np.repeat(np.arange(len(cells)), sizes)
-        X = np.concatenate([cell.geom for cell in cells])
-        D = X[:, :1] * N[owner, :, 0] + X[:, 1:] * N[owner, :, 1] + C[owner]
-        starts = np.cumsum([0] + sizes[:-1])
-        m = EPS_INTERIOR * np.sqrt((N * N).sum(axis=2))
-        return (np.minimum.reduceat(D, starts) < -m) & (np.maximum.reduceat(D, starts) > m)
+        # Each row at the cells' vertices, a block of cells at a time, so the
+        # (vertices x rows) arrays stay a few MB however many cells a layer has;
+        # r takes ||a||_1 <= sqrt(2) ||a||.
+        out, step = [], max(1, _CROSSING_BLOCK // max(1, N.shape[1]))
+        with np.errstate(invalid="ignore"):  # a NaN crosses: split decides as ever
+            for f in range(0, len(cells), step):
+                block, Nb, Cb = cells[f:f + step], N[f:f + step], C[f:f + step]
+                sizes = [len(cell.geom) for cell in block]
+                owner = np.repeat(np.arange(len(block)), sizes)
+                X = np.concatenate([cell.geom for cell in block])
+                D = X[:, :1] * Nb[owner, :, 0] + X[:, 1:] * Nb[owner, :, 1] + Cb[owner]
+                per_norm = EPS_INTERIOR - _VERTEX_ROUNDING * math.sqrt(2) * float(np.abs(X).max())
+                m = np.hypot(Nb[..., 0], Nb[..., 1]) * per_norm - _VERTEX_ROUNDING * np.abs(Cb)
+                starts = np.cumsum([0] + sizes[:-1])
+                one_sided = (np.minimum.reduceat(D, starts) >= -m) | (np.maximum.reduceat(D, starts) <= m)
+                out += (~one_sided).tolist()
+        return out
 
     def split(self, cell: _Cell, a: np.ndarray, c: float):
         vals = (cell.geom @ a + c).tolist()
@@ -478,6 +483,7 @@ class _PolygonBackend(_FloatBackend):
 # 2^-50 of that term, while 2^-44 and coarser snap real depths on the R_max
 # box and change counts that the same rule gives in exact arithmetic.
 _VERTEX_ROUNDING = 2.0 ** -48
+_CROSSING_BLOCK = 2 ** 16  # cells x rows of one block of _PolygonBackend.crossing
 
 
 def _clip_vertices(V: np.ndarray, act: list, dist: np.ndarray, bit: int, keep=(0, 1)):
@@ -716,7 +722,7 @@ def _subdivide(layers: list, backend, lo: np.ndarray, hi: np.ndarray, A: np.ndar
             keys = backend.keys(N[live], C[live])
             cuts = [0] + np.cumsum(live.sum(axis=1)).tolist()
             rows, offsets = live.nonzero()[1].tolist(), C.tolist()
-            cross = backend.crossing(cells, N, C).tolist()
+            cross = backend.crossing(cells, N, C)
         out_cells, parent = [], []
         for i, cell in enumerate(cells):
             if maxout:
@@ -893,9 +899,9 @@ def count_report(rs: RegionSet, net: Optional[NetworkSpec] = None) -> CountRepor
     that admits cells. Candidate pairs come from joining the rows' signed
     keys within a piece and sweeping the facets' spans along each plane; in
     3+ inputs the facets' bounding boxes must also meet."""
-    fps = _piece_fingerprints(*rs.stacked_pieces())
+    fps = _piece_fingerprints(*rs.pieces)
     groups: dict[tuple, list[Region]] = {}
-    for r, fp in zip(rs.regions, fps):
+    for r, fp in zip(rs.regions, fps, strict=True):
         groups.setdefault(fp, []).append(r)
     box = R_MAX if rs.domain is None else float(np.abs(rs.domain).max())
     components = sum(_components(cells, rs.input_dim, box) for cells in groups.values())
@@ -957,12 +963,10 @@ def _fingerprint_color(fp: tuple) -> str:
 def render_svg(rs: RegionSet, box) -> str:
     """640 x 640 SVG map of a 2D RegionSet clipped to ``box``; cells filled
     by a color hashed from their piece fingerprint, total cell count
-    annotated. On the box it was enumerated on, each cell's kept polygon is
-    its box clipped by its rows in order, the polygon drawn, bit for bit."""
+    annotated."""
     if rs.input_dim != 2:
         raise ValidationError("rendering requires a 2D region set")
     lo, hi, _ = _normalize_domain(box, 2)
-    own = rs.domain is not None and all(map(np.array_equal, (lo, hi), rs.domain))
     width = height = 640
     sx = width / (hi[0] - lo[0])
     sy = height / (hi[1] - lo[1])
@@ -971,8 +975,8 @@ def render_svg(rs: RegionSet, box) -> str:
         return (p[0] - lo[0]) * sx, height - (p[1] - lo[1]) * sy
 
     polys = []
-    for r, fp in zip(rs.regions, _piece_fingerprints(*rs.stacked_pieces())):
-        verts = r.geom.tolist() if own and r.geom is not None else _region_polygon(r, (lo, hi))
+    for r, fp in zip(rs.regions, _piece_fingerprints(*rs.pieces), strict=True):
+        verts = _region_polygon(r, (lo, hi))
         if len(verts) < 3:
             continue
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(v) for v in verts))

@@ -1114,11 +1114,12 @@ def _region_bits(rs) -> list:
 def test_crossing_filter_changes_no_bit(monkeypatch):
     # Enumeration with the crossing filter, and with every row tried on
     # every part: the same cells, rows, witnesses, pieces and geometry, bit
-    # for bit, in 1-3 inputs, on a box and unbounded.
+    # for bit, in 1-3 inputs, on a box, on a box of 1e9 where rounding
+    # exceeds split's margin, and unbounded.
     def run():
         return [_region_bits(enumerate_regions(net, domain))
                 for d in (1, 2, 3) for seed in range(3) for net in _layer_type_nets(d, seed)
-                for domain in ((-2.0, 2.0), None)]
+                for domain in ((-2.0, 2.0), (-1e9, 1e9), None)]
 
     splits, split = [0], geometry._PolygonBackend.split
 
@@ -1225,10 +1226,10 @@ def test_region_pieces_are_read_only_views():
                 x[0] = 1.0
     with pytest.raises(ValueError):
         M[0, 0, 0] = 1.0
-    # A region set without stacked pieces stacks its regions' pieces.
-    again = geometry.RegionSet(rs.input_dim, rs.regions, rs.domain)
-    assert count_report(again) == count_report(rs)
-    assert render_svg(again, (-2.0, 2.0)) == render_svg(rs, (-2.0, 2.0))
+    # Pieces that do not pair up with the regions are refused.
+    short = geometry.RegionSet(rs.input_dim, rs.regions[1:], rs.domain, rs.pieces)
+    with pytest.raises(ValueError):
+        count_report(short)
     # A piece that overflows is still refused.
     big = NetworkSpec(2, (Affine(AffineMap(np.diag([1e308, 1.0]), np.zeros(2))),
                           Pointwise((relu_unit(),) * 2),
@@ -1327,28 +1328,6 @@ def test_render_svg_draws_every_cell():
     assert svg.count("<polygon") == len(rs)
     assert "(9)" in svg
     assert svg.startswith("<svg")
-
-
-def test_render_draws_kept_polygons_as_the_box_clip(monkeypatch):
-    # On the box it was enumerated on, rendering draws each cell's kept
-    # polygon; on a region set that has forgotten its box it clips the box
-    # by each cell's rows: the same SVG, byte for byte, for every 2-input
-    # layer type, maxout ties and thin slabs included.
-    clips, clip = [0], geometry._region_polygon
-
-    def counted(*args):
-        clips[0] += 1
-        return clip(*args)
-    monkeypatch.setattr(geometry, "_region_polygon", counted)
-    for seed in range(3):
-        for net in _layer_type_nets(2, seed) + [mixed_net()]:
-            rs = enumerate_regions(net, (-2.0, 2.0))
-            kept = render_svg(rs, (-2.0, 2.0))
-            assert clips[0] == 0
-            forgot = geometry.RegionSet(2, rs.regions, None, rs.pieces)
-            assert render_svg(forgot, (-2.0, 2.0)) == kept
-            assert clips[0] == len(rs)
-            clips[0] = 0
 
 
 def test_render_requires_two_dims():
