@@ -15,10 +15,12 @@ derived rounding bound hands close calls and polygons of 8+ vertices to
 numpy's formulas, so cells and witnesses are theirs bit for bit), and, for
 3+ inputs, cells that keep their vertices: a side is a cell iff one of its
 vertices lies more than 2 EPS_INTERIOR beyond the cut, and its witness is
-its vertex centroid. Every region keeps its cell's geometry, from which
-``count_report`` reads facet adjacency; neither solves an LP. Cell
-processing is pure and order-independent; the output ordering is
-canonicalized, so results are deterministic.
+its vertex centroid; a split reads the distances to the cut once, as
+Python floats, and clips by numpy's elementwise operations in Python, bit
+for bit as numpy, building only the sides it keeps. Every region keeps its
+cell's geometry, from which ``count_report`` reads facet adjacency; neither
+solves an LP. Cell processing is pure and order-independent; the output
+ordering is canonicalized, so results are deterministic.
 
 In 2 inputs a row is tried on the parts of a cell only if it crosses the
 cell, which a pass over the vertices of a layer's cells decides: it crosses
@@ -34,7 +36,7 @@ exceeds m, and only rows clear of a cell by more than rounding are passed
 over. The filter thus drops only splits that would not happen, and the
 cells are the same bit for bit. Also in 2 inputs, one split along the tie
 of two maxout candidates gives both their cuts, as negated values clip to
-the same vertices; 3+-input clips build only the side they keep.
+the same vertices.
 
 The float engine's tolerances are the module constants R_MAX, EPS_INTERIOR,
 DEDUP_TOL, ZERO_NORMAL_TOL and FINGERPRINT_TOL; ``enumerate_regions``' cell
@@ -87,12 +89,14 @@ _ON_ROW_TOL = 1e-9  # regions_containing's slack, relative to max(1, ||a||)
 
 
 class BudgetExceeded(RuntimeError):
-    """Cell budget hit during subdivision."""
+    """Cell budget hit during subdivision; ``layer`` is the (index, type) of
+    the network layer being split, the type as in the network JSON."""
 
-    def __init__(self, count: int, budget: int):
-        super().__init__(f"cell budget exceeded: {count} > {budget}")
+    def __init__(self, count: int, budget: int, layer: tuple[int, str]):
+        super().__init__(f"cell budget exceeded: {count} > {budget} in layer {layer[0]} ({layer[1]})")
         self.count = count
         self.budget = budget
+        self.layer = layer
 
 
 @dataclass(frozen=True)
@@ -476,39 +480,49 @@ class _PolygonBackend(_FloatBackend):
         return (neg, pos) if pos else None
 
 
-# A vertex that a cut a.x + c misses by at most this share of the cell's
-# largest term, (max |V| * ||a||_1 + |c|) / ||a||, is on the cut up to
-# rounding: it is snapped onto the cut, so that neither side gets a copy.
-# 32 units of rounding: on concurrent planes clipped vertices err by under
-# 2^-50 of that term, while 2^-44 and coarser snap real depths on the R_max
-# box and change counts that the same rule gives in exact arithmetic.
-_VERTEX_ROUNDING = 2.0 ** -48
+_VERTEX_ROUNDING = 2.0 ** -48  # see _snap_tol
 _CROSSING_BLOCK = 2 ** 16  # cells x rows of one block of _PolygonBackend.crossing
 
 
-def _clip_vertices(V: np.ndarray, act: list, dist: np.ndarray, bit: int, keep=(0, 1)):
+def _snap_tol(vmax, a1, c, norm):
+    """The distance within which a vertex is on the cut a.x + c = 0 up to
+    rounding, and is snapped onto it so that neither side gets a copy, for
+    one row or (as arrays) many: 32 units of rounding of the cell's largest
+    term, (max |V| ||a||_1 + |c|) / ||a||. On concurrent planes clipped
+    vertices err by under 2^-50 of it, while 2^-44 and coarser snap real
+    depths on the R_max box and change counts that the same rule gives in
+    exact arithmetic."""
+    return _VERTEX_ROUNDING * (vmax * a1 + abs(c)) / norm
+
+
+def _clip_vertices(V: np.ndarray, act: list, dist: Sequence, bit: int, keep=(0, 1)):
     """(V, act) of the sides dist < 0 and dist > 0 (those numbered in
     ``keep``) of a polytope with vertices ``V`` and active-row bit sets
     ``act``, cut by the row ``bit``; vertices with dist == 0 go to both
-    sides. New vertices lie on the edges whose ends have opposite signs:
-    two vertices share an edge when their sets share d - 1 rows and no third
-    vertex's set holds those rows (the double-description method's
-    combinatorial test; moot when one of the two has only d rows)."""
-    d, vals = V.shape[1], dist.tolist()
-    sides = ([i for i, v in enumerate(vals) if v < 0], [i for i, v in enumerate(vals) if v > 0])
-    on = [i for i, v in enumerate(vals) if v == 0]
-    I, J, simple = [], [], [w.bit_count() == d for w in act]
+    sides, NaN ones to neither. New vertices lie on the edges whose ends
+    have opposite signs: two vertices share an edge when their sets share
+    d - 1 rows and no third vertex's set holds those rows (the
+    double-description method's combinatorial test; moot when one of the
+    two has only d rows). They are interpolated on Python numbers by
+    numpy's elementwise formulas, so floats match theirs bit for bit."""
+    d, P = V.shape[1], V.tolist()
+    sides, on = ([], []), []
+    for i, v in enumerate(dist):
+        (sides[0] if v < 0 else sides[1] if v > 0 else on if v == 0 else []).append(i)
+    W, cut, simple = [], [], [w.bit_count() == d for w in act]
     for i in sides[0]:
+        p, vi, ai = P[i], dist[i], act[i]
         for j in sides[1]:
-            z = act[i] & act[j]
+            z = ai & act[j]
             if z.bit_count() >= d - 1 and (simple[i] or simple[j]
                                            or sum(z & w == z for w in act) == 2):
-                I.append(i)
-                J.append(j)
-    t = (dist[I] / (dist[I] - dist[J]))[:, None]
-    W = np.vstack([V[I] + t * (V[J] - V[I]), V[on]])
-    cut = [act[i] & act[j] | bit for i, j in zip(I, J)] + [act[k] | bit for k in on]
-    return [(np.vstack([V[sides[k]], W]), [act[i] for i in sides[k]] + cut) for k in keep]
+                t = vi / (vi - dist[j])
+                W.append([x + t * (y - x) for x, y in zip(p, P[j])])
+                cut.append(z | bit)
+    W += [P[k] for k in on]
+    cut += [act[k] | bit for k in on]
+    return [(np.array([P[i] for i in sides[k]] + W, dtype=V.dtype).reshape(-1, d),
+             [act[i] for i in sides[k]] + cut) for k in keep]
 
 
 class _VertexBackend(_FloatBackend):
@@ -519,8 +533,9 @@ class _VertexBackend(_FloatBackend):
 
     A side of a cut is a cell iff one of its vertices lies more than
     2 EPS_INTERIOR beyond the cut, the depth that a ball of radius
-    EPS_INTERIOR inside the side needs; box faces count as facets. A vertex
-    within ``_VERTEX_ROUNDING`` of the cut is snapped onto it, and the
+    EPS_INTERIOR inside the side needs; box faces count as facets. A split
+    reads the distances once as Python numbers, and one pass snaps those
+    within ``_snap_tol`` to 0 and finds the deepest on each side; the
     children get their vertices from ``_clip_vertices``.
     """
 
@@ -534,8 +549,18 @@ class _VertexBackend(_FloatBackend):
         """The sides numbered in ``keep`` (0 for a.x + c < 0, 1 for > 0), or
         None."""
         V, act = cell.geom
-        dist, depth = self._distances(V, a, c)
-        if dist.max() <= depth or dist.min() >= -depth:
+        dist, tol, depth = self._distances(V, a, c)
+        hi = lo = 0.0  # a NaN distance (on neither side) never leaves a cut one-sided
+        for i, v in enumerate(dist):
+            if abs(v) <= tol:
+                dist[i] = 0.0
+            elif v > hi:
+                hi = v
+            elif v < lo:
+                lo = v
+            elif v != v:
+                hi, lo = math.inf, -math.inf
+        if hi <= depth or lo >= -depth:
             return None
         sides = _clip_vertices(V, act, dist, 1 << (2 * V.shape[1] + len(cell.constraints)), keep)
         return tuple(((W, bits), W.mean(axis=0)) for W, bits in sides)
@@ -545,13 +570,11 @@ class _VertexBackend(_FloatBackend):
         return res and res[0]
 
     def _distances(self, V: np.ndarray, a: np.ndarray, c: float):
-        """(each vertex's distance beyond the cut, the rounding snapped to
-        0; the depth beyond it that admits a side)."""
-        norm = float(np.linalg.norm(a))
-        dist = (V @ a + c) / norm
-        tol = _VERTEX_ROUNDING * (np.abs(V).max() * np.abs(a).sum() + abs(c)) / norm
-        dist[np.abs(dist) <= tol] = 0.0
-        return dist, 2.0 * EPS_INTERIOR
+        """(each vertex's distance beyond the cut, a list; ``_snap_tol``; the
+        depth beyond the cut that admits a side)."""
+        norm = math.sqrt(a.dot(a))  # np.linalg.norm(a), bit for bit
+        return (((V @ a + c) / norm).tolist(),
+                _snap_tol(np.abs(V).max(), np.abs(a).sum(), c, norm), 2.0 * EPS_INTERIOR)
 
 
 class _ExactBackend(_VertexBackend):
@@ -567,7 +590,7 @@ class _ExactBackend(_VertexBackend):
         return range(len(N))
 
     def _distances(self, V, a, c):
-        return V @ a + c, 0
+        return (V @ a + c).tolist(), 0, 0
 
 
 def _backend_for(d: int):
@@ -669,13 +692,13 @@ def _maxout_parts(backend, cell: "_Cell", R: np.ndarray, s: list) -> list["_Cell
 
 
 def _split_by_rows(backend, cell: "_Cell", N: np.ndarray, C: list, live, keys: Sequence,
-                   cross: list, layer, piece: tuple, done: int, budget: int) -> list["_Cell"]:
+                   cross: list, layer, piece: tuple, room: int) -> list["_Cell"]:
     """Split a cell by its ``live`` switching rows ``N x + C = 0`` in order,
     skipping repeats by their ``keys``, then the rows that do not ``cross``
     the cell (``backend.crossing``), which split none of its parts. A
     guarded row splits only parts whose witness the cell's ``piece`` maps
-    inside its unit's clamp box. ``done`` cells of the layer count against
-    the ``budget`` already."""
+    inside its unit's clamp box. It stops once the parts outnumber ``room``,
+    the cells left in the layer's budget."""
     guard = layer.guard
     parts, seen = [cell], set()
     for r, key in zip(live, keys):
@@ -695,8 +718,8 @@ def _split_by_rows(backend, cell: "_Cell", N: np.ndarray, C: list, live, keys: S
                     new_parts += [_Cell(p.constraints + [(-a, -c)], w_neg, g_neg),
                                   _Cell(p.constraints + [(a, c)], w_pos, g_pos)]
             parts = new_parts
-        if done + len(parts) > budget:
-            raise BudgetExceeded(done + len(parts), budget)
+        if len(parts) > room:
+            break
     return parts
 
 
@@ -710,11 +733,11 @@ def _subdivide(layers: list, backend, lo: np.ndarray, hi: np.ndarray, A: np.ndar
     from ``switching``) and the network's piece on each, composed onto the
     identity ``(A, b)``: returns (cells, A, b), the pieces stacked. Floats or
     Fractions, the arrays carry the arithmetic; the backend says which
-    normals are zero and which rows repeat. Raises ``BudgetExceeded`` past
-    ``budget`` cells in a layer."""
+    normals are zero and which rows repeat. Raises ``BudgetExceeded``, naming
+    the layer, past ``budget`` cells in a layer."""
     geom, w = backend.root(lo, hi)
     cells = [_Cell([], w, geom)]
-    for layer in layers:
+    for index, layer in enumerate(layers):
         maxout = layer.kind is Maxout  # per cell: its candidates, or else its rows
         N, C = layer.candidates(A, b) if maxout else layer.rows(A, b)
         if not maxout:  # skip near-zero normals (a constant piece) and padding rows
@@ -727,13 +750,13 @@ def _subdivide(layers: list, backend, lo: np.ndarray, hi: np.ndarray, A: np.ndar
         for i, cell in enumerate(cells):
             if maxout:
                 parts = _maxout_parts(backend, cell, N[i], C[i].tolist())
-                if len(out_cells) + len(parts) > budget:
-                    raise BudgetExceeded(len(out_cells) + len(parts), budget)
             else:
                 f, e = cuts[i], cuts[i + 1]
                 parts = _split_by_rows(backend, cell, N[i], offsets[i], rows[f:e], keys[f:e],
-                                       cross[i], layer,
-                                       (A[i], b[i]), len(out_cells), budget)
+                                       cross[i], layer, (A[i], b[i]), budget - len(out_cells))
+            if len(out_cells) + len(parts) > budget:
+                raise BudgetExceeded(len(out_cells) + len(parts), budget,
+                                     (index, layer.kind.__name__.lower()))
             out_cells.extend(parts)
             parent += [i] * len(parts)
         cells, A, b = out_cells, A[parent], b[parent]
@@ -794,14 +817,14 @@ def _facet_is_thick(V: np.ndarray, act: list, N: np.ndarray, C: np.ndarray, bit:
     lies ``depth`` before clips it (as row ``bit`` on)."""
     norm = row_norms(N)
     D = (V @ N.T + C) / norm
-    D[np.abs(D) <= _VERTEX_ROUNDING * (np.abs(V).max() * np.abs(N).sum(axis=1) + np.abs(C)) / norm] = 0
+    D[np.abs(D) <= _snap_tol(np.abs(V).max(), np.abs(N).sum(axis=1), C, norm)] = 0
     acts = np.flatnonzero((D.max(axis=0) <= depth) | (D.min(axis=0) < -depth))
     if not len(acts):
         return True
     m = int(acts[0])  # the rows before it leave the facet as it is
     if D[:, m].max() <= depth:
         return False
-    V, act = _clip_vertices(V, act, D[:, m], 1 << (bit + m))[1]
+    V, act = _clip_vertices(V, act, D[:, m].tolist(), 1 << (bit + m), (1,))[0]
     return _facet_is_thick(V, act, N[m + 1:], C[m + 1:], bit + m + 1, depth)
 
 

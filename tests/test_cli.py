@@ -377,10 +377,12 @@ def test_bad_schema_is_validation_error(tmp_path):
     assert main(["count", "--net", str(bad)]) == 2
 
 
-def test_budget_exhaustion_exit_code(tmp_path):
+def test_budget_exhaustion_exit_code(tmp_path, capsys):
     main(["construct", "--gp", "--d", "2", "--ns", "3,3", "--out", str(tmp_path)])
+    capsys.readouterr()
     assert main(["count", "--net", str(tmp_path / "gp_net.json"),
                  "--budget", "2"]) == 3
+    assert capsys.readouterr().err == "error: cell budget exceeded: 3 > 2 in layer 1 (pointwise)\n"
 
 
 def test_seed_only_on_commands_that_draw(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exact region enumeration: witnesses, subdivision, counting, rendering."""
 import hashlib
 import itertools
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from cpwl.constructions import (extremal_sum_network,
                                 general_position_partitions, sawtooth)
 from cpwl.core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
                        Pointwise, PWLU2D, ValidationError, abs_unit,
-                       eval_jacobian, relu_unit)
+                       eval_jacobian, leaky_relu_unit, relu_unit)
 from cpwl.geometry import (DEDUP_TOL, EPS_INTERIOR, FINGERPRINT_TOL, R_MAX,
                            BudgetExceeded, HalfSpace, count_report, count_report_to_csv,
                            enumerate_regions, exact_cell_count,
@@ -435,6 +436,97 @@ def test_region_products_match_recorded_digests():
                      hashlib.sha256(dumps_canonical(region_set_to_json(rs)).encode()).hexdigest(),
                      hashlib.sha256(svg.encode()).hexdigest())
     assert got == _CORPUS_DIGESTS
+
+
+def _vertex_digest_corpus():
+    """(name, net, domain): 3- and 4-input abs, leaky, spline, maxout and
+    group-sort nets and a 3-input dead-half relu net, each on a box and
+    unbounded."""
+    rng = np.random.default_rng(2026)
+
+    def affine(m, n):
+        return Affine(AffineMap(rng.normal(size=(m, n)), rng.normal(size=m)))
+
+    spline = core.ScalarCPWL((-0.6, 0.3), (0.5, -1.2, 0.8), 0.1)
+    out = []
+    for d in (3, 4):
+        nets = {
+            "abs": NetworkSpec(d, (affine(5, d), Pointwise((abs_unit(),) * 5), affine(3, 5),
+                                   Pointwise((abs_unit(),) * 3), affine(1, 3))),
+            "leaky": NetworkSpec(d, (affine(4, d), Pointwise((leaky_relu_unit(0.1),) * 4),
+                                     affine(1, 4))),
+            "spline": NetworkSpec(d, (affine(3, d), Pointwise((spline,) * 3), affine(1, 3))),
+            "maxout": NetworkSpec(d, (Maxout(3, rng.normal(size=(3, 3, d)), rng.normal(size=(3, 3))),
+                                      Maxout(2, rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 2))),
+                                      affine(1, 2))),
+            "groupsort": NetworkSpec(d, (affine(4, d), GroupSort(2), affine(3, 4), GroupSort(3),
+                                         affine(1, 3))),
+        }
+        if d == 3:  # cells of one piece, whose facets count_report clips
+            nets["relu-dead"] = relu_dead_net(int(rng.integers(1000)), (d, 4, 3, 1), 2.5)
+        out += [(f"{name}-{d}-{'box' if domain else 'unbounded'}", net, domain)
+                for name, net in nets.items() for domain in ((-2.5, 2.5), None)]
+    return out
+
+
+# (cells, distinct, connected) and sha256 of the canonical regions.json;
+# recorded before the vertex split ran on Python floats.
+_VERTEX_DIGESTS = {
+    "abs-3-box": ((54, 54, 54),
+        "335b441158373d78b61ded9f397d0722c7a83c876e1a329ff50b5548b0dbb170"),
+    "abs-3-unbounded": ((126, 126, 126),
+        "7409c6d7cda494d8866113d429a6b5807b5c7115b89db8571a719159a6ca442f"),
+    "leaky-3-box": ((15, 15, 15),
+        "9851fcc13fd5e5bc37c6d07508600a2d32d4ee5314812720ce61193dcf22ff7b"),
+    "leaky-3-unbounded": ((15, 15, 15),
+        "24fa21c1274cca8c03a83c86f9107f4b3e12fd085643f63d863d5decaa6a5b69"),
+    "spline-3-box": ((27, 27, 27),
+        "a03f60048f596fd0a29099d95a6e353308a9099a7bef766980fa0be2375105a4"),
+    "spline-3-unbounded": ((27, 27, 27),
+        "1adcd97ced6ec40b7e3fb2c38225f9fe951d1cec9458c06070c618661cf8279a"),
+    "maxout-3-box": ((46, 46, 46),
+        "d216f6aa0457558e1e93dcbdcc9f197acfa9e30fa98d736ec02e252ea022a5bf"),
+    "maxout-3-unbounded": ((58, 58, 58),
+        "0cbd45ab4b206787121c40cbdadd1ab83100d034bd1d5834f9280a52f630a747"),
+    "groupsort-3-box": ((24, 24, 24),
+        "f187745405be319798e8ea689e754e1b0250c7046cc23dcca7d568b16425bbf4"),
+    "groupsort-3-unbounded": ((24, 24, 24),
+        "3f12faf5a7d221363ade52443464a03d7fadcc316ff12597b01af8f8782a6a92"),
+    "relu-dead-3-box": ((55, 35, 36),
+        "bea9b83a0e726f51af78e7e605bd4cb6f994fbd14bf244b6e5d3b1006a28155a"),
+    "relu-dead-3-unbounded": ((71, 42, 42),
+        "d344bbbe29d3709a14a6662663dd05c680666f39c300689c227da5f425e29464"),
+    "abs-4-box": ((67, 67, 67),
+        "8b1a0a0dd6c62d21263d8e424e84436fbd8b3dddbfafeb2b394ee5f5bb06dfe4"),
+    "abs-4-unbounded": ((71, 71, 71),
+        "f1d02f35d66a6df712c2b5c5bf2ab671ba2d471fff1e5b6a5051d7e2232fb1c6"),
+    "leaky-4-box": ((12, 12, 12),
+        "fee4cd2df66da3d7b23c5338c820b57e9f91b44b3689d2caf40d1795bc66ade3"),
+    "leaky-4-unbounded": ((16, 16, 16),
+        "15057c8ffb4359d556ed4868370281ca135f0491ed73e34fa2e2f8f29724f88c"),
+    "spline-4-box": ((27, 27, 27),
+        "a51084c231299176ffd878ee13f5f0b416db30f9216cc5c9b04ebff4b76847e2"),
+    "spline-4-unbounded": ((27, 27, 27),
+        "b4a6af5725b393081d56bcf797abab240c19fd644336f2d1202ad8d28c8e833a"),
+    "maxout-4-box": ((78, 78, 78),
+        "5d1f2b2d85aab7ab8a5de620157f65c1b030fa5af708a21126c5225d92ce4107"),
+    "maxout-4-unbounded": ((92, 92, 92),
+        "82da18e60ceaea5b520516b3d7641d5c158cbd0adf14febd5d08c2f13d5ebaad"),
+    "groupsort-4-box": ((24, 24, 24),
+        "8ab63a149989ec7936f39739a0d0e3c7ef82f52d7223b09c1758ec25a5a3da24"),
+    "groupsort-4-unbounded": ((24, 24, 24),
+        "ded414ea03d613f62ea2f6194baaabb215e1eb1044ed4392b532b5010b6dff07"),
+}
+
+
+def test_vertex_region_products_match_recorded_digests():
+    got = {}
+    for name, net, domain in _vertex_digest_corpus():
+        rs = enumerate_regions(net, domain=domain)
+        rep = count_report(rs)
+        got[name] = ((rep.cell_count, rep.distinct_piece_count, rep.connected_piece_count),
+                     hashlib.sha256(dumps_canonical(region_set_to_json(rs)).encode()).hexdigest())
+    assert got == _VERTEX_DIGESTS
 
 
 def _reference_key(a, c, tol, signed=False):
@@ -1014,6 +1106,13 @@ def test_budget_is_enforced():
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_regions(mixed_net(), domain=(-2.0, 2.0), cell_budget=5)
     assert exc.value.budget == 5
+    # The error names the layer being split, by its index in the net and its
+    # type, for a maxout layer's parts and for a split by switching rows.
+    assert exc.value.layer == (1, "maxout") and "in layer 1 (maxout)" in str(exc.value)
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_regions(mixed_net(), domain=(-2.0, 2.0), cell_budget=6)
+    assert (exc.value.count, exc.value.budget) == (7, 6)
+    assert exc.value.layer == (2, "groupsort") and "in layer 2 (groupsort)" in str(exc.value)
 
 
 def test_domain_forms():
@@ -1098,9 +1197,10 @@ def _layer_type_nets(d: int, seed: int) -> list:
 
 
 def _bits(x):
-    """``x`` (arrays, floats and nestings of them) as exact, hashable data."""
+    """``x`` (arrays, floats and nestings of them) as exact, hashable data;
+    object arrays (of Fractions) by their entries."""
     if isinstance(x, np.ndarray):
-        return x.dtype.str, x.shape, x.tobytes()
+        return x.dtype.str, x.shape, x.tolist() if x.dtype == object else x.tobytes()
     if isinstance(x, (tuple, list)):
         return tuple(_bits(v) for v in x)
     return x.hex() if isinstance(x, float) else x
@@ -1212,6 +1312,118 @@ def test_one_sided_vertex_clip_is_the_positive_side():
                             for s, side in zip((-1.0, 1.0), res)]
                 cells = new
     assert sides > 100
+
+
+def _array_distances(V, a, c):
+    """The float vertex distances and depth as numpy arrays computed them
+    before the split read them as Python floats: the reference."""
+    norm = float(np.linalg.norm(a))
+    dist = (V @ a + c) / norm
+    dist[np.abs(dist) <= geometry._VERTEX_ROUNDING * (np.abs(V).max() * np.abs(a).sum()
+                                                      + abs(c)) / norm] = 0.0
+    return dist, 2.0 * EPS_INTERIOR
+
+
+def _array_clip_vertices(V, act, dist, bit, keep=(0, 1)):
+    """``_clip_vertices`` on numpy arrays, as it was: the reference."""
+    d, vals = V.shape[1], dist.tolist()
+    sides = ([i for i, v in enumerate(vals) if v < 0], [i for i, v in enumerate(vals) if v > 0])
+    on = [i for i, v in enumerate(vals) if v == 0]
+    I, J, simple = [], [], [w.bit_count() == d for w in act]
+    for i in sides[0]:
+        for j in sides[1]:
+            z = act[i] & act[j]
+            if z.bit_count() >= d - 1 and (simple[i] or simple[j]
+                                           or sum(z & w == z for w in act) == 2):
+                I.append(i)
+                J.append(j)
+    t = (dist[I] / (dist[I] - dist[J]))[:, None]
+    W = np.vstack([V[I] + t * (V[J] - V[I]), V[on]])
+    cut = [act[i] & act[j] | bit for i, j in zip(I, J)] + [act[k] | bit for k in on]
+    return [(np.vstack([V[sides[k]], W]), [act[i] for i in sides[k]] + cut) for k in keep]
+
+
+def _array_split(cell, a, c, keep, exact, nan_at=None):
+    """``_VertexBackend.split`` (``_ExactBackend``'s if ``exact``) on the
+    reference arrays, with a NaN distance at vertex ``nan_at`` if given."""
+    V, act = cell.geom
+    dist, depth = (V @ a + c, 0) if exact else _array_distances(V, a, c)
+    if nan_at is not None:
+        dist[nan_at] = np.nan
+    if dist.max() <= depth or dist.min() >= -depth:
+        return None
+    sides = _array_clip_vertices(V, act, dist, 1 << (2 * V.shape[1] + len(cell.constraints)), keep)
+    return tuple(((W, bits), W.mean(axis=0)) for W, bits in sides)
+
+
+class _NanVertexBackend(geometry._VertexBackend):
+    """The float vertex backend with a NaN distance at vertex 0."""
+
+    def _distances(self, V, a, c):
+        dist, tol, depth = super()._distances(V, a, c)
+        dist[0] = np.nan
+        return dist, tol, depth
+
+
+def test_vertex_split_matches_array_reference():
+    # split, split_positive and _clip_vertices against the array versions
+    # they replace, bit for bit: seeded 3- and 4-input cells of the boxes ±2
+    # and R_MAX, cut by random rows, integer rows (degenerate vertices, on
+    # more than d rows), rows through a vertex and a hair off it (snapped
+    # vertices), on floats and on Fractions; and with a NaN distance.
+    seen = Counter()
+    for d, seed, half, exact in itertools.product((3, 4), range(3), (2.0, R_MAX), (False, True)):
+        if exact and (half == R_MAX or seed == 2):
+            continue
+        rng = np.random.default_rng([seed, d, int(half), exact])
+        backend = geometry._ExactBackend() if exact else geometry._VertexBackend()
+        num = geometry._fractions if exact else np.asarray
+        geom, w = backend.root(num(np.full(d, -half)), num(np.full(d, half)))
+        cells = [geometry._Cell([], w, geom)]
+        for k in range(7):
+            a = rng.integers(-2, 3, d).astype(float) if k % 2 or exact else rng.normal(size=d)
+            if not a.any():
+                continue
+            a = geometry._fractions(a) if exact else a
+            if k % 3 == 2:  # through a vertex of a cell, or (floats) a hair off it
+                V = cells[rng.integers(len(cells))].geom[0]
+                c = -(a @ V[rng.integers(len(V))])
+                c = c if exact else float(c) + rng.choice([0.0, 1e-13, 1e-6]) * half
+            else:
+                c = rng.integers(-2, 3) * (Fraction(half) if exact else half) / 2
+            new = []
+            for cell in cells:
+                V, act = cell.geom
+                res, pos = backend.split(cell, a, c), backend.split_positive(cell, a, c)
+                assert _bits(res) == _bits(_array_split(cell, a, c, (0, 1), exact))
+                assert _bits(pos) == _bits(res and res[1])
+                assert _bits(backend.split(cell, a, c, (1,))) == \
+                    _bits(_array_split(cell, a, c, (1,), exact))
+                dist = V @ a + c if exact else _array_distances(V, a, c)[0]
+                bit = 1 << (2 * d + len(cell.constraints))
+                for keep in ((0, 1), (1,)):
+                    assert _bits(geometry._clip_vertices(V, act, dist.tolist(), bit, keep)) \
+                        == _bits(_array_clip_vertices(V, act, dist, bit, keep))
+                if not exact:
+                    seen["snapped"] += bool(((dist == 0) & (V @ a + c != 0)).any())
+                if not exact and k % 2:
+                    for keep in ((0, 1), (1,)):
+                        with warnings.catch_warnings():  # the mean of a side left empty
+                            warnings.simplefilter("ignore", RuntimeWarning)
+                            nan = _NanVertexBackend().split(cell, a, c, keep)
+                            ref = _array_split(cell, a, c, keep, False, nan_at=0)
+                        assert _bits(nan) == _bits(ref)
+                    seen["nan-split"] += nan is not None and res is None
+                    seen["nan-empty-side"] += nan is not None and not len(nan[0][0][0])
+                seen["degenerate"] += any(w.bit_count() > d for w in act)
+                seen["exact" if exact else "float"] += 1
+                if res is None:
+                    new.append(cell)
+                    continue
+                new += [geometry._Cell(cell.constraints + [(s * a, s * c)], *side[::-1])
+                        for s, side in zip((-1, 1), res)]
+            cells = new
+    assert min(seen.values()) > 10, seen
 
 
 def test_region_pieces_are_read_only_views():
