@@ -298,6 +298,7 @@ class _Cell:
     constraints: list
     witness: np.ndarray
     geom: object
+    vmax: Optional[float] = None  # the largest |vertex coordinate|, once a split needs it
 
 
 def _normalize_domain(domain, d: int):
@@ -549,7 +550,7 @@ class _VertexBackend(_FloatBackend):
         """The sides numbered in ``keep`` (0 for a.x + c < 0, 1 for > 0), or
         None."""
         V, act = cell.geom
-        dist, tol, depth = self._distances(V, a, c)
+        dist, tol, depth = self._distances(cell, a, c)
         hi = lo = 0.0  # a NaN distance (on neither side) never leaves a cut one-sided
         for i, v in enumerate(dist):
             if abs(v) <= tol:
@@ -569,12 +570,20 @@ class _VertexBackend(_FloatBackend):
         res = self.split(cell, a, c, (1,))
         return res and res[0]
 
-    def _distances(self, V: np.ndarray, a: np.ndarray, c: float):
+    _row = (None, 0.0, 0.0)  # the last row cut by, its norm and its 1-norm
+
+    def _distances(self, cell: _Cell, a: np.ndarray, c: float):
         """(each vertex's distance beyond the cut, a list; ``_snap_tol``; the
-        depth beyond the cut that admits a side)."""
-        norm = math.sqrt(a.dot(a))  # np.linalg.norm(a), bit for bit
-        return (((V @ a + c) / norm).tolist(),
-                _snap_tol(np.abs(V).max(), np.abs(a).sum(), c, norm), 2.0 * EPS_INTERIOR)
+        depth beyond the cut that admits a side). ``_snap_tol``'s terms are
+        found once per cell, and once per row while one row object (never
+        written in place) cuts part after part."""
+        V = cell.geom[0]
+        if cell.vmax is None:
+            cell.vmax = np.abs(V).max()
+        if a is not self._row[0]:
+            self._row = a, math.sqrt(a.dot(a)), np.abs(a).sum()  # np.linalg.norm(a), bit for bit
+        _, norm, a1 = self._row
+        return ((V @ a + c) / norm).tolist(), _snap_tol(cell.vmax, a1, c, norm), 2.0 * EPS_INTERIOR
 
 
 class _ExactBackend(_VertexBackend):
@@ -589,8 +598,8 @@ class _ExactBackend(_VertexBackend):
     def keys(self, N, C):
         return range(len(N))
 
-    def _distances(self, V, a, c):
-        return (V @ a + c).tolist(), 0, 0
+    def _distances(self, cell, a, c):
+        return (cell.geom[0] @ a + c).tolist(), 0, 0
 
 
 def _backend_for(d: int):
@@ -740,8 +749,14 @@ def _subdivide(layers: list, backend, lo: np.ndarray, hi: np.ndarray, A: np.ndar
     for index, layer in enumerate(layers):
         maxout = layer.kind is Maxout  # per cell: its candidates, or else its rows
         N, C = layer.candidates(A, b) if maxout else layer.rows(A, b)
+        size = np.abs(N).max(axis=-1)
+        # A non-finite row would cut cells at NaN distances (max keeps a NaN);
+        # -inf offsets pad the rows of pointwise units, and no row with one splits.
+        if not (size.max(initial=0.0) < np.inf
+                and (np.abs(C) if maxout else C).max(initial=0.0) < np.inf):
+            raise ValidationError("non-finite affine data")
         if not maxout:  # skip near-zero normals (a constant piece) and padding rows
-            live = (np.abs(N).max(axis=2) > backend.zero_normal_tol) & (C > -np.inf)
+            live = (size > backend.zero_normal_tol) & (C > -np.inf)
             keys = backend.keys(N[live], C[live])
             cuts = [0] + np.cumsum(live.sum(axis=1)).tolist()
             rows, offsets = live.nonzero()[1].tolist(), C.tolist()

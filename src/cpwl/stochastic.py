@@ -9,9 +9,15 @@ and direction of its expansion sample from (seed; t, 1 << 21), so every value
 depends only on the seed and its trial. The keys of all the streams of one
 estimate are derived together, by a port of numpy's SeedSequence to uint32
 arrays that the tests pin against numpy's own; each draw then re-keys one
-Philox, so the streams are numpy's. The Monte Carlo estimators draw the
-trials of a block as raw arrays and propagate all of their probes through one
-batch of the knot engine; the block size does not change any result.
+Philox, so the streams are numpy's. A spline layer is one draw on its
+stream: per unit, its breakpoints, slopes and anchor, as a draw unit by unit
+lays them out, and the tables of a block's spline layers are made from those
+arrays at once. A net whose draw unit by unit would differ (sorted
+breakpoints within 1e-9 are drawn again) or whose pieces ``ScalarCPWL`` would
+merge is drawn again unit by unit, from the start of its streams. The Monte
+Carlo estimators draw the trials of a block as raw arrays and propagate all
+of their probes through one batch of the knot engine; the block size does
+not change any result.
 """
 from __future__ import annotations
 
@@ -24,14 +30,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import ArchitectureDescriptor
-from .core import (Affine, GroupSort, Maxout, NetworkSpec, Pointwise,
+from .core import (MERGE_TOL, Affine, GroupSort, Maxout, NetworkSpec, Pointwise,
                    ScalarCPWL, ValidationError, abs_unit, leaky_relu_unit,
                    relu_unit, row_norms)
 # count_knots is not called here; it stays importable as stochastic.count_knots,
 # which bench/spans.py wraps.
 from .paths import (PolygonalPath, count_knots,  # noqa: F401
                     segment_image_lengths, segment_knot_counts)
-from .switching import LAYER_OF_RAW, stack
+from .switching import LAYER_OF_RAW, stack, unit_tables
 
 SAMPLED_FAMILIES = ("relu", "leaky", "abs", "deepspline", "maxout", "groupsort")
 LEAKY_SLOPE = 0.1
@@ -266,10 +272,78 @@ def _fixed_unit(family: str) -> ScalarCPWL:
             "leaky": lambda: leaky_relu_unit(LEAKY_SLOPE)}[family]()
 
 
+def _kappas(arch: ArchitectureDescriptor, kappa: Optional[int], l: int) -> list:
+    """The piece count of each unit of layer l of a spline net."""
+    return [kappa] * arch.dims[l + 1] if kappa is not None else list(arch.kappas[l])
+
+
+def _spline_normals(rng: np.random.Generator, kaps: list, sigma_b: float) -> np.ndarray:
+    """A spline layer's units in one draw: per unit of kap > 1 pieces, in
+    order, kap - 1 normals for its breakpoints, kap for its slopes and one
+    for its value at its first breakpoint (see ``_spline_layer``)."""
+    return rng.standard_normal(2 * sum(k for k in kaps if k > 1))
+
+
+def _spline_units(rng: np.random.Generator, kaps: list, sigma_b: float) -> tuple:
+    """A spline layer's units drawn one by one, laid out as by
+    ``_spline_normals`` but with a unit's breakpoints drawn again until,
+    sorted, they are more than 1e-9 apart: the redraw of a net that
+    ``_spline_layer`` flags."""
+    units = []
+    for kap in kaps:
+        if kap <= 1:
+            units.append(ScalarCPWL((), (1.0,), 0.0))
+            continue
+        bps = np.sort(sigma_b * rng.standard_normal(kap - 1))
+        while np.any(np.diff(bps) <= 1e-9):
+            bps = np.sort(sigma_b * rng.standard_normal(kap - 1))
+        slopes = rng.standard_normal(kap)
+        units.append(ScalarCPWL(tuple(bps.tolist()), tuple(slopes.tolist()),
+                                float(rng.standard_normal())))
+    return tuple(units)
+
+
+def _spread(x: np.ndarray) -> np.ndarray:
+    """max(1, |x_i|, |x_i+1|) over the last axis: the scale of ``MERGE_TOL``."""
+    return np.maximum(1.0, np.maximum(np.abs(x[..., :-1]), np.abs(x[..., 1:])))
+
+
+def _spline_layer(z: np.ndarray, kaps: list, sigma_b: float):
+    """n draws of a spline layer from their ``_spline_normals`` z (n, total),
+    all at once and as ``ScalarCPWL`` and ``unit_tables`` make them: the
+    ``unit_tables`` (n, units, m) and (n, units, m + 1, 2), m = max(kaps) - 1,
+    each unit's value at its first breakpoint (n, units), and (n,) whether
+    each draw stands: not where ``_spline_units`` would draw a breakpoint
+    again (sorted breakpoints within 1e-9), nor where ``ScalarCPWL`` would
+    refuse a unit (non-finite) or merge its pieces (adjacent slopes or
+    breakpoints within ``MERGE_TOL``). A unit of one piece is the identity."""
+    n, w, m = len(z), len(kaps), max(max(kaps), 1) - 1
+    bps, lines, anchors = np.full((n, w, m), np.inf), np.zeros((n, w, m + 1, 2)), np.zeros((n, w))
+    lines[:, :, 0, 0], ok = 1.0, np.ones(n, dtype=bool)
+    ends = np.cumsum([2 * k if k > 1 else 0 for k in kaps])
+    for g in sorted({k for k in kaps if k > 1}):
+        units = [k for k, kap in enumerate(kaps) if kap == g]
+        zg = z[:, (ends[units] - 2 * g)[:, None] + np.arange(2 * g)]
+        b, s, a = np.sort(sigma_b * zg[..., :g - 1], axis=2), zg[..., g - 1:-1], zg[..., -1]
+        gap = np.diff(b)
+        ok &= (np.isfinite(b).all(axis=2)
+               & (gap > np.maximum(1e-9, MERGE_TOL * _spread(b))).all(axis=2)
+               & (np.abs(np.diff(s)) > MERGE_TOL * _spread(s)).all(axis=2)).all(axis=1)
+        # The values at the breakpoints, chained from the first; piece i is
+        # the line through the value at breakpoint max(i - 1, 0).
+        vals = np.cumsum(np.concatenate([a[..., None], s[..., 1:-1] * gap], axis=2), axis=2)
+        j = np.maximum(np.arange(g) - 1, 0)
+        bps[:, units, :g - 1], anchors[:, units] = b, a
+        lines[:, units, :g] = np.stack([s, vals[..., j] - s * b[..., j]], axis=3)
+    return bps, lines, anchors, ok
+
+
 def _draw_layers(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, at,
-                 kappa: Optional[int], rank: Optional[int], group_size: int) -> list:
-    """The random layers of ``sample_network`` as raw layers (see
-    ``switching``), layer l drawn in order from the stream ``at(keys[l])``."""
+                 kappa: Optional[int], rank: Optional[int], group_size: int,
+                 spline) -> list:
+    """The random layers of one net as raw layers (see ``switching``), layer
+    l drawn in order from the stream ``at(keys[l])``; a spline layer's units
+    as ``spline(rng, kaps, sigma_b)`` draws them."""
     fam = arch.family
     if fam not in SAMPLED_FAMILIES:
         raise ValidationError(f"unsupported family {fam!r}")
@@ -298,20 +372,42 @@ def _draw_layers(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray,
         if fam != "deepspline":
             layers.append((Pointwise, (_fixed_unit(fam),) * width))
             continue
-        units = []
-        for k in range(width):
-            kap = kappa if kappa is not None else arch.kappas[l][k]
-            if kap <= 1:
-                units.append(ScalarCPWL((), (1.0,), 0.0))
-                continue
-            bps = np.sort(init.sigma_b * rng.standard_normal(kap - 1))
-            while np.any(np.diff(bps) <= 1e-9):
-                bps = np.sort(init.sigma_b * rng.standard_normal(kap - 1))
-            slopes = rng.standard_normal(kap)
-            units.append(ScalarCPWL(tuple(bps.tolist()), tuple(slopes.tolist()),
-                                    float(rng.standard_normal())))
-        layers.append((Pointwise, tuple(units)))
+        layers.append((Pointwise, spline(rng, _kappas(arch, kappa, l), init.sigma_b)))
     return layers
+
+
+def _draw_nets(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, at,
+               kappa: Optional[int], rank: Optional[int], group_size: int,
+               units: bool = False) -> list:
+    """The random layers of ``sample_network`` for the nets with layer keys
+    ``keys`` (n, layers, 2), as raw layers, layer l of net t drawn from the
+    stream ``at(keys[t, l])``. Each spline layer is drawn in one call and
+    made for all n nets at once by ``_spline_layer``, as its tables or, with
+    ``units``, as ``ScalarCPWL`` units; a net that it flags is drawn again,
+    unit by unit."""
+    nets = [_draw_layers(arch, init, k, at, kappa, rank, group_size, _spline_normals)
+            for k in keys]
+    if arch.family != "deepspline":
+        return nets
+    made = {}
+    for l in range(1, len(nets[0]), 2):  # the units after each affine map
+        kaps = _kappas(arch, kappa, l // 2)
+        made[l] = kaps, _spline_layer(np.array([net[l][1] for net in nets]), kaps, init.sigma_b)
+    for t, net in enumerate(nets):
+        if not all(ok[t] for _, (*_, ok) in made.values()):
+            net[:] = _draw_layers(arch, init, keys[t], at, kappa, rank, group_size, _spline_units)
+            if not units:
+                for l, (_, (bps, *_)) in made.items():
+                    net[l] = (Pointwise, *unit_tables(net[l][1], bps.shape[2]))
+            continue
+        for l, (kaps, (bps, lines, anchors, _)) in made.items():
+            if not units:
+                net[l] = (Pointwise, bps[t], lines[t])
+                continue
+            net[l] = (Pointwise, tuple(
+                ScalarCPWL(tuple(b[:g - 1].tolist()), tuple(ln[:g, 0].tolist()), float(a))
+                for b, ln, a, g in zip(bps[t], lines[t], anchors[t], np.maximum(kaps, 1))))
+    return nets
 
 
 def sample_network(arch: ArchitectureDescriptor, init: InitSpec,
@@ -327,8 +423,8 @@ def sample_network(arch: ArchitectureDescriptor, init: InitSpec,
     """
     seed = init.seed if seed is None else seed
     keys = _spawn_keys(_seed_words(seed), np.arange(len(arch.dims) - 1)[:, None])
-    layers = _draw_layers(arch, init, keys, _rekeyer(), kappa, rank, group_size)
-    return NetworkSpec(arch.dims[0], tuple(LAYER_OF_RAW[kind](*args) for kind, *args in layers))
+    (net,) = _draw_nets(arch, init, keys[None], _rekeyer(), kappa, rank, group_size, units=True)
+    return NetworkSpec(arch.dims[0], tuple(LAYER_OF_RAW[kind](*args) for kind, *args in net))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +519,7 @@ def _trial_blocks(arch, init, trials, kappa, rank, group_size, tag=None, shape=(
     at = _rekeyer()
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
-        nets = [_draw_layers(arch, init, keys[t], at, kappa, rank, group_size) for t in block]
+        nets = _draw_nets(arch, init, keys[block], at, kappa, rank, group_size)
         normals = None if tag is None else np.array([at(tagged[t]).standard_normal(shape)
                                                      for t in block])
         yield nets, normals

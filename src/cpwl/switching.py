@@ -19,9 +19,10 @@ batch of affine profiles ``z = A x + b`` of the layer input, ``A`` of shape
 
 Region enumeration uses d = the input dimension and one profile per cell;
 the knot engine d = 1 and one profile per interval, cutting at ``-c / N``.
-Raw layers are tuples ``(Affine, M, b)``, ``(Pointwise, units)``,
-``(Maxout, W, o)``, ``(GroupSort, g)`` and ``(PWLU2D, V, M, off)`` (values,
-stacked read-in matrices and offsets); ``stack`` stacks those of a batch of
+Raw layers are tuples ``(Affine, M, b)``, ``(Pointwise, units)`` or
+``(Pointwise, bps, lines)`` (the units' ``unit_tables``), ``(Maxout, W, o)``,
+``(GroupSort, g)`` and ``(PWLU2D, V, M, off)`` (values, stacked read-in
+matrices and offsets); ``stack`` stacks those of a batch of
 nets with one layer structure, each array with a leading axis of 1 (one net
 for every profile) or of the net count (net t for profile t).
 """
@@ -93,24 +94,33 @@ class _Affine(_Layer):
         return _matmul(M, A, b, o)
 
 
+def unit_tables(units: Sequence, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of one net's pointwise units (``ScalarCPWL``) with at most
+    ``m`` breakpoints: breakpoints, inf-padded, (units, m), and piece lines
+    ``(slope, intercept)``, zero-padded, (units, m + 1, 2)."""
+    bps = [f.breakpoints + (np.inf,) * (m - len(f.breakpoints)) for f in units]
+    lines = [[f.piece_line(i) for i in range(len(f.slopes))]
+             + [(0.0, 0.0)] * (m + 1 - len(f.slopes)) for f in units]
+    return np.array(bps), np.array(lines)
+
+
 class _Pointwise(_Layer):
-    """Breakpoints, inf-padded, (nets, units, m), and piece lines
-    ``(slope, intercept)`` (nets, units, m + 1, 2); one row of one unit when
-    every unit of every net is the same object, so that its tables
-    broadcast."""
+    """The ``unit_tables`` of every net, (nets, units, m) and (nets, units,
+    m + 1, 2); one row of one unit when every unit of every net is the same
+    object, so that its tables broadcast. A net's layer may come as its
+    tables ``(bps, lines)`` instead of its units, all of one m."""
 
     kind = Pointwise
 
     @classmethod
     def stack(cls, layers):
+        if len(layers[0]) == 2:
+            return super().stack(layers)
         layers = [units for units, in layers]
         if all(f is layers[0][0] for units in layers for f in units):
             layers = [layers[0][:1]]
         m = max(len(f.breakpoints) for units in layers for f in units)
-        bps = [[f.breakpoints + (np.inf,) * (m - len(f.breakpoints)) for f in units]
-               for units in layers]
-        lines = [[[f.piece_line(i) for i in range(len(f.slopes))]
-                  + [(0.0, 0.0)] * (m + 1 - len(f.slopes)) for f in units] for units in layers]
+        bps, lines = zip(*(unit_tables(units, m) for units in layers))
         return cls(np.array(bps), np.array(lines))
 
     def rows(self, A, b):

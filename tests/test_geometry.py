@@ -1450,6 +1450,34 @@ def test_region_pieces_are_read_only_views():
         enumerate_regions(big, domain=(-2.0, 2.0))
 
 
+@pytest.mark.parametrize("second", ["pointwise", "maxout"])
+def test_non_finite_rows_are_refused_at_their_layer(second, monkeypatch):
+    # A 3-input net whose first activation layer splits the box and whose
+    # second one gets overflowed rows (inf, and NaN from inf * 0): those are
+    # refused where they are made, so no split reads a non-finite row (whose
+    # NaN distances would leave sides empty, with NaN witnesses).
+    rows = []
+    split = geometry._VertexBackend.split
+
+    def checked(self, cell, a, c, keep=(0, 1)):
+        rows.append(bool(np.isfinite(a).all() and np.isfinite(c)))
+        return split(self, cell, a, c, keep)
+
+    monkeypatch.setattr(geometry._VertexBackend, "split", checked)
+    big = np.array([[1e200, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, -1.0, 1.0]])
+    second = ([Affine(AffineMap(big, np.zeros(3))), Pointwise((abs_unit(),) * 3)]
+              if second == "pointwise"
+              else [Maxout(2, np.stack([big, -big], axis=1), np.ones((3, 2)))])
+    net = NetworkSpec(3, (Affine(AffineMap(big, np.array([0.5, -0.25, 0.0]))),
+                          Pointwise((abs_unit(),) * 3), *second,
+                          Affine(AffineMap(np.ones((1, 3)), np.zeros(1)))))
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite"):
+            enumerate_regions(net, domain=(-2.0, 2.0))
+    assert rows and all(rows)
+
+
 # ---------------------------------------------------------------------------
 # Exact-rational adjudication
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ import pytest
 
 from cpwl import stochastic
 from cpwl.bounds import ArchitectureDescriptor
-from cpwl.core import (Affine, GroupSort, Maxout, Pointwise, ValidationError)
-from cpwl.paths import PolygonalPath, count_knots, image_length
+from cpwl.cli import main
+from cpwl.core import (Affine, GroupSort, Maxout, Pointwise, ScalarCPWL,
+                       ValidationError)
+from cpwl.paths import (PolygonalPath, count_knots, image_length,
+                        segment_knot_counts)
 from cpwl.serial import network_to_json
 from cpwl.stochastic import (MC_CSV_COLUMNS, CompositionalBound, InitSpec,
                              McEstimate, compositional_density_bound,
@@ -19,6 +22,7 @@ from cpwl.stochastic import (MC_CSV_COLUMNS, CompositionalBound, InitSpec,
                              mc_table_csv, mc_table_row,
                              relu_crossing_density_oracle, sample_network,
                              unit_density_bound)
+from cpwl.switching import unit_tables
 
 
 def relu_arch(d, width):
@@ -440,6 +444,149 @@ def test_directional_expansion_pinned(family, monkeypatch):
                                 else "normal", sigma_b=0.7, seed=seed)
                 h.update(_bytes(estimate_directional_expansion(arch, init, trials=100).values))
         assert h.hexdigest()[:16] == PINNED_EXPANSION[family], block
+
+
+# ---------------------------------------------------------------------------
+# Spline layers drawn in one call
+# ---------------------------------------------------------------------------
+
+def _units_of(row, kaps, sigma_b):
+    """The units ScalarCPWL makes of one row of ``_spline_normals``."""
+    units, k = [], 0
+    for kap in kaps:
+        if kap <= 1:
+            units.append(ScalarCPWL((), (1.0,), 0.0))
+            continue
+        z = row[k:k + 2 * kap]
+        units.append(ScalarCPWL(tuple(np.sort(sigma_b * z[:kap - 1]).tolist()),
+                                tuple(z[kap - 1:-1].tolist()), float(z[-1])))
+        k += 2 * kap
+    return units
+
+
+def test_spline_tables_match_scalar_cpwl_units():
+    # Random rows of mixed piece counts (one-piece units included): tables
+    # and anchors bit for bit as ScalarCPWL and unit_tables make them.
+    rng = np.random.default_rng(4)
+    for kaps, sigma_b in (([3, 1, 2, 5], 1.0), ([2], 0.01), ([4, 4, 4], 30.0), ([1, 1], 1.0)):
+        z = rng.standard_normal((200, 2 * sum(k for k in kaps if k > 1)))
+        bps, lines, anchors, ok = stochastic._spline_layer(z, kaps, sigma_b)
+        assert ok.all()
+        for t in range(len(z)):
+            units = _units_of(z[t], kaps, sigma_b)
+            ref = unit_tables(units, max(kaps) - 1)
+            assert bps[t].tobytes() == ref[0].tobytes() and lines[t].tobytes() == ref[1].tobytes()
+            assert anchors[t].tolist() == [f.anchor_value for f in units]
+
+
+def test_spline_tables_flag_redraws_and_merges():
+    # Units of 3, 1 and 2 pieces, sigma_b = 1e6. Row 0 stands; row 1 has two
+    # equal breakpoints, row 2 two breakpoints 1e-8 apart (past 1e-9, within
+    # MERGE_TOL of their size), row 3 two adjacent slopes within MERGE_TOL:
+    # ScalarCPWL refuses or merges those. With sigma_b = 1, breakpoints
+    # 1e-10 apart make a valid unit, but one drawn again unit by unit.
+    kaps, sigma_b = [3, 1, 2], 1e6
+    z = np.tile(np.random.default_rng(5).standard_normal(10), (5, 1))
+    z[1, 1] = z[1, 0]
+    z[2, 1] = z[2, 0] + 1e-14
+    z[3, 8] = z[3, 7] + 1e-14
+    z[4, 1] = z[4, 0] + 1e-10
+    bps, lines, anchors, ok = stochastic._spline_layer(z[:4], kaps, sigma_b)
+    assert ok.tolist() == [True, False, False, False]
+    with pytest.raises(ValidationError, match="increasing"):
+        _units_of(z[1], kaps, sigma_b)
+    for t in (2, 3):
+        assert sum(len(f.slopes) for f in _units_of(z[t], kaps, sigma_b)) < 6
+    ref = unit_tables(_units_of(z[0], kaps, sigma_b), 2)
+    assert bps[0].tobytes() == ref[0].tobytes() and lines[0].tobytes() == ref[1].tobytes()
+    assert not stochastic._spline_layer(z[4:], kaps, 1.0)[3][0]
+    assert sum(len(f.slopes) for f in _units_of(z[4], kaps, 1.0)) == 6
+
+
+class _CoarseNormals:
+    """A generator whose standard normals lie on the quarters plus 0, 1 or 2
+    steps, each a function of one draw: equal and nearly equal draws are
+    common, and draws still fill in sequence."""
+
+    def __init__(self, rng, step):
+        self.rng, self.step = rng, step
+
+    def standard_normal(self, size=None):
+        z = self.rng.standard_normal(size)
+        return np.round(4.0 * z) / 4.0 + self.step * (np.floor(1e3 * z) % 3)
+
+
+@pytest.mark.parametrize("sigma_b, step, cases", [
+    (1e6, 1e-14, {"redraw": False, "gap merge": True, "slope merge": True}),
+    (1.0, 1e-10, {"redraw": True, "gap merge": False, "slope merge": True})])
+def test_spline_redraws_match_unit_by_unit_draws(sigma_b, step, cases):
+    # Coarse normals force, through the table pass, breakpoints within 1e-9
+    # (drawn again unit by unit; "redraw" where ScalarCPWL would keep them)
+    # and merges of breakpoints and of slopes: each net it flags is drawn
+    # again unit by unit, so tables and knot counts are those of the
+    # ScalarCPWL units that the unit-by-unit draw makes of the same streams.
+    arch = ArchitectureDescriptor((2, 3, 3, 1), ((3,) * 3, (3,) * 3, (3,)), family="deepspline")
+    init = InitSpec(sigma_b=sigma_b)
+    keys, _ = stochastic._trial_keys(7, 96, 3, None)
+    rekeyed = stochastic._rekeyer()
+
+    def at(key):
+        return _CoarseNormals(rekeyed(key), step)
+
+    nets = stochastic._draw_nets(arch, init, keys, at, None, None, 2)
+    ref = [stochastic._draw_layers(arch, init, k, at, None, None, 2, stochastic._spline_units)
+           for k in keys]
+    for net, units in zip(nets, ref):
+        for l in (1, 3, 5):
+            tables = unit_tables(units[l][1], 2)
+            assert net[l][1].tobytes() == tables[0].tobytes()
+            assert net[l][2].tobytes() == tables[1].tobytes()
+    z = np.array([stochastic._draw_layers(arch, init, k, at, None, None, 2,
+                                          stochastic._spline_normals)[1][1] for k in keys])
+    z = z.reshape(len(keys), 3, 6)
+    b, s = np.sort(sigma_b * z[..., :2], axis=2), z[..., 2:5]
+    gap, near = np.diff(b)[..., 0], 1e-12 * np.maximum(1.0, np.abs(b).max(axis=2))
+    jump = np.abs(np.diff(s)) <= 1e-12 * np.maximum(1.0, np.maximum(np.abs(s[..., 1:]),
+                                                                    np.abs(s[..., :-1])))
+    assert cases == {"redraw": bool(((gap > near) & (gap <= 1e-9)).any()),
+                     "gap merge": bool(((gap > 1e-9) & (gap <= near)).any()),
+                     "slope merge": bool(jump.any())}
+    p0, p1 = stochastic._probe_ends(init, np.random.default_rng(8).standard_normal((96, 2)))
+    counts = segment_knot_counts(nets, p0, p1, [1, 3, 5])
+    assert np.array_equal(counts, segment_knot_counts(ref, p0, p1, [1, 3, 5]))
+    assert counts.sum() > 0
+
+
+# Recorded before a spline layer was drawn in one call: the sha256 of the
+# mc_table.csv files of `cpwl mc --family deepspline` with widths 1 and 4,
+# plain and --by-depth, under normal, uniform and orthogonal init, per kappa;
+# and of the values of a mixed-kappa net (units of one piece included)
+# through mc_knot_density(kappa=None).
+PINNED_DEEPSPLINE_MC = {2: "1bedb50924ab813c", 3: "d4f5f7a918f1f29e",
+                        5: "861095018557a9f1", None: "6ccd50c79de2799a"}
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 5])
+def test_deepspline_mc_tables_pinned(kappa, tmp_path, capsys):
+    inits = (["--sigma-b", "0.5"], ["--weight-dist", "uniform", "--bias-dist", "uniform"],
+             ["--weight-dist", "orthogonal", "--fan-in-mode", "2/fan-in"])
+    h = hashlib.sha256()
+    for width in (1, 4):
+        for by_depth in ([], ["--by-depth"]):
+            for seed, init in enumerate(inits):
+                assert main(["mc", "--family", "deepspline", "--kappa", str(kappa), "--d", "2",
+                             "--width", str(width), "--depth", "2", "--trials", "100",
+                             "--seed", str(seed), "--out", str(tmp_path), *init,
+                             *by_depth]) == 0
+                h.update((tmp_path / "mc_table.csv").read_bytes())
+    assert h.hexdigest()[:16] == PINNED_DEEPSPLINE_MC[kappa]
+
+
+def test_mixed_kappa_deepspline_density_pinned():
+    arch = ArchitectureDescriptor((3, 4, 3, 1), ((1, 3, 2, 5), (4, 1, 2), (3,)),
+                                  family="deepspline")
+    est = mc_knot_density(arch, InitSpec(sigma_b=0.8, seed=5), trials=100, bound=1.0)
+    assert hashlib.sha256(_bytes(est.values)).hexdigest()[:16] == PINNED_DEEPSPLINE_MC[None]
 
 
 def test_directional_expansion_orthogonal_abs_is_exactly_one():
