@@ -275,7 +275,7 @@ def cmd_render(args) -> int:
     domain = _parse_box(args.box)
     rs = geo.enumerate_regions(net, domain=domain, cell_budget=args.budget)
     report = geo.count_report(rs, net=net)
-    svg = geo.render_svg(rs, domain)
+    svg = geo.render_svg(rs)
     print(f"cell_count = {report.cell_count}")
     print(f"distinct_piece_count = {report.distinct_piece_count}")
     if args.out is None:

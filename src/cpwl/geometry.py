@@ -5,22 +5,23 @@ identity piece; per layer, take the layer's switching rows (``switching``)
 pulled back through every cell's composed affine map, split each cell by its
 rows in order (keeping sides that pass an interior test), then compose every
 surviving cell's piece with the layer piece active at its witness, selected
-for all of the layer's cells at once.
+for all of the layer's cells at once. An affine layer makes no rows: it
+only composes onto every cell's piece.
 
-Backends: exact interval splitting (1 input; each side of a cut at t is
-longer than EPS_INTERIOR * max(1, |t|)), convex-polygon clipping on
-Python floats (2 inputs; a side is a cell iff its area/perimeter, a lower
-bound on its inradius, exceeds EPS_INTERIOR; a scalar area test with a
-derived rounding bound hands close calls and polygons of 8+ vertices to
-numpy's formulas, so cells and witnesses are theirs bit for bit), and, for
-3+ inputs, cells that keep their vertices: a side is a cell iff one of its
-vertices lies more than 2 EPS_INTERIOR beyond the cut, and its witness is
-its vertex centroid; a split reads the distances to the cut once, as
-Python floats, and clips by numpy's elementwise operations in Python, bit
-for bit as numpy, building only the sides it keeps. Every region keeps its
-cell's geometry, from which ``count_report`` reads facet adjacency; neither
-solves an LP. Cell processing is pure and order-independent; the output
-ordering is canonicalized, so results are deterministic.
+Backends: convex-polygon clipping on Python floats (2 inputs; a side is a
+cell iff its area/perimeter, a lower bound on its inradius, exceeds
+EPS_INTERIOR; a scalar area test with a derived rounding bound hands close
+calls and polygons of 8+ vertices to numpy's formulas, so cells and
+witnesses are theirs bit for bit), and, for 1 and 3+ inputs, cells that
+keep their vertices: a side is a cell iff one of its vertices lies more
+than 2 EPS_INTERIOR beyond the cut, and its witness is its vertex
+centroid; a split reads the distances to the cut once, as Python floats,
+and clips by numpy's elementwise operations in Python, bit for bit as
+numpy, building only the sides it keeps. Every region keeps its cell's
+geometry, from which ``count_report`` reads facet adjacency and
+``render_svg`` draws the polygons; neither solves an LP. Cell processing
+is pure and order-independent; the output ordering is canonicalized, so
+results are deterministic.
 
 In 2 inputs a row is tried on the parts of a cell only if it crosses the
 cell, which a pass over the vertices of a layer's cells decides: it crosses
@@ -44,9 +45,9 @@ budget is the one setting.
 
 Exact mode (``exact_cell_count``: any d; affine, pointwise, maxout and
 group-sort layers) runs the same layer loop, ``_subdivide``, on Fractions:
-its backend keeps the vertex cells of 3+ inputs in every dimension, admits
-a side iff a vertex lies strictly beyond the cut, skips only exactly zero
-normals and keys no rows.
+its backend keeps the vertex cells of 1 and 3+ inputs in every dimension,
+admits a side iff a vertex lies strictly beyond the cut, skips only exactly
+zero normals and keys no rows.
 
 The witness LP serves the public ``interior_witness_report`` alone, on
 rows scaled to unit norm. Its kernel calls scipy's HiGHS bindings
@@ -70,16 +71,15 @@ import numpy as np
 
 # layer_piece is not called here; it stays importable as geometry.layer_piece,
 # where bench/spans.py counts the calls made through this module.
-from .core import (AffineMap, Maxout, NetworkSpec, PWLU2D, ValidationError,  # noqa: F401
+from .core import (Affine, AffineMap, Maxout, NetworkSpec, PWLU2D, ValidationError,  # noqa: F401
                    layer_piece, row_norms)
 from .switching import raw_layers, stack, unit_pieces
 
 
 R_MAX = 1e6  # half-width of the box that bounds an unbounded domain
-# Interior margin of a cell: each side of a 1-input cut at t is longer than
-# EPS_INTERIOR * max(1, |t|), a 2-input side's area/perimeter and a witness
-# LP's margin exceed it, and a 3+-input side has a vertex more than
-# 2 EPS_INTERIOR beyond the cut.
+# Interior margin of a cell: a 2-input side's area/perimeter and a witness
+# LP's margin exceed it, and a side in 1 or 3+ inputs has a vertex more
+# than 2 EPS_INTERIOR beyond the cut.
 EPS_INTERIOR = 1e-7
 DEDUP_TOL = 1e-9  # rows whose unit-norm forms round alike at this are one hyperplane
 ZERO_NORMAL_TOL = 1e-12  # pulled-back normals up to this are skipped
@@ -125,8 +125,8 @@ class Region:
     """One subdivision cell: its rows (a, c), the half-spaces a.x + c >= 0,
     the network's affine piece on it, and a strictly interior witness point.
     It keeps the cell geometry that enumeration built, ``geom``: the
-    interval (lo, hi), the polygon's vertex array, or the vertices
-    ``(V, act)`` of ``_VertexBackend``. ``count_report`` reads it; it is
+    polygon's vertex array in 2 inputs, else the vertices ``(V, act)`` of
+    ``_VertexBackend``. ``count_report`` and ``render_svg`` read it; it is
     never serialised."""
 
     rows: list
@@ -340,24 +340,6 @@ class _FloatBackend:
         return res and res[1]
 
 
-class _IntervalBackend(_FloatBackend):
-    """d = 1: cells are intervals (lo, hi)."""
-
-    def root(self, lo, hi):
-        return (float(lo[0]), float(hi[0])), np.array([(lo[0] + hi[0]) / 2.0])
-
-    def split(self, cell: _Cell, a: np.ndarray, c: float):
-        lo, hi = cell.geom
-        aa = float(a[0])
-        t = -c / aa
-        eps = EPS_INTERIOR * max(1.0, abs(t))
-        if not (lo + eps < t < hi - eps):
-            return None
-        left = ((lo, t), np.array([(lo + t) / 2.0]))
-        right = ((t, hi), np.array([(t + hi) / 2.0]))
-        return (right, left) if aa < 0 else (left, right)
-
-
 def _polygon_area_perimeter(verts: np.ndarray) -> tuple[float, float]:
     x, y = verts[:, 0], verts[:, 1]
     xr, yr = np.concatenate([x[1:], x[:1]]), np.concatenate([y[1:], y[:1]])
@@ -527,10 +509,11 @@ def _clip_vertices(V: np.ndarray, act: list, dist: Sequence, bit: int, keep=(0, 
 
 
 class _VertexBackend(_FloatBackend):
-    """d >= 3: a cell is its vertices, ``geom`` being ``(V, act)`` with
-    ``act`` holding each vertex's active rows as bits (box faces 2j and
+    """d = 1 or d >= 3: a cell is its vertices, ``geom`` being ``(V, act)``
+    with ``act`` holding each vertex's active rows as bits (box faces 2j and
     2j + 1 for lo_j and hi_j, then the constraints in order); its witness is
-    the vertex centroid. The root is the domain box.
+    the vertex centroid. The root is the domain box. In 1 input a cell is
+    an interval, its two ends its vertices.
 
     A side of a cut is a cell iff one of its vertices lies more than
     2 EPS_INTERIOR beyond the cut, the depth that a ball of radius
@@ -603,11 +586,7 @@ class _ExactBackend(_VertexBackend):
 
 
 def _backend_for(d: int):
-    if d == 1:
-        return _IntervalBackend()
-    if d == 2:
-        return _PolygonBackend()
-    return _VertexBackend()
+    return _PolygonBackend() if d == 2 else _VertexBackend()
 
 
 # ---------------------------------------------------------------------------
@@ -743,17 +722,27 @@ def _subdivide(layers: list, backend, lo: np.ndarray, hi: np.ndarray, A: np.ndar
     identity ``(A, b)``: returns (cells, A, b), the pieces stacked. Floats or
     Fractions, the arrays carry the arithmetic; the backend says which
     normals are zero and which rows repeat. Raises ``BudgetExceeded``, naming
-    the layer, past ``budget`` cells in a layer."""
+    the layer, past ``budget`` cells in a layer, and ``ValidationError`` on
+    rows that are not finite or, on floats, could overflow on the box."""
     geom, w = backend.root(lo, hi)
     cells = [_Cell([], w, geom)]
+    # A row's values on the box are at most (largest |a_j|) * reach + |c|;
+    # Fractions cannot overflow, so on them only non-finite data fails.
+    reach = 0 if lo.dtype == object else float(np.abs([lo, hi]).max()) * len(lo)
     for index, layer in enumerate(layers):
+        if layer.kind is Affine:
+            A, b = layer.compose(A, b, None, None)
+            continue
         maxout = layer.kind is Maxout  # per cell: its candidates, or else its rows
         N, C = layer.candidates(A, b) if maxout else layer.rows(A, b)
         size = np.abs(N).max(axis=-1)
-        # A non-finite row would cut cells at NaN distances (max keeps a NaN);
-        # -inf offsets pad the rows of pointwise units, and no row with one splits.
-        if not (size.max(initial=0.0) < np.inf
-                and (np.abs(C) if maxout else C).max(initial=0.0) < np.inf):
+        # A row must be finite on the box, or split would cut at NaN or infinite
+        # distances (max keeps a NaN); -inf offsets pad the rows of pointwise
+        # units, and no row with one splits.
+        offset = np.abs(C) if maxout else np.where(C == -np.inf, 0.0, np.abs(C))
+        with np.errstate(over="ignore"):  # the overflow is what is tested for
+            fits = size.max(initial=0.0) * reach + offset.max(initial=0.0) < np.inf
+        if not fits:
             raise ValidationError("non-finite affine data")
         if not maxout:  # skip near-zero normals (a constant piece) and padding rows
             live = (size > backend.zero_normal_tol) & (C > -np.inf)
@@ -857,26 +846,30 @@ def _components(cells: list, d: int, box: float) -> int:
     planes = [min(k, n) for k, n in zip(signed, negated)]
     bounds = list(itertools.pairwise([0] + np.cumsum([len(r.rows) for r in cells]).tolist()))
     # A cell's facet on a row: its vertices within rounding of the row at the
-    # box's scale, in 3+ inputs those whose act holds the row. Its span runs
-    # along the line in 2 inputs, else along the axis the normal leans on least,
-    # and in 3+ inputs its bounding box, widened by that rounding as a
-    # distance, must meet the other facet's in every coordinate as well.
+    # box's scale, in 1 and 3+ inputs those whose act holds the row. Its span
+    # runs along the line in 2 inputs, else along the axis the normal leans on
+    # least. In 1 and 3+ inputs the span and the bounding box are widened by
+    # that rounding as a distance (the two copies of a facet may differ by it,
+    # and a 1-input facet is a point), and the boxes must meet in every
+    # coordinate as well.
     P = np.array([p[:-1] for p in planes]).reshape(len(N), d)
     U = P[:, ::-1] * [-1.0, 1.0] if d == 2 else np.eye(d)[np.abs(P).argmin(axis=1)]
     tol = _VERTEX_ROUNDING * (box * np.abs(N).sum(axis=1) + np.abs(C))
+    gap = tol / row_norms(N)
     spans: dict[tuple, list] = {}
     reach = np.empty((2, len(N)))  # each facet's span (lo, hi)
-    facets = []  # (vertices, their rows) of every cell's facets in 3+ inputs
+    facets = []  # (vertices, their rows) of every cell's facets in 1 and 3+ inputs
     for r, (f, e) in zip(cells, bounds):
-        V = r.geom[0] if d >= 3 else np.reshape(r.geom, (-1, d))
-        on = np.array([[w >> k & 1 for k in range(2 * d, 2 * d + e - f)] for w in r.geom[1]],
-                      dtype=bool) if d >= 3 else np.abs(V @ N[f:e].T + C[f:e]) <= tol[f:e]
+        V = r.geom if d == 2 else r.geom[0]
+        on = np.abs(V @ N[f:e].T + C[f:e]) <= tol[f:e] if d == 2 else np.array(
+            [[w >> k & 1 for k in range(2 * d, 2 * d + e - f)] for w in r.geom[1]], dtype=bool)
         x = V @ U[f:e].T
         lo, hi = np.where(on, x, np.inf).min(axis=0), np.where(on, x, -np.inf).max(axis=0)
-        reach[:, f:e] = lo, hi
-        if d >= 3:
+        if d != 2:
+            lo, hi = lo - gap[f:e], hi + gap[f:e]
             k, g = np.nonzero(on)
             facets.append((V[k], f + g))
+        reach[:, f:e] = lo, hi
         for g in (f + np.flatnonzero(on.any(axis=0))).tolist():
             spans.setdefault(planes[g], []).append((lo[g - f], hi[g - f], signed[g] < negated[g], g))
     ksets, nsets = [set(signed[f:e]) for f, e in bounds], [set(negated[f:e]) for f, e in bounds]
@@ -896,13 +889,12 @@ def _components(cells: list, d: int, box: float) -> int:
             H += [h for _, h in open_[side]]
             open_[not side].append((hi, g))
     G, H = np.array(G, dtype=np.intp), np.array(H, dtype=np.intp)
-    if d >= 3:
+    if d != 2:
         X, rows = (np.concatenate(a) for a in zip(*facets))
-        gap = (tol / row_norms(N))[:, None]
         boxes = np.stack([np.full((len(N), d), np.inf), np.full((len(N), d), -np.inf)])
         np.minimum.at(boxes[0], rows, X)
         np.maximum.at(boxes[1], rows, X)
-        boxes += [-gap, gap]
+        boxes += [-gap[:, None], gap[:, None]]
         meet = ((boxes[0, G] <= boxes[1, H]) & (boxes[0, H] <= boxes[1, G])).all(axis=1)
         G, H = G[meet], H[meet]
     owner = np.repeat(np.arange(len(cells)), [e - f for f, e in bounds])
@@ -911,14 +903,14 @@ def _components(cells: list, d: int, box: float) -> int:
     for overlap, p, g, q in zip(*(v[order].tolist() for v in pairs)):
         if find(p) == find(q) or len(ksets[p] & nsets[q]) != 1:
             continue
-        if d >= 3:
+        if d != 2:
             V, act = cells[p].geom
             on = [w >> (2 * d + g - bounds[p][0]) & 1 == 1 for w in act]
             rest = [h for c in (p, q) for h in range(*bounds[c]) if planes[h] != planes[g]]
             if not _facet_is_thick(V[on], [w for w, o in zip(act, on) if o], N[rest], C[rest],
                                    2 * d + len(cells[p].rows), 2 * EPS_INTERIOR):
                 continue
-        elif d == 2 and -overlap <= 2 * EPS_INTERIOR:
+        elif -overlap <= 2 * EPS_INTERIOR:
             continue
         root[find(p)] = find(q)
     return sum(find(i) == i for i in range(len(cells)))
@@ -929,14 +921,14 @@ def count_report(rs: RegionSet, net: Optional[NetworkSpec] = None) -> CountRepor
     equal-piece cells under facet adjacency, read off the cells' geometry
     with no LP. Two cells of one piece are adjacent iff exactly one
     hyperplane separates them (a row of one whose negation is a row of the
-    other) and their facets on it overlap by more than 2 EPS_INTERIOR. In 1
-    input the cut is an endpoint of both intervals; in 2 their edges on the
-    line overlap by more than that; in 3+, p's facet (its vertices whose
-    ``act`` holds the row), clipped by q's other rows with ``_clip_vertices``,
-    has a vertex more than that beyond every other row of both, the rule
-    that admits cells. Candidate pairs come from joining the rows' signed
-    keys within a piece and sweeping the facets' spans along each plane; in
-    3+ inputs the facets' bounding boxes must also meet."""
+    other) and their facets on it overlap by more than 2 EPS_INTERIOR. In 2
+    inputs their edges on the line overlap by more than that; in 1 and 3+,
+    p's facet (its vertices whose ``act`` holds the row), clipped by q's
+    other rows with ``_clip_vertices``, has a vertex more than that beyond
+    every other row of both, the rule that admits cells. Candidate pairs
+    come from joining the rows' signed keys within a piece and sweeping the
+    facets' spans along each plane; in 1 and 3+ inputs the facets' bounding
+    boxes must also meet."""
     fps = _piece_fingerprints(*rs.pieces)
     groups: dict[tuple, list[Region]] = {}
     for r, fp in zip(rs.regions, fps, strict=True):
@@ -979,16 +971,6 @@ def regions_containing(rs: RegionSet, x: np.ndarray) -> list[int]:
 # Rendering and export
 # ---------------------------------------------------------------------------
 
-def _region_polygon(region: Region, box: tuple[np.ndarray, np.ndarray]) -> list:
-    (x0, y0), (x1, y1) = box[0].tolist(), box[1].tolist()
-    verts = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    for a, c in region.rows:
-        _, verts = _clip(verts, (np.array(verts) @ a + c).tolist())
-        if len(verts) < 3:
-            return []
-    return verts
-
-
 def _fingerprint_color(fp: tuple) -> str:
     digest = hashlib.sha256(repr(fp).encode()).digest()
     hue = digest[0] / 255.0
@@ -998,13 +980,14 @@ def _fingerprint_color(fp: tuple) -> str:
     return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
 
 
-def render_svg(rs: RegionSet, box) -> str:
-    """640 x 640 SVG map of a 2D RegionSet clipped to ``box``; cells filled
-    by a color hashed from their piece fingerprint, total cell count
-    annotated."""
+def render_svg(rs: RegionSet) -> str:
+    """640 x 640 SVG map of a 2D RegionSet on its domain (the R_MAX box
+    when unbounded), drawing each region's polygon as enumeration kept it;
+    cells filled by a color hashed from their piece fingerprint, total cell
+    count annotated."""
     if rs.input_dim != 2:
         raise ValidationError("rendering requires a 2D region set")
-    lo, hi, _ = _normalize_domain(box, 2)
+    lo, hi, _ = _normalize_domain(rs.domain, 2)
     width = height = 640
     sx = width / (hi[0] - lo[0])
     sy = height / (hi[1] - lo[1])
@@ -1014,10 +997,9 @@ def render_svg(rs: RegionSet, box) -> str:
 
     polys = []
     for r, fp in zip(rs.regions, _piece_fingerprints(*rs.pieces), strict=True):
-        verts = _region_polygon(r, (lo, hi))
-        if len(verts) < 3:
-            continue
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(v) for v in verts))
+        if r.geom is None:
+            raise ValidationError("rendering needs the cells of enumerate_regions")
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(to_px, r.geom.tolist()))
         polys.append(f'<polygon points="{pts}" fill="{_fingerprint_color(fp)}" '
                      f'stroke="#333333" stroke-width="1"/>')
     label = f"({len(polys)})"

@@ -5,9 +5,10 @@ hyperplanes of its input. Each layer type defines them here once, for a
 batch of affine profiles ``z = A x + b`` of the layer input, ``A`` of shape
 (n, width, d) and ``b`` (n, width):
 
-- ``rows(A, b)``: the switching hyperplanes ``N x + c = 0`` pulled back
-  through every profile, ``N`` (n, R, d) and ``c`` (n, R), in the order
-  region enumeration splits by: per unit, then per breakpoint (pointwise;
+- ``rows(A, b)``, of non-affine layers only (an affine layer never
+  switches): the switching hyperplanes ``N x + c = 0`` pulled back through
+  every profile, ``N`` (n, R, d) and ``c`` (n, R), in the order region
+  enumeration splits by: per unit, then per breakpoint (pointwise;
   ``c = -inf`` pads units with fewer breakpoints); the pairs i < j of each
   unit's candidates (maxout) or of each group (group-sort); per unit, the u
   and v grid lines interleaved, then the diagonals (PWLU2D).
@@ -85,9 +86,6 @@ class _Layer:
 
 class _Affine(_Layer):
     kind = Affine
-
-    def rows(self, A, b):
-        return A[:, :0], b[:, :0]
 
     def compose(self, A, b, Z, dZ):
         M, o = self.params

@@ -431,7 +431,7 @@ def test_region_products_match_recorded_digests():
     for name, net, domain in _digest_corpus():
         rs = enumerate_regions(net, domain=domain)
         rep = count_report(rs)
-        svg = render_svg(rs, domain) if domain else ""
+        svg = render_svg(rs) if domain else ""
         got[name] = ((rep.cell_count, rep.distinct_piece_count, rep.connected_piece_count),
                      hashlib.sha256(dumps_canonical(region_set_to_json(rs)).encode()).hexdigest(),
                      hashlib.sha256(svg.encode()).hexdigest())
@@ -631,6 +631,10 @@ def test_facet_filter_matches_exhaustive_scan(lp_calls):
               (relu_dead_net(6, (2, 3, 1), 3.0, maxout=True), (-3.0, 3.0)),
               (relu_dead_net(7, (1, 4, 1), 3.0), (-3.0, 3.0)),
               (relu_dead_net(8, (3, 3, 1), 3.0), (-3.0, 3.0))]
+    # 1-input maxout ties, cut once from each candidate's side: the two
+    # copies of a cut point may differ in the last bit.
+    cases += [(_integer_net("maxout", 1, s), domain) for s in (0, 11, 24)
+              for domain in ((-3.0, 3.0), None)]
     seen = set()
     for net, domain in cases:
         rs = enumerate_regions(net, domain=domain)
@@ -1096,8 +1100,7 @@ def test_tolerances_are_named_constants():
     # repeat of another.
     exact = geometry._ExactBackend()
     assert exact.zero_normal_tol == 0 and list(exact.keys(np.ones((3, 2)), np.ones(3))) == [0, 1, 2]
-    for backend in (geometry._IntervalBackend(), geometry._PolygonBackend(),
-                    geometry._VertexBackend()):
+    for backend in (geometry._PolygonBackend(), geometry._VertexBackend()):
         assert backend.zero_normal_tol == geometry.ZERO_NORMAL_TOL
         assert len(set(backend.keys(np.ones((3, 2)), np.ones(3)))) == 1
 
@@ -1478,6 +1481,41 @@ def test_non_finite_rows_are_refused_at_their_layer(second, monkeypatch):
     assert rows and all(rows)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("domain", [(-2.0, 2.0), None])
+def test_rows_that_overflow_on_the_box_are_refused(d, domain):
+    # The first row, (1e308, 1, 0, ...), is finite, but its values at the
+    # box's corners are not: in 3 inputs the split read NaN vertices and
+    # ended in a numpy ValueError, and in 2 it dropped the cut (2 cells, not
+    # the 4 of exact_cell_count). A large row whose values stay finite on the
+    # box is cut as ever.
+    def net(big):
+        M = np.eye(d)
+        M[0, 0] = big
+        M[0, 1:2] = 1.0
+        return NetworkSpec(d, (Affine(AffineMap(M, np.zeros(d))), Pointwise((relu_unit(),) * d),
+                               Affine(AffineMap(np.ones((1, d)), np.zeros(1)))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite"):
+            enumerate_regions(net(1e308), domain=domain)
+        assert len(enumerate_regions(net(1e150), domain=domain)) == 2 ** d
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-2])
+@pytest.mark.parametrize("unbounded", [False, True])
+def test_one_input_cuts_have_no_relative_floor(delta, unbounded):
+    # Relu breakpoints at t and t + delta, far from 0: a 1-input side once
+    # had to be longer than EPS_INTERIOR * |t| = 0.05, and the cell between
+    # them was lost (2 cells). Vertex cells admit it, as the rational engine
+    # does.
+    t = 5e5
+    net = NetworkSpec(1, (Affine(AffineMap(np.ones((2, 1)), np.array([-t, -(t + delta)]))),
+                          Pointwise((relu_unit(),) * 2), Affine(AffineMap(np.ones((1, 2)), np.zeros(1)))))
+    domain = None if unbounded else (t - 1.0, t + 1.0)
+    assert len(enumerate_regions(net, domain)) == exact_cell_count(net, domain)[0] == 3
+
+
 # ---------------------------------------------------------------------------
 # Exact-rational adjudication
 # ---------------------------------------------------------------------------
@@ -1564,16 +1602,51 @@ def test_exact_counts_need_no_tolerance(monkeypatch):
 def test_render_svg_draws_every_cell():
     net = extremal_sum_network(2, (3, 3), seed=0)
     rs = enumerate_regions(net, domain=(-2.0, 2.0))
-    svg = render_svg(rs, (-2.0, 2.0))
+    svg = render_svg(rs)
     assert svg.count("<polygon") == len(rs)
     assert "(9)" in svg
     assert svg.startswith("<svg")
 
 
+def _region_polygon(region, box):
+    """Reference: the box clipped by each of the region's rows in turn."""
+    (x0, y0), (x1, y1) = box[0].tolist(), box[1].tolist()
+    verts = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    for a, c in region.rows:
+        _, verts = geometry._clip(verts, (np.array(verts) @ a + c).tolist())
+        if len(verts) < 3:
+            return []
+    return verts
+
+
+def test_render_draws_the_kept_polygons():
+    # Each region's kept polygon is the box re-clipped by its rows, bit for
+    # bit, on a box and on the R_max box of an unbounded domain, and the SVG
+    # draws one polygon per region at those points.
+    for name, net, domain in _digest_corpus():
+        rs = enumerate_regions(net, domain=domain)
+        svg = render_svg(rs)
+        lo, hi = rs.domain if domain else (np.full(2, -R_MAX), np.full(2, R_MAX))
+        scale = 640 / (hi - lo)
+        drawn = [line.split('"')[1] for line in svg.splitlines() if line.startswith("<polygon")]
+        assert len(drawn) == len(rs) and f"({len(rs)})" in svg, name
+        for r, points in zip(rs.regions, drawn):
+            ref = _region_polygon(r, (lo, hi))
+            assert r.geom.tolist() == [list(v) for v in ref], name
+            px = [((x - lo[0]) * scale[0], 640 - (y - lo[1]) * scale[1]) for x, y in ref]
+            assert points == " ".join(f"{x:.2f},{y:.2f}" for x, y in px), name
+    # A region without the geometry of enumerate_regions is refused, as
+    # count_report refuses it.
+    bare = geometry.RegionSet(2, [geometry.Region(r.rows, r.piece, r.witness) for r in rs.regions],
+                              rs.domain, rs.pieces)
+    with pytest.raises(ValidationError):
+        render_svg(bare)
+
+
 def test_render_requires_two_dims():
     rs = enumerate_regions(tent_net(), domain=(-5.0, 5.0))
     with pytest.raises(ValidationError):
-        render_svg(rs, (-5.0, 5.0))
+        render_svg(rs)
 
 
 def test_count_report_csv_layout():
