@@ -213,8 +213,26 @@ def zero_unit() -> ScalarCPWL:
 
 def row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, bit for bit as ``np.linalg.norm`` of the
-    row alone gives it (a dot product; ``norm(axis=1)`` rounds differently)."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    row alone gives it (a dot product; ``norm(axis=1)`` rounds differently)
+    wherever the row's square is finite. A finite row whose square overflows
+    gets s ||v / s||, s its largest |entry|, which is inf only past the
+    largest float, as is an infinite row's norm."""
+    with np.errstate(over="ignore"):
+        sq = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+        norms = np.sqrt(sq)
+        over = np.flatnonzero(np.isinf(sq))
+        if len(over):
+            s = np.abs(v[over]).max(axis=1)
+            over, s = over[s < np.inf], s[s < np.inf]
+            norms[over] = s * row_norms(v[over] / s[:, None])
+    return norms
+
+
+def vector_norm(a: np.ndarray) -> float:
+    """``row_norms`` of the one row ``a``. ``np.vdot`` gives the bits of
+    ``a.dot(a)``, but does not warn when the square overflows."""
+    sq = np.vdot(a, a)
+    return math.sqrt(sq) if sq < math.inf else float(row_norms(a[None])[0])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

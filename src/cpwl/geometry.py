@@ -8,36 +8,34 @@ surviving cell's piece with the layer piece active at its witness, selected
 for all of the layer's cells at once. An affine layer makes no rows: it
 only composes onto every cell's piece.
 
-Backends: convex-polygon clipping on Python floats (2 inputs; a side is a
-cell iff its area/perimeter, a lower bound on its inradius, exceeds
-EPS_INTERIOR; a scalar area test with a derived rounding bound hands close
-calls and polygons of 8+ vertices to numpy's formulas, so cells and
-witnesses are theirs bit for bit), and, for 1 and 3+ inputs, cells that
-keep their vertices: a side is a cell iff one of its vertices lies more
-than 2 EPS_INTERIOR beyond the cut, and its witness is its vertex
-centroid; a split reads the distances to the cut once, as Python floats,
-and clips by numpy's elementwise operations in Python, bit for bit as
-numpy, building only the sides it keeps. Every region keeps its cell's
-geometry, from which ``count_report`` reads facet adjacency and
-``render_svg`` draws the polygons; neither solves an LP. Cell processing
-is pure and order-independent; the output ordering is canonicalized, so
-results are deterministic.
+Cells (Berzins 2023, "Polyhedral complex extraction from ReLU networks
+using edge subdivision"): in every dimension a float backend admits a side
+of a cut as a cell iff one of its vertices lies more than 2 EPS_INTERIOR
+beyond the cut, the depth that a ball of radius EPS_INTERIOR inside the
+side needs, and a cell's witness is its vertex centroid. In 2 inputs a cell
+is a convex polygon, clipped cyclically on Python floats; in 1 and 3+
+inputs it keeps its vertices with their active rows, and a split reads the
+distances to the cut once, as Python floats, and clips by numpy's
+elementwise operations in Python, bit for bit as numpy, building only the
+sides it keeps. Every region keeps its cell's geometry, from which
+``count_report`` reads facet adjacency and ``render_svg`` draws the
+polygons; neither solves an LP. Cell processing is pure and
+order-independent; the output ordering is canonicalized, so results are
+deterministic.
 
 In 2 inputs a row is tried on the parts of a cell only if it crosses the
 cell, which a pass over the vertices of a layer's cells decides: it crosses
 unless every vertex lies within m - r of one side of it, where
-m = EPS_INTERIOR ||a|| is split's margin and r = 2^-48 (max |x| ||a||_1 +
+m = 2 EPS_INTERIOR ||a|| is split's margin and r = 2^-48 (max |x| ||a||_1 +
 |c|), 32 units of rounding at the cells' scale, bounds how far split's
 values at a part's vertices (a part lies in its cell, its vertices up to
-rounding) can stray from the cell's. So split finds the row within m of
-that side on every part and returns None; even were r exceeded, the other
-side would be a strip about EPS_INTERIOR wide, whose area/perimeter, at
-most half that width, fails the 2-input test. Past |x| of about 1e7 r
-exceeds m, and only rows clear of a cell by more than rounding are passed
-over. The filter thus drops only splits that would not happen, and the
-cells are the same bit for bit. Also in 2 inputs, one split along the tie
-of two maxout candidates gives both their cuts, as negated values clip to
-the same vertices.
+rounding) can stray from the cell's. So on every part no vertex lies more
+than m beyond that side, and split, which admits a side by that very test,
+returns None. Past |x| of about 4e7 r exceeds m, and only rows clear of a
+cell by more than rounding are passed over. The filter thus drops only
+splits that would not happen, and the cells are the same bit for bit. Also
+in 2 inputs, one split along the tie of two maxout candidates gives both
+their cuts, as negated values clip to the same vertices.
 
 The float engine's tolerances are the module constants R_MAX, EPS_INTERIOR,
 DEDUP_TOL, ZERO_NORMAL_TOL and FINGERPRINT_TOL; ``enumerate_regions``' cell
@@ -72,14 +70,13 @@ import numpy as np
 # layer_piece is not called here; it stays importable as geometry.layer_piece,
 # where bench/spans.py counts the calls made through this module.
 from .core import (Affine, AffineMap, Maxout, NetworkSpec, PWLU2D, ValidationError,  # noqa: F401
-                   layer_piece, row_norms)
+                   layer_piece, row_norms, vector_norm)
 from .switching import raw_layers, stack, unit_pieces
 
 
 R_MAX = 1e6  # half-width of the box that bounds an unbounded domain
-# Interior margin of a cell: a 2-input side's area/perimeter and a witness
-# LP's margin exceed it, and a side in 1 or 3+ inputs has a vertex more
-# than 2 EPS_INTERIOR beyond the cut.
+# Interior margin of a cell: a side of a cut has a vertex more than
+# 2 EPS_INTERIOR beyond the cut, and a witness LP's margin exceeds it.
 EPS_INTERIOR = 1e-7
 DEDUP_TOL = 1e-9  # rows whose unit-norm forms round alike at this are one hyperplane
 ZERO_NORMAL_TOL = 1e-12  # pulled-back normals up to this are skipped
@@ -123,11 +120,11 @@ class Witness:
 @dataclass
 class Region:
     """One subdivision cell: its rows (a, c), the half-spaces a.x + c >= 0,
-    the network's affine piece on it, and a strictly interior witness point.
-    It keeps the cell geometry that enumeration built, ``geom``: the
-    polygon's vertex array in 2 inputs, else the vertices ``(V, act)`` of
-    ``_VertexBackend``. ``count_report`` and ``render_svg`` read it; it is
-    never serialised."""
+    the network's affine piece on it, and a witness point inside it, the
+    centroid of its vertices. It keeps the cell geometry that enumeration
+    built, ``geom``: the polygon's vertex array in 2 inputs, else the
+    vertices ``(V, act)`` of ``_VertexBackend``. ``count_report`` and
+    ``render_svg`` read it; it is never serialised."""
 
     rows: list
     piece: AffineMap
@@ -298,7 +295,6 @@ class _Cell:
     constraints: list
     witness: np.ndarray
     geom: object
-    vmax: Optional[float] = None  # the largest |vertex coordinate|, once a split needs it
 
 
 def _normalize_domain(domain, d: int):
@@ -319,12 +315,14 @@ class _FloatBackend:
     ``DEDUP_TOL`` are one hyperplane, split by once.
 
     Every backend has ``split(cell, a, c)``: None, or the sides a.x + c < 0
-    and > 0 as (geom, witness) pairs. ``split_positive`` gives the second
-    side alone, or None. ``crossing(cells, N, C)`` tells, for each cell of a
-    layer and each of its rows, whether the row may split the cell or a part
-    of it (here: always). Where ``shares_ties`` is set, a split by the
-    negated row gives the same two sides swapped, bit for bit, so one split
-    serves both candidates of a maxout tie."""
+    and > 0 as (geom, witness) pairs. A float backend splits iff a vertex
+    lies more than 2 EPS_INTERIOR beyond the cut on each side, and a side's
+    witness is the centroid of its vertices. ``split_positive`` gives the
+    second side alone, or None. ``crossing(cells, N, C)`` tells, for each
+    cell of a layer and each of its rows, whether the row may split the cell
+    or a part of it (here: always). Where ``shares_ties`` is set, a split by
+    the negated row gives the same two sides swapped, bit for bit, so one
+    split serves both candidates of a maxout tie."""
 
     zero_normal_tol = ZERO_NORMAL_TOL
     shares_ties = False
@@ -338,26 +336,6 @@ class _FloatBackend:
     def split_positive(self, cell: _Cell, a: np.ndarray, c: float):
         res = self.split(cell, a, c)
         return res and res[1]
-
-
-def _polygon_area_perimeter(verts: np.ndarray) -> tuple[float, float]:
-    x, y = verts[:, 0], verts[:, 1]
-    xr, yr = np.concatenate([x[1:], x[:1]]), np.concatenate([y[1:], y[:1]])
-    area = 0.5 * abs(np.dot(x, yr) - np.dot(y, xr))
-    per = float(np.sum(np.linalg.norm(np.concatenate([verts[1:], verts[:1]]) - verts, axis=1)))
-    return float(area), per
-
-
-def _polygon_centroid(verts: np.ndarray) -> np.ndarray:
-    x, y = verts[:, 0], verts[:, 1]
-    xr, yr = np.concatenate([x[1:], x[:1]]), np.concatenate([y[1:], y[:1]])
-    cross = x * yr - xr * y
-    a = cross.sum() / 2.0
-    if abs(a) < 1e-300:
-        return verts.mean(axis=0)
-    cx = ((x + xr) * cross).sum() / (6.0 * a)
-    cy = ((y + yr) * cross).sum() / (6.0 * a)
-    return np.array([cx, cy])
 
 
 def _clip(verts: list, vals: list) -> tuple[list, list]:
@@ -377,55 +355,11 @@ def _clip(verts: list, vals: list) -> tuple[list, list]:
     return neg, pos
 
 
-# Rounding bound of the scalar area test. For an n-gon (n <= 7), u = 2**-53,
-# T the exact shoelace sum and M = sum |x_i y_i+1| + |x_i+1 y_i|: np.dot's
-# two sums (any order, FMA or not) and their difference lie within
-# (gamma_n + u (1 + gamma_n)) M of T, the in-order sum of rounded cross
-# terms within gamma_n+1 M, so the two areas differ by under (n + 2) u M.
-# When |area - eps * per| exceeds _AREA_ROUNDING * ((n + 2) M + area +
-# eps * per), numpy's area lies on the same side of eps * per, 2u (area +
-# eps * per) clear of it: past the rounding of the test and of area / per.
-_AREA_ROUNDING = 4 * 2.0 ** -53
-
-
-def _polygon_cell(verts: list, eps: float):
-    """(vertex array, centroid) of the convex polygon ``verts``, a list of
-    (x, y), if its area/perimeter exceeds ``eps``; else None. One pass gives
-    perimeter and centroid bit for bit as the numpy formulas (numpy sums
-    under 8 terms in order) and the area up to ``_AREA_ROUNDING``, within
-    which, and from 8 vertices on, the numpy formulas decide."""
-    n = len(verts)
-    if n < 3:
-        return None
-    s = sx = sy = per = mass = 0.0
-    for (x, y), (xr, yr) in zip(verts, verts[1:] + verts[:1]):
-        p, q = x * yr, xr * y
-        cross = p - q
-        s += cross
-        sx += (x + xr) * cross
-        sy += (y + yr) * cross
-        mass += abs(p) + abs(q)
-        dx, dy = xr - x, yr - y
-        per += math.sqrt(dx * dx + dy * dy)
-    area, a = 0.5 * abs(s), s / 2.0
-    if n >= 8 or abs(area - eps * per) <= _AREA_ROUNDING * ((n + 2) * mass + area + eps * per):
-        area, per = _polygon_area_perimeter(np.array(verts))
-    if not (per > 0 and area / per > eps):
-        return None
-    arr = np.array(verts)
-    if n >= 8 or abs(a) < 1e-300:
-        return arr, _polygon_centroid(arr)
-    return arr, np.array([sx / (6.0 * a), sy / (6.0 * a)])
-
-
 class _PolygonBackend(_FloatBackend):
-    """d = 2: cells are convex polygons, split by Sutherland-Hodgman clipping.
-
-    A clipped side survives if its area/perimeter ratio (a lower bound on the
-    inradius: eroding a convex set by t removes at most perimeter*t of area)
-    exceeds the interior margin. ``crossing`` drops only rows that split no
-    part of a cell (see the module docstring).
-    """
+    """d = 2: a cell is a convex polygon, its vertex array in order, split by
+    cyclic (Sutherland-Hodgman) clipping on Python floats. ``crossing``
+    drops only rows that split no part of a cell (see the module
+    docstring)."""
 
     shares_ties = True
 
@@ -445,7 +379,7 @@ class _PolygonBackend(_FloatBackend):
                 owner = np.repeat(np.arange(len(block)), sizes)
                 X = np.concatenate([cell.geom for cell in block])
                 D = X[:, :1] * Nb[owner, :, 0] + X[:, 1:] * Nb[owner, :, 1] + Cb[owner]
-                per_norm = EPS_INTERIOR - _VERTEX_ROUNDING * math.sqrt(2) * float(np.abs(X).max())
+                per_norm = 2.0 * EPS_INTERIOR - _VERTEX_ROUNDING * math.sqrt(2) * float(np.abs(X).max())
                 m = np.hypot(Nb[..., 0], Nb[..., 1]) * per_norm - _VERTEX_ROUNDING * np.abs(Cb)
                 starts = np.cumsum([0] + sizes[:-1])
                 one_sided = (np.minimum.reduceat(D, starts) >= -m) | (np.maximum.reduceat(D, starts) <= m)
@@ -454,13 +388,14 @@ class _PolygonBackend(_FloatBackend):
 
     def split(self, cell: _Cell, a: np.ndarray, c: float):
         vals = (cell.geom @ a + c).tolist()
-        m = EPS_INTERIOR * math.sqrt(a.dot(a))  # np.linalg.norm(a), bit for bit
+        m = 2.0 * EPS_INTERIOR * vector_norm(a)
         if min(vals) >= -m or max(vals) <= m:
-            return None  # clearly one-sided (possibly touching)
-        neg, pos = _clip(cell.geom.tolist(), vals)
-        neg = _polygon_cell(neg, EPS_INTERIOR)
-        pos = neg and _polygon_cell(pos, EPS_INTERIOR)
-        return (neg, pos) if pos else None
+            return None
+        sides = []
+        for verts in _clip(cell.geom.tolist(), vals):
+            xs, ys = zip(*verts)  # the vertex centroid, summed as mean(axis=0) sums it
+            sides.append((np.array(verts), np.array([sum(xs) / len(xs), sum(ys) / len(ys)])))
+        return tuple(sides)
 
 
 _VERTEX_ROUNDING = 2.0 ** -48  # see _snap_tol
@@ -515,12 +450,11 @@ class _VertexBackend(_FloatBackend):
     the vertex centroid. The root is the domain box. In 1 input a cell is
     an interval, its two ends its vertices.
 
-    A side of a cut is a cell iff one of its vertices lies more than
-    2 EPS_INTERIOR beyond the cut, the depth that a ball of radius
-    EPS_INTERIOR inside the side needs; box faces count as facets. A split
-    reads the distances once as Python numbers, and one pass snaps those
-    within ``_snap_tol`` to 0 and finds the deepest on each side; the
-    children get their vertices from ``_clip_vertices``.
+    A side of a cut is a cell under the rule of every float backend
+    (``_FloatBackend``); box faces count as facets. A split reads the
+    distances once as Python numbers, and one pass snaps those within
+    ``_snap_tol`` to 0 and finds the deepest on each side; the children get
+    their vertices from ``_clip_vertices``.
     """
 
     def root(self, lo, hi):
@@ -553,20 +487,12 @@ class _VertexBackend(_FloatBackend):
         res = self.split(cell, a, c, (1,))
         return res and res[0]
 
-    _row = (None, 0.0, 0.0)  # the last row cut by, its norm and its 1-norm
-
     def _distances(self, cell: _Cell, a: np.ndarray, c: float):
         """(each vertex's distance beyond the cut, a list; ``_snap_tol``; the
-        depth beyond the cut that admits a side). ``_snap_tol``'s terms are
-        found once per cell, and once per row while one row object (never
-        written in place) cuts part after part."""
-        V = cell.geom[0]
-        if cell.vmax is None:
-            cell.vmax = np.abs(V).max()
-        if a is not self._row[0]:
-            self._row = a, math.sqrt(a.dot(a)), np.abs(a).sum()  # np.linalg.norm(a), bit for bit
-        _, norm, a1 = self._row
-        return ((V @ a + c) / norm).tolist(), _snap_tol(cell.vmax, a1, c, norm), 2.0 * EPS_INTERIOR
+        depth beyond the cut that admits a side)."""
+        V, norm = cell.geom[0], vector_norm(a)
+        tol = _snap_tol(np.abs(V).max(), np.abs(a).sum(), c, norm)
+        return ((V @ a + c) / norm).tolist(), tol, 2.0 * EPS_INTERIOR
 
 
 class _ExactBackend(_VertexBackend):

@@ -377,14 +377,12 @@ def _draw_layers(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray,
 
 
 def _draw_nets(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, at,
-               kappa: Optional[int], rank: Optional[int], group_size: int,
-               units: bool = False) -> list:
-    """The random layers of ``sample_network`` for the nets with layer keys
-    ``keys`` (n, layers, 2), as raw layers, layer l of net t drawn from the
-    stream ``at(keys[t, l])``. Each spline layer is drawn in one call and
-    made for all n nets at once by ``_spline_layer``, as its tables or, with
-    ``units``, as ``ScalarCPWL`` units; a net that it flags is drawn again,
-    unit by unit."""
+               kappa: Optional[int], rank: Optional[int], group_size: int) -> list:
+    """The nets that ``sample_network`` draws with layer keys ``keys``
+    (n, layers, 2), as raw layers, layer l of net t drawn from the stream
+    ``at(keys[t, l])``, a spline layer as its tables. Each spline layer is
+    drawn in one call and made for all n nets at once by ``_spline_layer``;
+    a net that it flags is drawn again, unit by unit."""
     nets = [_draw_layers(arch, init, k, at, kappa, rank, group_size, _spline_normals)
             for k in keys]
     if arch.family != "deepspline":
@@ -392,21 +390,15 @@ def _draw_nets(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, a
     made = {}
     for l in range(1, len(nets[0]), 2):  # the units after each affine map
         kaps = _kappas(arch, kappa, l // 2)
-        made[l] = kaps, _spline_layer(np.array([net[l][1] for net in nets]), kaps, init.sigma_b)
+        made[l] = _spline_layer(np.array([net[l][1] for net in nets]), kaps, init.sigma_b)
     for t, net in enumerate(nets):
-        if not all(ok[t] for _, (*_, ok) in made.values()):
+        if not all(ok[t] for *_, ok in made.values()):
             net[:] = _draw_layers(arch, init, keys[t], at, kappa, rank, group_size, _spline_units)
-            if not units:
-                for l, (_, (bps, *_)) in made.items():
-                    net[l] = (Pointwise, *unit_tables(net[l][1], bps.shape[2]))
+            for l, (bps, *_) in made.items():
+                net[l] = (Pointwise, *unit_tables(net[l][1], bps.shape[2]))
             continue
-        for l, (kaps, (bps, lines, anchors, _)) in made.items():
-            if not units:
-                net[l] = (Pointwise, bps[t], lines[t])
-                continue
-            net[l] = (Pointwise, tuple(
-                ScalarCPWL(tuple(b[:g - 1].tolist()), tuple(ln[:g, 0].tolist()), float(a))
-                for b, ln, a, g in zip(bps[t], lines[t], anchors[t], np.maximum(kaps, 1))))
+        for l, (bps, lines, *_) in made.items():
+            net[l] = (Pointwise, bps[t], lines[t])
     return nets
 
 
@@ -419,11 +411,12 @@ def sample_network(arch: ArchitectureDescriptor, init: InitSpec,
     affine layer followed by its activation. deepspline: units with kappa-1
     random breakpoints and random slopes. maxout: rank-``rank`` maxout layers
     (the affine map lives inside the layer). groupsort: affine + groupsort
-    blocks on divisible widths; the final readout stays affine-only.
+    blocks on divisible widths; the final readout stays affine-only. The
+    layers are drawn from their streams unit by unit (``_spline_units``).
     """
     seed = init.seed if seed is None else seed
     keys = _spawn_keys(_seed_words(seed), np.arange(len(arch.dims) - 1)[:, None])
-    (net,) = _draw_nets(arch, init, keys[None], _rekeyer(), kappa, rank, group_size, units=True)
+    net = _draw_layers(arch, init, keys, _rekeyer(), kappa, rank, group_size, _spline_units)
     return NetworkSpec(arch.dims[0], tuple(LAYER_OF_RAW[kind](*args) for kind, *args in net))
 
 

@@ -1,4 +1,6 @@
 """Scalar CPWL algebra, layer piece selection, and network evaluation."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -307,3 +309,32 @@ def test_pwlu2d_piece_matches_triangle_plane():
                         a * w[0] + b * w[1] + c, abs=1e-9)
                     S, cc = layer_piece(layer, w)
                     assert (S[0, 0], S[0, 1], cc[0]) == pytest.approx((a, b, c), abs=1e-12)
+
+
+def test_row_norms_survive_overflowing_squares():
+    # Rows whose square is finite keep np.linalg.norm's bits; a finite row
+    # whose square overflows gets a finite norm, s ||v / s||; an infinite
+    # row's norm is inf, a NaN row's NaN, and one past the largest float
+    # inf. No warning in any case, and the one-row form agrees.
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3, 5):
+        X = rng.normal(size=(400, d)) * 10.0 ** rng.uniform(-300, 160, size=(400, 1))
+        X[::7, 0] = 1.4e154
+        X[1, 0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = core.row_norms(X)
+            for x, n in zip(X, norms.tolist()):
+                assert n == core.vector_norm(x)
+                with np.errstate(over="ignore"):
+                    square = x.dot(x)
+                if np.isfinite(square):
+                    assert n == np.linalg.norm(x)
+                else:
+                    assert np.isfinite(n) and n == pytest.approx(np.hypot.reduce(x), rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        special = core.row_norms(np.array([[np.inf, 1.0], [np.nan, 1.0], [0.0, 0.0],
+                                           [1.5e308, 1.5e308]]))
+    assert np.isinf(special[0]) and np.isnan(special[1]) and special[2] == 0.0
+    assert np.isinf(special[3])

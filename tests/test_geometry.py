@@ -286,58 +286,6 @@ def test_pwlu_counts_in_and_out_of_grid():
     assert network_arrangement_upper(net) == 34
 
 
-def test_polygon_measures_match_roll_formulas():
-    rng = np.random.default_rng(5)
-    for i in range(200):
-        n = 3 + i % 10
-        t = np.sort(rng.uniform(0.0, 2 * np.pi, n))
-        verts = rng.normal(size=2) + rng.uniform(0.1, 10.0) * np.stack([np.cos(t), np.sin(t)], 1)
-        x, y = verts[:, 0], verts[:, 1]
-        xr, yr = np.roll(x, -1), np.roll(y, -1)
-        area = float(0.5 * abs(np.dot(x, yr) - np.dot(y, xr)))
-        per = float(np.sum(np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)))
-        cross = x * yr - xr * y
-        a = cross.sum() / 2.0
-        centroid = np.array([((x + xr) * cross).sum() / (6.0 * a),
-                             ((y + yr) * cross).sum() / (6.0 * a)])
-        got_area, got_per = geometry._polygon_area_perimeter(verts)
-        assert np.array([got_area, got_per]).tobytes() == np.array([area, per]).tobytes()
-        assert geometry._polygon_centroid(verts).tobytes() == centroid.tobytes()
-        # The scalar kernel: the same vertex array and centroid bytes.
-        arr, got_centroid = geometry._polygon_cell(verts.tolist(), 0.0)
-        assert arr.tobytes() == verts.tobytes()
-        assert got_centroid.tobytes() == centroid.tobytes()
-
-
-@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
-def test_scalar_admissibility_matches_numpy_at_the_threshold(monkeypatch, scale):
-    # eps_interior is set within 1e-12 relative (down to 1e-16) of each
-    # polygon's area/perimeter, so only the rounding of the two area sums
-    # can part the decisions; the scalar test must hand those to numpy.
-    numpy_measures, fallbacks = geometry._polygon_area_perimeter, [0]
-
-    def counted(verts):
-        fallbacks[0] += 1
-        return numpy_measures(verts)
-    monkeypatch.setattr(geometry, "_polygon_area_perimeter", counted)
-    rng = np.random.default_rng(round(np.log10(scale)) + 40)
-    for i in range(1500):
-        n = 3 + i % 5
-        t = np.sort(rng.uniform(0.0, 2 * np.pi, n))
-        # Round and sliver polygons, about the origin or far off it.
-        shape = np.stack([np.cos(t), 10.0 ** rng.uniform(-3, 0) * np.sin(t)], 1)
-        theta = rng.uniform(0, 2 * np.pi)
-        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        centre = rng.normal(size=2) * rng.choice([0.0, 1.0, 30.0])
-        verts = (scale * (centre + shape @ rot)).tolist()
-        area, per = numpy_measures(np.array(verts))
-        eps = area / per * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16, -12))
-        got = geometry._polygon_cell(verts, eps)
-        assert (got is not None) == (area / per > eps), (i, verts, eps)
-    # Both paths ran: numpy decided some, the scalar test alone 100 or more.
-    assert 0 < fallbacks[0] < 1500 - 100
-
-
 def _digest_corpus():
     """(name, net, domain): 2-input nets of every layer type, each on a box
     and unbounded."""
@@ -373,55 +321,58 @@ def _digest_corpus():
 
 
 # (cells, distinct, connected), sha256 of the canonical regions.json and,
-# on the box, of the SVG; recorded before the scalar polygon kernel.
+# on the box, of the SVG. The counts were recorded before the scalar polygon
+# kernel; the digests since 2-input witnesses are vertex centroids, which
+# moved the witnesses and the region order (``_CORPUS_SET_DIGESTS`` holds
+# the rest).
 _CORPUS_DIGESTS = {
     "relu-box": ((14, 14, 14),
-        "05cb77634c5196d54140b88d49a8b1ec22549b2d5cd8d0a2ab6e6974a29ac6c0",
-        "a6e13dc907f3ce95429020e15ecebce8229d6a723c0bc4691211c4ec5ddf027c"),
+        "1d16f709023c1805f88b3fc5930ea963bce98cee641ef610f9acee72a199e9f4",
+        "3071b58729900e6be68aa47a77dfd8ad1f8a7858a3b638d2d5735de62ec9b68a"),
     "relu-unbounded": ((34, 34, 34),
-        "227b6d3ab1a89904266d12cba04c914f1b655769b0a2c09e2107c0c75f92509f",
+        "8865f3a7d78c6b2735d95009dc45181f65d38fda22c3d776078f1caf656a2140",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "relu-dead-box": ((10, 1, 1),
-        "53e3db7ee3f0aeeb340cf6d44bf6d8ba5a614738b11214fcc9696b425f159e13",
+        "00b7007b039d44e311377c2b84173444a569c79c6923912ffd13f886aa2a108f",
         "e948b2c1870f3ba1d2b9696802fed6237ff8dcf05e88dc8fa3ad70c8846a479b"),
     "relu-dead-unbounded": ((25, 12, 12),
-        "31efdc69323fa3bf2f3ba3075ec3b2c1f2fe0127a21ec0ebf43056592f42b008",
+        "559767b038f72a93b2570113f51a2852bd2bd21c5f24d314aa19169ce0098f5e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "abs-box": ((14, 14, 14),
-        "9356802b4ca6a4b593e033bd1b5394ae2a7548c8a2f7bb6481a5ad6471170b88",
-        "580a14bfcb8517e67e254be5785ec46a31ec9550638dd21077c880e29363b617"),
+        "35b023ab1ebcb2f46ea9fab63a8c58ef7cbdef726785bcf0784805443a9eee0c",
+        "a06e987a530bb7e1d776bb87323b674eb8ce4d54ed75b1e5739ff23351abe84c"),
     "abs-unbounded": ((15, 15, 15),
-        "293f95de223b934df17f942483d94fad8441b5789d8fdf7676008e6e5f0ff9fd",
+        "4b93bf6c6d9816fd62b48e7abba9b8d6a8ace9943bae73c0c6028e22c9ee659c",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "spline-box": ((74, 74, 74),
-        "9d04d3befbfcecff4eb27167a9c95d0b27882c0f68c27e96b3cb8a942ea9ccaa",
-        "8265629d83bc8b3932efe3b6c3bb54b4e0d759a941d8bde8a224e5795523c961"),
+        "f97a73fb40107d35fdaed4a37b548204de82bc360e53512424caf2a9f413cfe6",
+        "a905d0dd97149f2733380df33deb86a013d7a2e83bf21f731230575f8b81f4f6"),
     "spline-unbounded": ((114, 114, 114),
-        "f5a4f635946ac1c867e763e2118182cdd86ad2f781187fb822de3a569bc476de",
+        "9a7eedeca1123739c0620c3a35b379890b8631b8eb7a567aa24ca3dbd4c0b745",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "maxout-box": ((24, 24, 24),
-        "7d5a27bec2675b3b0b4d36485c89c3e044621ef8197d434334efc71083c800bb",
-        "af01f28954dbcb39208c4cd7a0ef52f8fd2849b306a9c6be15ef08aba46a3e4c"),
+        "7ccbacda723d12f4c332c6eb7114ef31f2d1138d1257cae7f1e28bbc05d1dc8e",
+        "905e9de70c4bf343ad04c0e375905302278484d28b231d43de8d44736ed20567"),
     "maxout-unbounded": ((37, 37, 37),
-        "104bd0290d2e1950c0d8546019b0f9c32fa6cc966252ee6d2a4b5d13796f6a19",
+        "29794212e42440c6fc857c8d696ee85264b0f6d89469b8a5900567eae1be44d7",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "maxout-9gon-box": ((10, 10, 10),
-        "343dea99543ffc812ddd2807eed94c72bce434e75f9a412bb447e3f3d7104b96",
+        "4aaadad693a964de6ddb9b2df4cc24545b8b668d38b34a9387371706a0a7a177",
         "9a5ddc8ff25d40d0c2951f7b0d44634cebb3d4bc7788c606cccca7e1bf823bdd"),
     "maxout-9gon-unbounded": ((10, 10, 10),
-        "d44812e3d0bb381515beeb58a49cd1ba609123ed56ef992712f926aabacf339c",
+        "ac287aab35050509788ca05388a93de9ce5d055c3111ee7eda370532bc9333e6",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "groupsort-box": ((9, 9, 9),
-        "47fe2e48c687319be5c1489ee9f2afd3c316ef7d458b12f03d3fb0dac620f79b",
+        "73863f022070dbcdd4c32d0012fd0d75eddf20bf698483a90843819471f1f172",
         "feb33ead2e4a888c34379268fbfc61696a925c3af7c7ca46fa32ef33472dd91f"),
     "groupsort-unbounded": ((33, 33, 33),
-        "5c5671dcdbde5ad2cc8336cd7bc8ae3b75210b4e35d3a27adc6af7aaf8a3d811",
+        "86e3b794987e4a1d80efaba6338b06182b8dc99775bc65fbd763f052917e4133",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "pwlu2d-box": ((41, 41, 41),
-        "31deb792c0b8471157fca761283fee4ec1f42acf65c03366e81261e86936d22b",
-        "cc91dac10ead2c129405543c82159a5d7e422b7909af38788293e1399c58a68b"),
+        "5ad56b422eb031f05b684e4d93dd8c49402c42db7a94e757ff8c124fda5be38a",
+        "86d18684a0863ce5bd28bb4693b994de7354a93083d142eb967959d8fc2fe54e"),
     "pwlu2d-unbounded": ((79, 78, 79),
-        "ee7275ecd51bca73a73442327912623183eaa81e6a64a567204dd939a47dae67",
+        "44074676f04db4beab403c7e87060d51d254373987e73b4a29883c155c0fc5df",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
@@ -436,6 +387,64 @@ def test_region_products_match_recorded_digests():
                      hashlib.sha256(dumps_canonical(region_set_to_json(rs)).encode()).hexdigest(),
                      hashlib.sha256(svg.encode()).hexdigest())
     assert got == _CORPUS_DIGESTS
+
+
+def _region_set_digests(rs) -> tuple[str, str]:
+    """sha256 of the sorted per-region (rows, piece, polygon) bytes and of
+    the sorted SVG polygon lines: all that enumeration and rendering make
+    apart from the witnesses and the order of the regions."""
+    regions = sorted(repr(_bits((r.rows, r.piece.matrix, r.piece.offset, r.geom)))
+                     for r in rs.regions)
+    polygons = sorted(line for line in render_svg(rs).splitlines() if line.startswith("<polygon"))
+    return tuple(hashlib.sha256("\n".join(v).encode()).hexdigest() for v in (regions, polygons))
+
+
+# _region_set_digests of each corpus entry, box and unbounded; recorded while
+# 2-input sides were admitted by area/perimeter and witnessed by their area
+# centroid.
+_CORPUS_SET_DIGESTS = {
+    "relu-box": ("03a9383fe38594518707ea8672483248c19e1595b2125fc63c2aa17eba50fd5a",
+        "c15f4457249647ec7a6d5b8725b9b2122b5cab1f5c6a622ba336fec16c6898b4"),
+    "relu-unbounded": ("d24395421d180a369907f0f19bb0a816edb55e495ca6b881eb015d95e067b141",
+        "53030817351c607c2f68e14a9b63f17c8162a3730a6008007130469c3ebce03e"),
+    "relu-dead-box": ("ae48ca9d64558ceaf1c945b0451a702f561754da7c3e850d6b9f4bc3957ff35a",
+        "e7cde90a639f770408a35e6ee3e90b77a73a2f3cbd08deab34fc1c375ac4bc3d"),
+    "relu-dead-unbounded": ("ebd4c802a11eaf906e349097f71e24a485b624a15c8f1beb41d245a9e8153e78",
+        "c3f3fa16ebbe3285c74c774024c21f44cef473c1b3dcb0872c506c237115c0e9"),
+    "abs-box": ("be66687a3f376f9dbe0972e811becdb633b788b925111ab2b2dd4885d4232237",
+        "9966376a158912d1622cbf1e1f0f335312155fe21c9298fb6b6de37230a63aed"),
+    "abs-unbounded": ("dda8026a8389b44733a8b437429c1a9cc95319fe670ab433503d4d7bab8517da",
+        "b780d95c587036a2110282956f0ab9b3755f048259677ba0a187f7388946a0a5"),
+    "spline-box": ("c18d15d6cb3663e89e0a8d4a21da2c1dc1b8cc0bda2c07b703cdbdb550b0dce1",
+        "9a6db51da3fc345ebe6a663a6d7ec16da9e9fc6829113a14206a5a041ca93eb4"),
+    "spline-unbounded": ("fba8bf6af45c77909c06b2629c0403a58fa082c49dfd32435f0dfacacfb946a5",
+        "d7b350af00ab8d937ced27d2fa3bbac0b0ead33408c4f3614c987ff2a8658cb7"),
+    "maxout-box": ("08ab7950543c0379faf4f15111894b1090daafcea87aaee318ea24ea3e05b9da",
+        "4726fa9eddf04dac7580934b77929b2add29dc495bdd90deec5802d14082f5bc"),
+    "maxout-unbounded": ("377888a998e8c158cb7b1f4fb0119291a0ebfaf1816a178e5d4df52a39d6f805",
+        "b2a0fb21a814c9b8978543d26ef1219e4492a30e70ac4a6aa6b6f4f447af59da"),
+    "maxout-9gon-box": ("e2cd6eaa1710e15f6f2a7e70142535c376cfa7d81db3f92a49581abfb32ea153",
+        "9976f86711fbe1edbe96ab6f708d787dc605673206699a4fa6b1dd11e0aad457"),
+    "maxout-9gon-unbounded": ("2d7e271ebcf19a2f78261435f62aa6e4ecc45015772ce1458ac9597f01009976",
+        "d9d5df9a1dd15e041fad5a79340c7bb78a3a8e076fb4f4ec6ab9ecced9dc8962"),
+    "groupsort-box": ("b88d23c3801ca88877d711963c92b3a12f5e09377864539df2a6784995daeadd",
+        "79cc5544a25984980300d0750275017930d29affe7e02e40b767035e5ead018e"),
+    "groupsort-unbounded": ("9bd201b3a7f3633c4ea6ede6de6cb35addc35c905da0b85ec252bff82e19dcf9",
+        "11211ebac6abe89eb599a123798e86d45e23d1320918fdd3eff1c32d529ab997"),
+    "pwlu2d-box": ("06ab4f3cd50c193917a9e1c1954417e6939a3aa73cc1532260336fc26327eb55",
+        "28dbbe02cd7772a0fcb9500a14ef8389c8e0832309ad9aeb468b3134020f81e6"),
+    "pwlu2d-unbounded": ("2d943e7beabbffe97b553719fa2b829d3b9e1e0e795267ce241b8a237cae94b7",
+        "fe6f34f541c94a6bd18df0d6de18b3ec0a8a974b68503ff8aea2caffec1d060c"),
+}
+
+
+def test_region_sets_match_recorded_digests():
+    # Each region's rows, piece and polygon, and each SVG polygon, as sets:
+    # what a change of the witnesses, and with them of the region order,
+    # leaves as it is.
+    got = {name: _region_set_digests(enumerate_regions(net, domain=domain))
+           for name, net, domain in _digest_corpus()}
+    assert got == _CORPUS_SET_DIGESTS
 
 
 def _vertex_digest_corpus():
@@ -1500,6 +1509,24 @@ def test_rows_that_overflow_on_the_box_are_refused(d, domain):
         with pytest.raises(ValidationError, match="non-finite"):
             enumerate_regions(net(1e308), domain=domain)
         assert len(enumerate_regions(net(1e150), domain=domain)) == 2 ** d
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("domain", [(-2.0, 2.0), None])
+def test_rows_whose_square_overflows_are_cut(d, domain):
+    # The first row, (1.4e154, 1, 0, ...), is finite on the box, but its
+    # square is not: its norm read inf, so every distance to its cut read 0
+    # (the 2-input margin inf) and the cut was dropped, giving 1, 2 and 4
+    # cells. Its norm is finite now, and the counts are the rational
+    # engine's.
+    M = np.eye(d)
+    M[0, 0] = 1.4e154
+    M[0, 1:2] = 1.0
+    net = NetworkSpec(d, (Affine(AffineMap(M, np.zeros(d))), Pointwise((relu_unit(),) * d),
+                          Affine(AffineMap(np.ones((1, d)), np.zeros(1)))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(enumerate_regions(net, domain)) == exact_cell_count(net, domain)[0] == 2 ** d
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-2])
