@@ -2,18 +2,21 @@
 
 A network restricted to a straight segment is a CPWL function of the arc
 parameter. Segments are propagated together, layer by layer, as subdivisions
-of their parameter intervals: the intervals ``[lo, hi]`` of all segments,
-the segment owning each, and the affine profiles ``z(s) = Q + P*s`` of the
+of their parameter intervals: the intervals ``[lo, hi]`` of all segments, the
+segment owning each, and the affine profiles ``z(s) = Q + P*s`` of the
 intervals as (n, width) arrays ``P`` and ``Q``. All segments share one
 network, or each has its own and parameters are gathered by owner. Each layer
-runs once on the whole arrays: its switching rows (``switching``, with d = 1)
-give the exact cut points ``-c / N`` of all intervals and units, one sort
-merges them into the subdivision, and its piece selection picks the active
-piece of every interval at its midpoint. An integer array beside the
-intervals holds the layer that introduced each cut. A cut is a knot iff the
-restricted affine piece (slope vector or value) actually differs on its two
-sides; cuts where nothing changes, including stretches that ride along a
-switching boundary, are discarded.
+runs once on the whole arrays. A non-affine layer's switching rows
+(``switching``, with d = 1) give the exact cut points ``-c / N`` of all
+intervals and units, one sort merges them into the subdivision, and its piece
+selection picks the active piece of every interval at its midpoint. An affine
+layer sums elementwise products over its input width in a fixed order, not a
+matrix product, whose row bits depend on the row count and the BLAS kernel:
+no step mixes segments, so a segment's knots and image length do not depend
+on the batch. An integer array beside the intervals holds the layer that
+introduced each cut. A cut is a knot iff the restricted affine piece (slope
+vector or value) differs on its two sides; cuts where nothing changes,
+including stretches that ride along a switching boundary, are discarded.
 """
 from __future__ import annotations
 
@@ -122,7 +125,8 @@ class _Segments:
         of the next cut is dropped. Sub-intervals inherit the profile."""
         n, tol = len(self.lo), self.tol[self.owner]
         shape = (-1,) + (1,) * (num.ndim - 1)
-        r = num / np.where(np.abs(den) < 1e-300, np.nan, den)
+        with np.errstate(over="ignore"):  # an infinite cut lies in no interval
+            r = num / np.where(np.abs(den) < 1e-300, np.nan, den)
         inside = (r > (self.lo + tol).reshape(shape)) & (r < (self.hi - tol).reshape(shape))
         iv, r = inside.nonzero()[0], r[inside]
         if not r.size:
@@ -162,18 +166,14 @@ def _switch(seg: _Segments, li: int, layer) -> None:
 
 
 def _affine(seg: _Segments, li: int, M: np.ndarray, b: np.ndarray) -> None:
-    # One product per segment (a product over the rows of several segments
-    # rounds differently), stacked over the segments with as many intervals.
-    bounds = seg.bounds()
-    first, count = bounds[:-1], np.diff(bounds)
-    P, Q = np.empty((len(seg.P), M.shape[1])), np.empty((len(seg.P), M.shape[1]))
-    for n in np.unique(count):
-        same = (count == n).nonzero()[0]
-        rows = first[same, None] + np.arange(n)
-        Mt = (M if len(M) == 1 else M[same]).swapaxes(1, 2)
-        P[rows] = seg.P[rows] @ Mt
-        Q[rows] = seg.Q[rows] @ Mt + (b if len(b) == 1 else b[same])[:, None]
-    seg.P, seg.Q = P, Q
+    # Fixed-order elementwise sums: a row's bits do not depend on the batch.
+    if len(M) > 1:
+        M, b = M[seg.owner], b[seg.owner]
+    P, Q = seg.P[:, :1] * M[:, :, 0], seg.Q[:, :1] * M[:, :, 0]
+    for k in range(1, M.shape[2]):
+        P += seg.P[:, k:k + 1] * M[:, :, k]
+        Q += seg.Q[:, k:k + 1] * M[:, :, k]
+    seg.P, seg.Q = P, Q + b
 
 
 def _propagate(nets: Sequence[Sequence[tuple]], seg: _Segments):

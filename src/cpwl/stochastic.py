@@ -312,13 +312,13 @@ def _spline_layer(z: np.ndarray, kaps: list, sigma_b: float):
     """n draws of a spline layer from their ``_spline_normals`` z (n, total),
     all at once and as ``ScalarCPWL`` and ``unit_tables`` make them: the
     ``unit_tables`` (n, units, m) and (n, units, m + 1, 2), m = max(kaps) - 1,
-    each unit's value at its first breakpoint (n, units), and (n,) whether
-    each draw stands: not where ``_spline_units`` would draw a breakpoint
-    again (sorted breakpoints within 1e-9), nor where ``ScalarCPWL`` would
-    refuse a unit (non-finite) or merge its pieces (adjacent slopes or
-    breakpoints within ``MERGE_TOL``). A unit of one piece is the identity."""
+    and (n,) whether each draw stands: not where ``_spline_units`` would draw
+    a breakpoint again (sorted breakpoints within 1e-9), nor where
+    ``ScalarCPWL`` would refuse a unit (non-finite) or merge its pieces
+    (adjacent slopes or breakpoints within ``MERGE_TOL``). A unit of one
+    piece is the identity."""
     n, w, m = len(z), len(kaps), max(max(kaps), 1) - 1
-    bps, lines, anchors = np.full((n, w, m), np.inf), np.zeros((n, w, m + 1, 2)), np.zeros((n, w))
+    bps, lines = np.full((n, w, m), np.inf), np.zeros((n, w, m + 1, 2))
     lines[:, :, 0, 0], ok = 1.0, np.ones(n, dtype=bool)
     ends = np.cumsum([2 * k if k > 1 else 0 for k in kaps])
     for g in sorted({k for k in kaps if k > 1}):
@@ -333,9 +333,9 @@ def _spline_layer(z: np.ndarray, kaps: list, sigma_b: float):
         # the line through the value at breakpoint max(i - 1, 0).
         vals = np.cumsum(np.concatenate([a[..., None], s[..., 1:-1] * gap], axis=2), axis=2)
         j = np.maximum(np.arange(g) - 1, 0)
-        bps[:, units, :g - 1], anchors[:, units] = b, a
+        bps[:, units, :g - 1] = b
         lines[:, units, :g] = np.stack([s, vals[..., j] - s * b[..., j]], axis=3)
-    return bps, lines, anchors, ok
+    return bps, lines, ok
 
 
 def _draw_layers(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, at,
@@ -397,7 +397,7 @@ def _draw_nets(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, a
             for l, (bps, *_) in made.items():
                 net[l] = (Pointwise, *unit_tables(net[l][1], bps.shape[2]))
             continue
-        for l, (bps, lines, *_) in made.items():
+        for l, (bps, lines, _) in made.items():
             net[l] = (Pointwise, bps[t], lines[t])
     return nets
 

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from cpwl import core
+from cpwl import core, paths
 from cpwl.bounds import ArchitectureDescriptor
 from cpwl.constructions import sawtooth, sawtooth_network
 from cpwl.core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
@@ -12,8 +12,10 @@ from cpwl.core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
                        Pointwise, ValidationError, abs_unit, relu_unit)
 from cpwl.paths import (PATH_VERTEX, InequalityReport, PolygonalPath,
                         check_composition_bound, check_subadditivity,
-                        count_knots, image_length, image_path)
+                        count_knots, image_length, image_path,
+                        segment_image_lengths, segment_knot_counts)
 from cpwl.stochastic import InitSpec, default_probe, sample_network
+from cpwl.switching import raw_layers
 
 
 def relu_net():
@@ -238,6 +240,83 @@ def test_knot_engine_parity_pinned():
 
 
 # ---------------------------------------------------------------------------
+# Batch invariance: a segment's intervals have the same bits in any batch
+# ---------------------------------------------------------------------------
+
+def _propagated(nets, starts, ends):
+    """Per layer, per segment: the bytes of its intervals and profiles."""
+    seg, out = paths._Segments(starts, ends), []
+    for _ in paths._propagate(nets, seg):
+        out.append([b"".join(a[seg.owner == t].tobytes() for a in (seg.lo, seg.hi, seg.P, seg.Q))
+                    for t in range(len(starts))])
+    return out, np.bincount(seg.owner)
+
+
+_INVARIANCE_NETS = {"abs": ((2, 4, 4, 4, 1), {}), "maxout": ((2, 4, 4, 1), {"rank": 3}),
+                    "deepspline": ((2, 4, 4, 1), {"kappa": 3})}
+
+
+@pytest.mark.parametrize("family", sorted(_INVARIANCE_NETS))
+@pytest.mark.parametrize("shared", [True, False])
+def test_segments_run_alone_or_in_any_batch_alike(family, shared):
+    # 32 segments of random ends, under one net or one net each. Alone, as
+    # the only segment of a batch, and in batches of 7 and 32 segments whose
+    # interval counts differ, each segment gets the same bytes: intervals and
+    # profiles after every layer, knot counts after every layer, image length.
+    dims, kw = _INVARIANCE_NETS[family]
+    arch = ArchitectureDescriptor(dims, tuple((3,) * w for w in dims[1:]), family=family)
+    nets = [sample_network(arch, InitSpec(sigma_b=0.7), seed=40 + t, **kw)
+            for t in range(1 if shared else 32)]
+    nets = nets * 32 if shared else nets
+    raw = [raw_layers(net) for net in nets]
+    starts, ends = np.random.default_rng([17, shared]).uniform(-3, 3, size=(2, 32, 2))
+    after = range(len(raw[0]))
+    alone = []
+    for t in range(32):
+        path = PolygonalPath.segment(starts[t], ends[t])
+        layers, _ = _propagated(raw[t:t + 1], starts[t:t + 1], ends[t:t + 1])
+        alone.append((list(count_knots(nets[t], path, prefixes=True).prefix_counts),
+                      image_length(nets[t], path), [per_seg[0] for per_seg in layers]))
+    for size in (1, 7, 32):
+        for first in range(0, 32, size):
+            ts = slice(first, first + size)
+            batch = raw[:1] if shared else raw[ts]
+            layers, n_intervals = _propagated(batch, starts[ts], ends[ts])
+            if size > 1:
+                assert len(set(n_intervals.tolist())) > 1
+            counts = segment_knot_counts(batch, starts[ts], ends[ts], after)
+            lengths = segment_image_lengths(batch, starts[ts], ends[ts])
+            for i, t in enumerate(range(32)[ts]):
+                key = (family, shared, size, t)
+                assert counts[:, i].tolist() == alone[t][0], key
+                assert lengths[i] == alone[t][1], key
+                assert [per_seg[i] for per_seg in layers] == alone[t][2], key
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("d_in", [1, 2, 5])
+def test_affine_step_is_a_fixed_order_float_sum(shared, d_in):
+    # Row i, output j: ((P[i,0] M[j,0] + P[i,1] M[j,1]) + ...) + b[j], in
+    # Python floats, with M and b the net of the row's segment.
+    rng = np.random.default_rng([23, d_in, shared])
+    seg = paths._Segments(np.zeros((6, d_in)), np.ones((6, d_in)))
+    seg.owner = np.repeat(np.arange(6), [1, 3, 2, 7, 1, 4])
+    scale = 10.0 ** rng.integers(-3, 4, (2, 1, d_in))
+    seg.P, seg.Q = rng.standard_normal((2, len(seg.owner), d_in)) * scale
+    nets = 1 if shared else 6
+    M, b = rng.standard_normal((nets, 3, d_in)), rng.standard_normal((nets, 3))
+    P, Q = seg.P.tolist(), seg.Q.tolist()
+    paths._affine(seg, 0, M, b)
+    for i, t in enumerate(seg.owner.tolist()):
+        m, c = M[0 if shared else t].tolist(), b[0 if shared else t].tolist()
+        for j in range(3):
+            p, q = P[i][0] * m[j][0], Q[i][0] * m[j][0]
+            for k in range(1, d_in):
+                p, q = p + P[i][k] * m[j][k], q + Q[i][k] * m[j][k]
+            assert (seg.P[i, j], seg.Q[i, j]) == (p, q + c[j]), (i, j)
+
+
+# ---------------------------------------------------------------------------
 # Array engine edge cases (a masked division must not warn)
 # ---------------------------------------------------------------------------
 
@@ -306,6 +385,18 @@ def test_maxout_tie_at_midpoint_breaks_by_directional_slope(slope, expected):
     path = PolygonalPath.segment([0.0], [2.0])
     assert count_knots(net, path).count == 0
     assert image_length(net, path) == pytest.approx(expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("slope, offset", [(1e-299, 1e10), (1e-290, 1e30), (1e-200, 1e120)])
+def test_cut_past_the_largest_float_is_no_cut(slope, offset):
+    # The kink's pre-activation slope * s + offset crosses 0 at -offset /
+    # slope, beyond the largest float: the quotient overflows to -inf, which
+    # lies in no interval, silently.
+    net = NetworkSpec(1, (Affine(AffineMap(np.array([[slope]]), np.array([offset]))),
+                          Pointwise((_kink(0.0),)),
+                          Affine(AffineMap(np.ones((1, 1)), np.zeros(1)))))
+    assert count_knots(net, PolygonalPath.segment([0.0], [1.0])).count == 0
 
 
 # ---------------------------------------------------------------------------

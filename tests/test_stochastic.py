@@ -466,17 +466,16 @@ def _units_of(row, kaps, sigma_b):
 
 def test_spline_tables_match_scalar_cpwl_units():
     # Random rows of mixed piece counts (one-piece units included): tables
-    # and anchors bit for bit as ScalarCPWL and unit_tables make them.
+    # bit for bit as ScalarCPWL and unit_tables make them.
     rng = np.random.default_rng(4)
     for kaps, sigma_b in (([3, 1, 2, 5], 1.0), ([2], 0.01), ([4, 4, 4], 30.0), ([1, 1], 1.0)):
         z = rng.standard_normal((200, 2 * sum(k for k in kaps if k > 1)))
-        bps, lines, anchors, ok = stochastic._spline_layer(z, kaps, sigma_b)
+        bps, lines, ok = stochastic._spline_layer(z, kaps, sigma_b)
         assert ok.all()
         for t in range(len(z)):
             units = _units_of(z[t], kaps, sigma_b)
             ref = unit_tables(units, max(kaps) - 1)
             assert bps[t].tobytes() == ref[0].tobytes() and lines[t].tobytes() == ref[1].tobytes()
-            assert anchors[t].tolist() == [f.anchor_value for f in units]
 
 
 def test_spline_tables_flag_redraws_and_merges():
@@ -491,7 +490,7 @@ def test_spline_tables_flag_redraws_and_merges():
     z[2, 1] = z[2, 0] + 1e-14
     z[3, 8] = z[3, 7] + 1e-14
     z[4, 1] = z[4, 0] + 1e-10
-    bps, lines, anchors, ok = stochastic._spline_layer(z[:4], kaps, sigma_b)
+    bps, lines, ok = stochastic._spline_layer(z[:4], kaps, sigma_b)
     assert ok.tolist() == [True, False, False, False]
     with pytest.raises(ValidationError, match="increasing"):
         _units_of(z[1], kaps, sigma_b)
@@ -499,7 +498,7 @@ def test_spline_tables_flag_redraws_and_merges():
         assert sum(len(f.slopes) for f in _units_of(z[t], kaps, sigma_b)) < 6
     ref = unit_tables(_units_of(z[0], kaps, sigma_b), 2)
     assert bps[0].tobytes() == ref[0].tobytes() and lines[0].tobytes() == ref[1].tobytes()
-    assert not stochastic._spline_layer(z[4:], kaps, 1.0)[3][0]
+    assert not stochastic._spline_layer(z[4:], kaps, 1.0)[2][0]
     assert sum(len(f.slopes) for f in _units_of(z[4], kaps, 1.0)) == 6
 
 
