@@ -41,11 +41,11 @@ The float engine's tolerances are the module constants R_MAX, EPS_INTERIOR,
 DEDUP_TOL, ZERO_NORMAL_TOL and FINGERPRINT_TOL; ``enumerate_regions``' cell
 budget is the one setting.
 
-Exact mode (``exact_cell_count``: any d; affine, pointwise, maxout and
-group-sort layers) runs the same layer loop, ``_subdivide``, on Fractions:
-its backend keeps the vertex cells of 1 and 3+ inputs in every dimension,
-admits a side iff a vertex lies strictly beyond the cut, skips only exactly
-zero normals and keys no rows.
+Exact mode (``exact_cell_count``: any d, every layer type) runs the same
+layer loop, ``_subdivide``, on Fractions: its backend keeps the vertex
+cells of 1 and 3+ inputs in every dimension, admits a side iff a vertex
+lies strictly beyond the cut, skips only exactly zero normals and keys no
+rows.
 
 The witness LP serves the public ``interior_witness_report`` alone, on
 rows scaled to unit norm. Its kernel calls scipy's HiGHS bindings
@@ -69,7 +69,7 @@ import numpy as np
 
 # layer_piece is not called here; it stays importable as geometry.layer_piece,
 # where bench/spans.py counts the calls made through this module.
-from .core import (Affine, AffineMap, Maxout, NetworkSpec, PWLU2D, ValidationError,  # noqa: F401
+from .core import (Affine, AffineMap, Maxout, NetworkSpec, ValidationError,  # noqa: F401
                    layer_piece, row_norms, vector_norm)
 from .switching import raw_layers, stack, unit_pieces
 
@@ -312,7 +312,8 @@ def _normalize_domain(domain, d: int):
 class _FloatBackend:
     """The float engine's rows: a normal up to ``ZERO_NORMAL_TOL`` (relative,
     for maxout candidates) is zero, and rows whose keys agree at
-    ``DEDUP_TOL`` are one hyperplane, split by once.
+    ``DEDUP_TOL`` are one hyperplane, split by once (a guarded row once per
+    guard: see ``_subdivide``).
 
     Every backend has ``split(cell, a, c)``: None, or the sides a.x + c < 0
     and > 0 as (geom, witness) pairs. A float backend splits iff a vertex
@@ -673,6 +674,8 @@ def _subdivide(layers: list, backend, lo: np.ndarray, hi: np.ndarray, A: np.ndar
         if not maxout:  # skip near-zero normals (a constant piece) and padding rows
             live = (size > backend.zero_normal_tol) & (C > -np.inf)
             keys = backend.keys(N[live], C[live])
+            if layer.guard is not None:  # a guarded row repeats only rows of its own guard
+                keys = list(zip(keys, np.broadcast_to(layer.guard, C.shape)[live].tolist()))
             cuts = [0] + np.cumsum(live.sum(axis=1)).tolist()
             rows, offsets = live.nonzero()[1].tolist(), C.tolist()
             cross = backend.crossing(cells, N, C)
@@ -976,17 +979,14 @@ def _fractions(x: np.ndarray) -> np.ndarray:
 
 
 def exact_cell_count(net: NetworkSpec, domain) -> tuple[int, int]:
-    """Exact-rational subdivision, in any input dimension, of networks with
-    affine, pointwise, maxout and group-sort layers: ``enumerate_regions``'
-    loop on the rationals that the float parameters exactly encode, with no
-    tolerance. A side of a cut survives iff it has positive measure, and
-    distinct pieces compare exactly. Returns (cell_count,
-    distinct_piece_count). Adjudication tool: slower than
-    ``enumerate_regions`` but immune to tolerance artifacts. Raises
-    ``BudgetExceeded`` past ``CELL_BUDGET`` cells.
+    """Exact-rational subdivision, in any input dimension, of networks of
+    every layer type: ``enumerate_regions``' loop on the rationals that the
+    float parameters exactly encode, with no tolerance. A side of a cut
+    survives iff it has positive measure, and distinct pieces compare
+    exactly. Returns (cell_count, distinct_piece_count). Adjudication tool:
+    slower than ``enumerate_regions`` but immune to tolerance artifacts.
+    Raises ``BudgetExceeded`` past ``CELL_BUDGET`` cells.
     """
-    if any(isinstance(layer, PWLU2D) for layer in net.layers):
-        raise ValidationError("exact mode does not support PWLU2D layers")
     layers = [type(layer)(*(_fractions(p) if isinstance(p, np.ndarray) else p
                             for p in layer.params)) for layer in stack([raw_layers(net)])]
     d = net.input_dim

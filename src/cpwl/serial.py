@@ -19,40 +19,58 @@ def _affine_map_to_json(m: AffineMap) -> dict:
     return {"matrix": m.matrix.tolist(), "offset": m.offset.tolist()}
 
 
-def _affine_map_from_json(obj, where: str) -> AffineMap:
-    if not isinstance(obj, dict) or "matrix" not in obj or "offset" not in obj:
-        raise ValidationError(f"{where}: expected an object with matrix and offset")
+def _affine_map_from_json(obj) -> AffineMap:
     return AffineMap(obj["matrix"], obj["offset"])
+
+
+def _integer(spec: dict, key: str) -> int:
+    """``spec[key]``, which must be a JSON integer: not a bool, float or string."""
+    if type(spec[key]) is not int:
+        raise TypeError(f"{key} must be an integer, got {spec[key]!r}")
+    return spec[key]
+
+
+def _pwlu2d_to_json(layer: PWLU2D) -> dict:
+    units = [{"values": v.tolist(), "readin": _affine_map_to_json(r)}
+             for v, r in zip(layer.values, layer.readins)]
+    # One unit is written flat, more as a list of units.
+    return {"grid_m": layer.grid_m, **(units[0] if len(units) == 1 else {"units": units})}
+
+
+def _pwlu2d_from_json(spec: dict) -> PWLU2D:
+    units = spec["units"] if "units" in spec else [spec]
+    return PWLU2D(_integer(spec, "grid_m"), np.array([u["values"] for u in units], dtype=float),
+                  tuple(_affine_map_from_json(u["readin"]) for u in units))
+
+
+# Every layer type by its JSON tag, the class name in lower case: its fields
+# from a layer, and the layer from its fields.
+_LAYER_TYPES = {cls.__name__.lower(): (to_json, from_json) for cls, to_json, from_json in (
+    (Affine, lambda l: _affine_map_to_json(l.map), lambda spec: Affine(_affine_map_from_json(spec))),
+    (Pointwise, lambda l: {"units": [{"breakpoints": list(u.breakpoints), "slopes": list(u.slopes),
+                                      "anchor_value": u.anchor_value} for u in l.units]},
+     lambda spec: Pointwise(tuple(ScalarCPWL(tuple(u["breakpoints"]), tuple(u["slopes"]),
+                                             float(u["anchor_value"])) for u in spec["units"]))),
+    (Maxout, lambda l: {"rank": l.rank, "weights": l.weights.tolist(), "offsets": l.offsets.tolist()},
+     lambda spec: Maxout(_integer(spec, "rank"), np.array(spec["weights"], dtype=float),
+                         np.array(spec["offsets"], dtype=float))),
+    (GroupSort, lambda l: {"group_size": l.group_size},
+     lambda spec: GroupSort(_integer(spec, "group_size"))),
+    (PWLU2D, _pwlu2d_to_json, _pwlu2d_from_json))}
+
+
+def _layer_type(tag, where: str) -> tuple:
+    """(to_json, from_json) of the layer type ``tag``."""
+    if not isinstance(tag, str) or tag not in _LAYER_TYPES:
+        raise ValidationError(f"{where}: unknown layer type {tag!r}")
+    return _LAYER_TYPES[tag]
 
 
 def network_to_json(net: NetworkSpec) -> dict:
     layers = []
-    for layer in net.layers:
-        if isinstance(layer, Affine):
-            layers.append({"type": "affine", **_affine_map_to_json(layer.map)})
-        elif isinstance(layer, Pointwise):
-            layers.append({"type": "pointwise", "units": [
-                {"breakpoints": list(u.breakpoints), "slopes": list(u.slopes),
-                 "anchor_value": u.anchor_value} for u in layer.units]})
-        elif isinstance(layer, Maxout):
-            layers.append({"type": "maxout", "rank": layer.rank,
-                           "weights": layer.weights.tolist(),
-                           "offsets": layer.offsets.tolist()})
-        elif isinstance(layer, GroupSort):
-            layers.append({"type": "groupsort", "group_size": layer.group_size})
-        elif isinstance(layer, PWLU2D):
-            if layer.values.shape[0] == 1:
-                layers.append({"type": "pwlu2d", "grid_m": layer.grid_m,
-                               "values": layer.values[0].tolist(),
-                               "readin": _affine_map_to_json(layer.readins[0])})
-            else:
-                # Multi-unit extension of the single-unit schema.
-                layers.append({"type": "pwlu2d", "grid_m": layer.grid_m,
-                               "units": [{"values": layer.values[k].tolist(),
-                                          "readin": _affine_map_to_json(layer.readins[k])}
-                                         for k in range(layer.values.shape[0])]})
-        else:
-            raise ValidationError(f"cannot serialize layer type {type(layer).__name__}")
+    for i, layer in enumerate(net.layers):
+        tag = type(layer).__name__.lower()
+        layers.append({"type": tag, **_layer_type(tag, f"layer {i}")[0](layer)})
     doc = {"input_dim": net.input_dim, "layers": layers}
     if net.metadata:
         doc["metadata"] = net.metadata
@@ -65,49 +83,19 @@ def network_from_json(obj) -> NetworkSpec:
     if "input_dim" not in obj or "layers" not in obj:
         raise ValidationError("network document needs input_dim and layers")
     d = obj["input_dim"]
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise ValidationError("input_dim must be a positive integer")
     if not isinstance(obj["layers"], list):
         raise ValidationError("layers must be a list")
     layers = []
     for i, spec in enumerate(obj["layers"]):
-        where = f"layer {i}"
-        if not isinstance(spec, dict) or "type" not in spec:
-            raise ValidationError(f"{where}: expected an object with a type")
-        t = spec["type"]
+        tag = spec.get("type") if isinstance(spec, dict) else None
+        from_json = _layer_type(tag, f"layer {i}")[1]
         try:
-            if t == "affine":
-                layers.append(Affine(_affine_map_from_json(spec, where)))
-            elif t == "pointwise":
-                units = []
-                for j, u in enumerate(spec.get("units", ())):
-                    units.append(ScalarCPWL(tuple(u["breakpoints"]),
-                                            tuple(u["slopes"]),
-                                            float(u["anchor_value"])))
-                if not units:
-                    raise ValidationError(f"{where}: pointwise layer needs units")
-                layers.append(Pointwise(tuple(units)))
-            elif t == "maxout":
-                layers.append(Maxout(int(spec["rank"]),
-                                     np.array(spec["weights"], dtype=float),
-                                     np.array(spec["offsets"], dtype=float)))
-            elif t == "groupsort":
-                layers.append(GroupSort(int(spec["group_size"])))
-            elif t == "pwlu2d":
-                m = int(spec["grid_m"])
-                if "units" in spec:
-                    vals = np.array([u["values"] for u in spec["units"]], dtype=float)
-                    readins = tuple(_affine_map_from_json(u["readin"],
-                                                          f"{where} unit {k}")
-                                    for k, u in enumerate(spec["units"]))
-                else:
-                    vals = np.array([spec["values"]], dtype=float)
-                    readins = (_affine_map_from_json(spec["readin"], where),)
-                layers.append(PWLU2D(m, vals, readins))
-            else:
-                raise ValidationError(f"{where}: unknown layer type {t!r}")
-        except (KeyError, TypeError, IndexError) as e:
-            raise ValidationError(f"{where}: malformed {t} layer ({e})") from e
+            layers.append(from_json(spec))
+        except (KeyError, TypeError, IndexError, ValueError) as e:
+            # Missing fields, wrong types, malformed numbers, invalid layers.
+            raise ValidationError(f"layer {i}: malformed {tag} layer ({e})") from e
     return NetworkSpec(d, tuple(layers), metadata=str(obj.get("metadata", "")))
 
 
@@ -118,7 +106,10 @@ def path_to_json(path: PolygonalPath) -> dict:
 def path_from_json(obj) -> PolygonalPath:
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise ValidationError("path document needs a vertices list")
-    return PolygonalPath(np.array(obj["vertices"], dtype=float))
+    try:
+        return PolygonalPath(np.array(obj["vertices"], dtype=float))
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"malformed path vertices ({e})") from e
 
 
 def dumps_canonical(obj) -> str:

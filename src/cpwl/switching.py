@@ -20,6 +20,10 @@ batch of affine profiles ``z = A x + b`` of the layer input, ``A`` of shape
 
 Region enumeration uses d = the input dimension and one profile per cell;
 the knot engine d = 1 and one profile per interval, cutting at ``-c / N``.
+Each definition works in the arithmetic of its arrays: floats, or the
+Fraction object arrays of the rational engine (``exact_cell_count``). So
+its literals are ints, which leave floats bit for bit as they are, where a
+float literal would turn a Fraction it meets into a float.
 Raw layers are tuples ``(Affine, M, b)``, ``(Pointwise, units)`` or
 ``(Pointwise, bps, lines)`` (the units' ``unit_tables``), ``(Maxout, W, o)``,
 ``(GroupSort, g)`` and ``(PWLU2D, V, M, off)`` (values, stacked read-in
@@ -30,6 +34,7 @@ for every profile) or of the net count (net t for profile t).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -174,15 +179,15 @@ class _GroupSort(_Layer):
         return A[rows, src], b[rows, src]
 
 
-def _grid_locate(u: np.ndarray, du: np.ndarray, m: int, h: float):
+def _grid_locate(u: np.ndarray, du: np.ndarray, m: int, h):
     """Column, clamped coordinate and clamp flag, as ``core._grid_locate``
-    (the reference this is tested against) gives them."""
-    low = (u < -1.0) | ((u == -1.0) & (du < 0))
-    high = ~low & ((u > 1.0) | ((u == 1.0) & (du > 0)))
-    i = np.floor((u + 1.0) / h)
-    i = np.where((i * h - 1.0 == u) & (du < 0), i - 1, i)
+    (the float reference this is tested against) gives them."""
+    low = (u < -1) | ((u == -1) & (du < 0))
+    high = ~low & ((u > 1) | ((u == 1) & (du > 0)))
+    i = np.floor((u + 1) / h)
+    i = np.where((i * h - 1 == u) & (du < 0), i - 1, i)
     i = np.where(low, 0, np.where(high, m - 2, np.clip(i, 0, m - 2)))
-    return i.astype(int), np.where(low, -1.0, np.where(high, 1.0, u)), low | high
+    return i.astype(int), np.where(low, -1, np.where(high, 1, u)), low | high
 
 
 class _PWLU2D(_Layer):
@@ -191,8 +196,9 @@ class _PWLU2D(_Layer):
     def __init__(self, V, M, off):
         super().__init__(V, M, off)
         m, units = V.shape[-1], V.shape[1]
-        self.h = 2.0 / (m - 1)
-        self.nodes = -1.0 + np.arange(m) * self.h
+        # The grid in the arithmetic of the values: exact on Fractions.
+        self.h = Fraction(2, m - 1) if V.dtype == object else 2.0 / (m - 1)
+        self.nodes = -1 + np.arange(m) * self.h
         # Diagonals switch only inside their unit's clamp box.
         self.guard = np.where(np.arange(4 * m - 3) < 2 * m, -1, np.arange(units)[:, None]).ravel()
 
@@ -209,7 +215,7 @@ class _PWLU2D(_Layer):
     def inside(self, Z):
         """(n, units): whether each unit reads ``Z`` strictly inside its clamp box."""
         _, M, off = self.params
-        return (np.abs((M @ Z[:, None, :, None])[..., 0] + off) < 1.0).all(axis=2)
+        return (np.abs((M @ Z[:, None, :, None])[..., 0] + off) < 1).all(axis=2)
 
     def compose(self, A, b, Z, dZ):
         (V, M, off), h, nodes = self.params, self.h, self.nodes
@@ -225,7 +231,7 @@ class _PWLU2D(_Layer):
         q = np.where(lower, (v11 - v10) / h, (v01 - v00) / h)
         c = v00 - p * nodes[i] - q * nodes[j]
         # Value p*u + q*v + c, a clamped coordinate entering as a constant.
-        row = np.where(ucl[..., None], 0.0, 0.0 + p[..., None] * M[..., 0, :])
+        row = np.where(ucl[..., None], 0, 0 + p[..., None] * M[..., 0, :])
         row = np.where(vcl[..., None], row, row + q[..., None] * M[..., 1, :])
         c = np.where(ucl, c + p * uc, c + p * off[..., 0])
         return _matmul(row, A, b, np.where(vcl, c + q * vc, c + q * off[..., 1]))

@@ -95,7 +95,21 @@ def test_malformed_network_documents():
         lambda d: d["layers"][4].pop("weights"),
         lambda d: d["layers"][1].update(units=[]),
         lambda d: d["layers"][0].update(type="conv"),
+        lambda d: d["layers"][0].update(type=["affine"]),
+        lambda d: d["layers"].__setitem__(0, "affine"),
         lambda d: d.update(input_dim=0),
+        # Malformed numbers.
+        lambda d: d["layers"][0]["matrix"][1].pop(),
+        lambda d: d["layers"][1]["units"][0].update(anchor_value="zero"),
+        lambda d: d["layers"][4].update(rank="two"),
+        lambda d: d["layers"][6]["readin"].update(offset=[0.0, "x"]),
+        # Integer fields must be JSON integers.
+        lambda d: d.update(input_dim=True),
+        lambda d: d.update(input_dim=2.0),
+        lambda d: d["layers"][4].update(rank=2.0),
+        lambda d: d["layers"][3].update(group_size=2.7),
+        lambda d: d["layers"][3].update(group_size=True),
+        lambda d: d["layers"][6].update(grid_m="4"),
     ]:
         doc = json.loads(dumps_canonical(good))
         mutate(doc)
@@ -105,14 +119,42 @@ def test_malformed_network_documents():
         network_from_json([1, 2, 3])
 
 
+def _one_layer_nets() -> dict:
+    """A 2-input net of one layer of each type, by type, on integer and
+    dyadic data."""
+    eye = AffineMap(np.eye(2), np.array([0.0, -1.0]))
+    return {Affine: Affine(eye), Pointwise: Pointwise((relu_unit(), abs_unit())),
+            Maxout: Maxout(2, np.array([[[1.0, 0.0], [0.0, 1.0]]]), np.zeros((1, 2))),
+            GroupSort: GroupSort(2),
+            PWLU2D: PWLU2D(3, np.arange(9.0).reshape(1, 3, 3) % 4, (AffineMap(np.eye(2) / 2, np.zeros(2)),))}
+
+
+def test_every_layer_type_is_tagged_round_tripped_and_counted_exactly():
+    from cpwl.geometry import enumerate_regions, exact_cell_count
+    from cpwl.switching import _KINDS
+    layers = _one_layer_nets()
+    assert set(layers) == set(_KINDS)
+    for kind, layer in layers.items():
+        net = NetworkSpec(2, (layer,))
+        text = dumps_canonical(network_to_json(net))
+        assert json.loads(text)["layers"][0]["type"] == kind.__name__.lower()
+        assert dumps_canonical(network_to_json(network_from_json(json.loads(text)))) == text
+        rs = enumerate_regions(net, (-2.0, 2.0))
+        pieces = {tuple(r.piece.matrix.ravel().tolist() + r.piece.offset.tolist()) for r in rs.regions}
+        assert exact_cell_count(net, (-2.0, 2.0)) == (len(rs), len(pieces)), kind
+
+
 def test_path_json_round_trip():
     path = PolygonalPath(np.array([[0.0, 0.5], [1.0, -1.0], [2.0, 2.0]]))
     doc = path_to_json(path)
     assert doc == {"vertices": [[0.0, 0.5], [1.0, -1.0], [2.0, 2.0]]}
     back = path_from_json(doc)
     assert np.allclose(back.vertices, path.vertices)
-    with pytest.raises(ValidationError):
-        path_from_json({"points": []})
+    for doc in ({"points": []}, {"vertices": [[0.0, 1.0], [2.0]]},
+                {"vertices": [["a", "b"], [1.0, 2.0]]}, {"vertices": [[0.0], [0.0]]},
+                {"vertices": {"x": 1}}):
+        with pytest.raises(ValidationError):
+            path_from_json(doc)
 
 
 def test_file_round_trip(tmp_path):
@@ -375,6 +417,23 @@ def test_bad_schema_is_validation_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"input_dim": 1, "layers": [{"type": "conv"}]}))
     assert main(["count", "--net", str(bad)]) == 2
+
+
+def test_malformed_numbers_exit_2(tmp_path, capsys):
+    # A ragged matrix once ended count in a numpy ValueError traceback.
+    doc = network_to_json(full_net())
+    doc["layers"][0]["matrix"][1].pop()
+    (tmp_path / "net.json").write_text(json.dumps(doc))
+    save_path(PolygonalPath.segment([0.0, 0.0], [1.0, 1.0]), str(tmp_path / "path.json"))
+    (tmp_path / "ragged.json").write_text(json.dumps({"vertices": [[0.0, 1.0], [2.0]]}))
+    good = tmp_path / "good.json"
+    save_network(full_net(), str(good))
+    capsys.readouterr()
+    for argv in (["count", "--net", str(tmp_path / "net.json")],
+                 ["knots", "--net", str(tmp_path / "net.json"), "--path", str(tmp_path / "path.json")],
+                 ["knots", "--net", str(good), "--path", str(tmp_path / "ragged.json")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_budget_exhaustion_exit_code(tmp_path, capsys):
