@@ -12,7 +12,7 @@ from .bounds import (AlphaReport, ArchitectureDescriptor, BoundReport,
                      alpha_lower_paper, alpha_report, architecture_bound, beta,
                      beta_simplified, beta_uniform, compositional_upper,
                      compositional_upper_factors, corollary_envelope,
-                     projection_to_convex_cap)
+                     layer_factors, projection_to_convex_cap)
 from .constructions import (SawtoothPlan, extremal_sum_network,
                             general_position_partitions, sawtooth,
                             sawtooth_decompose, sawtooth_network,
@@ -34,7 +34,7 @@ from .stochastic import (CompositionalBound, InitSpec, McEstimate,
                          mc_image_length, mc_knot_density,
                          mc_knot_density_by_depth, mc_table_csv, mc_table_row,
                          relu_crossing_density_oracle, sample_network,
-                         unit_density_bound)
+                         sampled_architecture, unit_density_bound)
 from .serial import (load_network, load_path, network_from_json,
                      network_to_json, path_from_json, path_to_json,
                      save_network, save_path)

@@ -6,11 +6,11 @@ bound ever suffers floating-point rounding.
 """
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import ValidationError
 
@@ -19,6 +19,21 @@ from .core import ValidationError
 # valid lower bound).
 EXACT_ASSIGNMENT_WIDTH = 12
 EXACT_ASSIGNMENT_WORK = 400_000
+
+
+def _integer(name: str, value, low: int = 1) -> int:
+    """``value``, an integer (Python or numpy, not a bool) >= ``low``, as an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _dims(dims) -> tuple[int, ...]:
+    """Layer dimensions, input first: two or more integers >= 1."""
+    out = tuple(_integer("a dimension", d) for d in dims) if hasattr(dims, "__iter__") else ()
+    if len(out) < 2:
+        raise ValidationError(f"dims must list at least input and output, got {dims!r}")
+    return out
 
 
 def beta(d: int, ns: Sequence[int]) -> int:
@@ -81,10 +96,8 @@ class ArchitectureDescriptor:
     family: str = "generic"
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _dims(self.dims)
         kappas = tuple(tuple(int(k) for k in row) for row in self.kappas)
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise ValidationError("dims must list at least input and output, all >= 1")
         if len(kappas) != len(dims) - 1:
             raise ValidationError("need one kappa row per layer")
         for l, row in enumerate(kappas):
@@ -113,13 +126,16 @@ class ArchitectureDescriptor:
         return cls(dims, kappas, family)
 
 
+def layer_factors(dims: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
+    """Per-layer arrangement factors ``beta(min(dims[:l + 1]), rows[l])``:
+    layer l's units, of ``rows[l]`` regions each, over the fewest inputs
+    any layer before it passes on. An empty row (an affine layer) is 1."""
+    return [beta(min(dims[: l + 1]), row) for l, row in enumerate(rows)]
+
+
 def compositional_upper_factors(arch: ArchitectureDescriptor) -> list[int]:
-    """Per-layer factors ``beta^{min(d_0..d_{l-1})}(kappas[l])``."""
-    factors = []
-    for l, row in enumerate(arch.kappas):
-        d_eff = min(arch.dims[: l + 1])
-        factors.append(beta(d_eff, row))
-    return factors
+    """``layer_factors`` of the descriptor."""
+    return layer_factors(arch.dims, arch.kappas)
 
 
 def compositional_upper(arch: ArchitectureDescriptor) -> int:
@@ -299,66 +315,59 @@ class BoundReport:
     extras: dict = field(default_factory=dict)
 
 
-def architecture_bound(family: str, **params) -> BoundReport:
-    """Region bounds for named architecture families.
+def _groupsort_activation(d: int, g: int) -> tuple[int, dict]:
+    if d % g:
+        raise ValidationError(f"dimension {d} not divisible by group size {g}")
+    # The envelope's lower end is exact for even d, a float for odd d.
+    low = Fraction(g, 2) ** (d // 2) if d % 2 == 0 else (g / 2) ** (d / 2)
+    return math.factorial(g) ** (d // g), {"envelope_lower": low, "envelope_upper": g ** d}
 
-    Families and parameters:
-      - ``ridge``: d, n_units -> sum_{k<=min(d,N)} C(N, k)
-      - ``max_pooling``: d, out_dim, pool_size -> sum C(out_dim,k)(pool_size-1)^k
-      - ``ghh``: d, n_units -> sum C(N, k) d^k
-      - ``sort``: d -> d!
-      - ``groupsort_activation``: d, group_size -> (g!)^(d/g), with the
-        rational envelope ((g/2)^(d/2), g^d) in extras
-      - ``pwlu_unit``: grid_m -> 2 (M-1)^2
-      - ``pwlu_layer``: d, n_units, grid_m -> sum C(N,k)(2(M-1)^2 - 1)^k
-      - ``relu_net``: dims -> prod_l sum_{k<=min-prefix} C(d_{l+1}, k)
-      - ``deepspline_net``: dims, kappa -> same with (kappa-1)^k
-      - ``maxout_net``: dims, rank -> same with (rank-1)^k
-      - ``groupsort_net``: dims, group_size -> per-layer
-        sum C(d_{l+1}/g, k)(g! - 1)^k; layers with width not divisible by g
-        count as affine (factor 1)
-    """
-    p = dict(params)
-    if family == "ridge":
-        return BoundReport(family, p, beta_uniform(p["d"], p["n_units"], 2))
-    if family == "max_pooling":
-        return BoundReport(family, p, beta_uniform(p["d"], p["out_dim"], p["pool_size"]))
-    if family == "ghh":
-        return BoundReport(family, p, beta_uniform(p["d"], p["n_units"], p["d"] + 1))
-    if family == "sort":
-        d = p["d"]
-        return BoundReport(family, p, math.factorial(d))
-    if family == "groupsort_activation":
-        d, g = p["d"], p["group_size"]
-        if d % g:
-            raise ValidationError(f"dimension {d} not divisible by group size {g}")
-        value = math.factorial(g) ** (d // g)
-        if d % 2 == 0:
-            env_low: object = Fraction(g, 2) ** (d // 2)
-        else:
-            env_low = (g / 2) ** (d / 2)
-        return BoundReport(family, p, value,
-                           extras={"envelope_lower": env_low, "envelope_upper": g ** d})
-    if family == "pwlu_unit":
-        m = p["grid_m"]
-        return BoundReport(family, p, 2 * (m - 1) ** 2)
-    if family == "pwlu_layer":
-        kappa = 2 * (p["grid_m"] - 1) ** 2
-        return BoundReport(family, p, beta_uniform(p["d"], p["n_units"], kappa))
-    if family in ("relu_net", "deepspline_net", "maxout_net"):
-        dims = tuple(p["dims"])
-        kappa = {"relu_net": 2, "deepspline_net": p.get("kappa"),
-                 "maxout_net": p.get("rank")}[family]
-        if kappa is None or kappa < 1:
-            raise ValidationError("per-unit count must be >= 1")
-        factors = [beta_uniform(min(dims[: l + 1]), dims[l + 1], kappa)
-                   for l in range(len(dims) - 1)]
-        return BoundReport(family, p, math.prod(factors), extras={"factors": factors})
-    if family == "groupsort_net":
-        dims = tuple(p["dims"])
-        g = p["group_size"]
-        factors = [1 if dims[l + 1] % g else
-                   beta_uniform(min(dims[: l + 1]), dims[l + 1] // g, math.factorial(g))
-                   for l in range(len(dims) - 1)]
-        return BoundReport(family, p, math.prod(factors), extras={"factors": factors})
-    raise ValidationError(f"unknown architecture family: {family}")
+
+def _net(dims: tuple, row) -> tuple[int, dict]:
+    """The ``layer_factors`` bound of a net whose width-w layers have the
+    units ``row(w)``, with the factors in extras."""
+    factors = layer_factors(dims, [row(w) for w in dims[1:]])
+    return math.prod(factors), {"factors": factors}
+
+
+# Every named architecture family: its parameter names, and its bound as a
+# function of them (in that order), a value or (value, extras). Each
+# parameter is an integer >= 1, but ``grid_m`` >= 2 (as ``PWLU2D`` needs) and
+# ``dims``, the layer dimensions input first (as ``ArchitectureDescriptor``
+# takes them).
+FAMILIES = {
+    # sum_{k <= min(d, N)} C(N, k)
+    "ridge": (("d", "n_units"), lambda d, n: beta_uniform(d, n, 2)),
+    # sum_k C(out_dim, k) (pool_size - 1)^k
+    "max_pooling": (("d", "out_dim", "pool_size"), beta_uniform),
+    # sum_k C(N, k) d^k
+    "ghh": (("d", "n_units"), lambda d, n: beta_uniform(d, n, d + 1)),
+    "sort": (("d",), math.factorial),
+    # (g!)^(d/g), with the rational envelope ((g/2)^(d/2), g^d) in extras
+    "groupsort_activation": (("d", "group_size"), _groupsort_activation),
+    "pwlu_unit": (("grid_m",), lambda m: 2 * (m - 1) ** 2),
+    # sum_k C(N, k) (2 (M - 1)^2 - 1)^k
+    "pwlu_layer": (("d", "n_units", "grid_m"), lambda d, n, m: beta_uniform(d, n, 2 * (m - 1) ** 2)),
+    # layer_factors of units of 2, kappa, rank or g! regions; a groupsort layer
+    # whose width g does not divide is affine (an empty row, factor 1)
+    "relu_net": (("dims",), lambda dims: _net(dims, lambda w: [2] * w)),
+    "deepspline_net": (("dims", "kappa"), lambda dims, k: _net(dims, lambda w: [k] * w)),
+    "maxout_net": (("dims", "rank"), lambda dims, k: _net(dims, lambda w: [k] * w)),
+    "groupsort_net": (("dims", "group_size"), lambda dims, g: _net(
+        dims, lambda w: [] if w % g else [math.factorial(g)] * (w // g))),
+}
+
+
+def architecture_bound(family: str, **params) -> BoundReport:
+    """The region bound of a named family of ``FAMILIES`` from its
+    parameters. Raises ``ValidationError`` for an unknown family, or for a
+    parameter that is missing, unexpected or out of range."""
+    if family not in FAMILIES:
+        raise ValidationError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    names, formula = FAMILIES[family]
+    if set(params) != set(names):
+        raise ValidationError(f"family {family!r} takes {', '.join(names)}, got {sorted(params)}")
+    out = formula(*(_dims(params[n]) if n == "dims" else _integer(n, params[n], 2 if n == "grid_m" else 1)
+                    for n in names))
+    value, extras = out if isinstance(out, tuple) else (out, {})
+    return BoundReport(family, dict(params), value, extras)

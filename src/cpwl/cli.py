@@ -91,29 +91,18 @@ def _emit(args: argparse.Namespace, name: str, text: str) -> None:
 # bound / audit
 # ---------------------------------------------------------------------------
 
-_FAMILY_FLAGS = {
-    # cli family -> (bounds-module family, required flag names)
-    "relu": ("relu_net", ("dims",)),
-    "deepspline": ("deepspline_net", ("dims", "kappa")),
-    "maxout": ("maxout_net", ("dims", "rank")),
-    "groupsort": ("groupsort_net", ("dims", "group_size")),
-    "ridge": ("ridge", ("d", "n_units")),
-    "ghh": ("ghh", ("d", "n_units")),
-    "max_pooling": ("max_pooling", ("d", "out_dim", "pool_size")),
-    "sort": ("sort", ("d",)),
-    "groupsort_activation": ("groupsort_activation", ("d", "group_size")),
-    "pwlu_unit": ("pwlu_unit", ("grid_m",)),
-    "pwlu_layer": ("pwlu_layer", ("d", "n_units", "grid_m")),
-}
+# cli family -> bounds-module family, for the names that differ
+_FAMILY_ALIASES = {"relu": "relu_net", "deepspline": "deepspline_net",
+                   "maxout": "maxout_net", "groupsort": "groupsort_net"}
 
 
 def _family_bound(args) -> dict:
-    if args.family not in _FAMILY_FLAGS:
+    target = _FAMILY_ALIASES.get(args.family, args.family)
+    if target not in bnd.FAMILIES:
         raise ValidationError(f"unknown family {args.family!r}; choose from "
-                              + ", ".join(sorted(_FAMILY_FLAGS)))
-    target, needed = _FAMILY_FLAGS[args.family]
+                              + ", ".join(sorted({*_FAMILY_ALIASES, *bnd.FAMILIES})))
     params = {}
-    for flag in needed:
+    for flag in bnd.FAMILIES[target][0]:
         val = getattr(args, flag)
         if val is None:
             raise ValidationError(f"family {args.family!r} needs --{flag.replace('_', '-')}")
@@ -125,14 +114,8 @@ def _family_bound(args) -> dict:
     if "factors" in rep.extras:
         print("per-layer factors: " + ", ".join(str(f) for f in rep.extras["factors"]))
     print(f"region upper bound = {rep.value}")
-    extras = {}
-    for k, v in rep.extras.items():
-        if isinstance(v, tuple) or isinstance(v, list):
-            extras[k] = list(v)
-        elif isinstance(v, (int, float)):
-            extras[k] = v
-        else:
-            extras[k] = str(v)
+    # A Fraction (the groupsort_activation envelope) is written as text.
+    extras = {k: v if isinstance(v, (int, float, list)) else str(v) for k, v in rep.extras.items()}
     return {"family": args.family,
             "params": {k: list(v) if isinstance(v, tuple) else v
                        for k, v in params.items()},
@@ -307,37 +290,12 @@ def cmd_knots(args) -> int:
 # mc
 # ---------------------------------------------------------------------------
 
-def _mc_arch(args) -> tuple[bnd.ArchitectureDescriptor, dict]:
-    fam = args.family
-    if fam not in sto.SAMPLED_FAMILIES:
-        raise ValidationError(f"unknown family {fam!r}; choose from "
-                              + ", ".join(sto.SAMPLED_FAMILIES))
-    kw = {"kappa": args.kappa, "rank": args.rank, "group_size": args.group_size}
-    per_unit = {"relu": 2, "leaky": 2, "abs": 2,
-                "deepspline": args.kappa, "maxout": args.rank,
-                "groupsort": args.group_size}[fam]
-    if per_unit is None:
-        raise ValidationError(f"family {fam!r} needs "
-                              + ("--kappa" if fam == "deepspline" else "--rank"))
-    if args.depth < 1:
-        raise ValidationError("--depth must be at least 1")
-    if fam == "groupsort":
-        # The sampler keeps the final layer affine, so `depth` sorting stages
-        # need depth+1 width rows; width defaults to the input dimension.
-        w = args.width if args.width is not None else args.d
-        dims = (args.d,) + (w,) * (args.depth + 1)
-    else:
-        w = args.width if args.width is not None else 1
-        dims = (args.d,) + (w,) * args.depth
-    kappas = tuple((per_unit,) * dims[l + 1] for l in range(len(dims) - 1))
-    return bnd.ArchitectureDescriptor(dims, kappas, family=fam), kw
-
-
 def cmd_mc(args) -> int:
     init = sto.InitSpec(weight_dist=args.weight_dist, sigma_w=args.sigma_w,
                         bias_dist=args.bias_dist, sigma_b=args.sigma_b,
                         fan_in_mode=args.fan_in_mode, seed=args.seed)
-    arch, kw = _mc_arch(args)
+    kw = {"kappa": args.kappa, "rank": args.rank, "group_size": args.group_size}
+    arch = sto.sampled_architecture(args.family, args.d, args.width, args.depth, **kw)
     width, per_unit = arch.dims[1], arch.kappas[0][0]
     rows = []
     if args.by_depth:

@@ -39,14 +39,14 @@ class ScalarCPWL:
     _bp_values: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bp = tuple(float(t) for t in self.breakpoints)
-        sl = tuple(float(s) for s in self.slopes)
+        bp = tuple(map(float, self.breakpoints))
+        sl = tuple(map(float, self.slopes))
         if len(sl) != len(bp) + 1:
             raise ValidationError(
                 f"need {len(bp) + 1} slopes for {len(bp)} breakpoints, got {len(sl)}")
         if any(bp[i] >= bp[i + 1] for i in range(len(bp) - 1)):
             raise ValidationError("breakpoints must be strictly increasing")
-        if not all(math.isfinite(v) for v in bp + sl + (self.anchor_value,)):
+        if not all(map(math.isfinite, bp + sl + (self.anchor_value,))):
             raise ValidationError("non-finite entry in piecewise-linear data")
         # Canonicalize: merge breakpoints with equal adjacent slopes or
         # near-coincident positions.

@@ -650,15 +650,20 @@ def _subdivide(layers: list, backend, lo: np.ndarray, hi: np.ndarray, A: np.ndar
     Fractions, the arrays carry the arithmetic; the backend says which
     normals are zero and which rows repeat. Raises ``BudgetExceeded``, naming
     the layer, past ``budget`` cells in a layer, and ``ValidationError`` on
-    rows that are not finite or, on floats, could overflow on the box."""
+    pieces or rows that are not finite or, on floats, could overflow on the
+    box."""
     geom, w = backend.root(lo, hi)
     cells = [_Cell([], w, geom)]
     # A row's values on the box are at most (largest |a_j|) * reach + |c|;
     # Fractions cannot overflow, so on them only non-finite data fails.
-    reach = 0 if lo.dtype == object else float(np.abs([lo, hi]).max()) * len(lo)
+    floats = lo.dtype != object
+    reach = float(np.abs([lo, hi]).max()) * len(lo) if floats else 0
     for index, layer in enumerate(layers):
         if layer.kind is Affine:
-            A, b = layer.compose(A, b, None, None)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+                A, b = layer.compose(A, b, None, None)
+            if floats and not (np.isfinite(A).all() and np.isfinite(b).all()):
+                raise ValidationError("non-finite affine data")
             continue
         maxout = layer.kind is Maxout  # per cell: its candidates, or else its rows
         N, C = layer.candidates(A, b) if maxout else layer.rows(A, b)
@@ -874,13 +879,10 @@ def count_report(rs: RegionSet, net: Optional[NetworkSpec] = None) -> CountRepor
 
 
 def network_arrangement_upper(net: NetworkSpec) -> int:
-    """Layer-by-layer arrangement bound: product over non-affine layers of
-    beta(min prefix dim, effective per-unit region counts)."""
-    from .bounds import beta
-    total = 1
-    for l, ns in enumerate(unit_pieces(net)):
-        total *= beta(min(net.dims[: l + 1]), ns)
-    return total
+    """Layer-by-layer arrangement bound: the product of ``layer_factors``
+    over the net's per-unit piece counts."""
+    from .bounds import layer_factors
+    return math.prod(layer_factors(net.dims, unit_pieces(net)))
 
 
 def regions_containing(rs: RegionSet, x: np.ndarray) -> list[int]:

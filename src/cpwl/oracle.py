@@ -36,21 +36,20 @@ class GridFingerprint:
     n_components: int
 
 
-def _quantize(rows: np.ndarray, rel_tol: float) -> np.ndarray:
+def _quantize(rows: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(rows).max()))
-    return np.round(rows / (rel_tol * scale)).astype(np.int64)
+    return np.round(rows / (FINGERPRINT_REL_TOL * scale)).astype(np.int64)
 
 
-def _labels(A: np.ndarray, b: np.ndarray, rel_tol: float) -> tuple[np.ndarray, int]:
+def _labels(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Labels of the quantized rows, compared as raw bytes (np.void) to sort
     fast, and their number: the partition np.unique(axis=0) gives."""
-    q = np.ascontiguousarray(_quantize(np.concatenate([A.reshape(A.shape[0], -1), b], axis=1), rel_tol))
+    q = np.ascontiguousarray(_quantize(np.concatenate([A.reshape(A.shape[0], -1), b], axis=1)))
     uniq, labels = np.unique(q.view(np.dtype((np.void, q.strides[0]))).ravel(), return_inverse=True)
     return labels.ravel(), len(uniq)
 
 
-def grid_fingerprint(net: NetworkSpec, box, resolution: int,
-                     rel_tol: float = FINGERPRINT_REL_TOL) -> GridFingerprint:
+def grid_fingerprint(net: NetworkSpec, box, resolution: int) -> GridFingerprint:
     """Fingerprint map over a sample grid (2D box) or segment (1D box)."""
     if resolution < MIN_RESOLUTION:
         raise ValidationError(f"resolution must be at least {MIN_RESOLUTION}")
@@ -70,7 +69,7 @@ def grid_fingerprint(net: NetworkSpec, box, resolution: int,
     else:
         raise ValidationError("grid oracle supports 1 or 2 inputs")
     _, A, b = batch_pieces(net, X)
-    labels, n_distinct = _labels(A, b, rel_tol)
+    labels, n_distinct = _labels(A, b)
     if d == 1:
         n_comp = 1 + int(np.count_nonzero(labels[1:] != labels[:-1]))
     else:
@@ -95,18 +94,16 @@ def grid_fingerprint(net: NetworkSpec, box, resolution: int,
                            labels, n_distinct, int(n_comp))
 
 
-def grid_region_count(net: NetworkSpec, box, resolution: int,
-                      rel_tol: float = FINGERPRINT_REL_TOL) -> tuple[int, int]:
+def grid_region_count(net: NetworkSpec, box, resolution: int) -> tuple[int, int]:
     """(distinct fingerprints, 4-connected components) on the sample grid.
     The distinct count misses pieces that no sample hits. The component count
     is no lower estimate: thin wedge tips split into pixel islands, so it can
     exceed the exact cell count."""
-    fp = grid_fingerprint(net, box, resolution, rel_tol)
+    fp = grid_fingerprint(net, box, resolution)
     return fp.n_distinct, fp.n_components
 
 
-def grid_knot_count(net: NetworkSpec, segment, resolution: int,
-                    rel_tol: float = FINGERPRINT_REL_TOL) -> int:
+def grid_knot_count(net: NetworkSpec, segment, resolution: int) -> int:
     """Dense-sampling knot count along a straight segment: fingerprint the
     restricted piece (directional slope + value intercept) at uniform samples
     and count adjacent changes. Never exceeds the exact knot count; equals it
@@ -125,5 +122,5 @@ def grid_knot_count(net: NetworkSpec, segment, resolution: int,
     vals, A, _ = batch_pieces(net, X)
     slope = np.einsum("nkd,d->nk", A, u)
     intercept = vals - slope * ts[:, None]
-    labels, _ = _labels(slope[:, :, None], intercept, rel_tol)
+    labels, _ = _labels(slope[:, :, None], intercept)
     return int(np.count_nonzero(labels[1:] != labels[:-1]))

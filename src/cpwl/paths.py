@@ -247,16 +247,20 @@ def count_knots(net: NetworkSpec, path: PolygonalPath,
     the earlier segment with layer ``PATH_VERTEX``. ``prefixes=True``
     additionally reports the knot count of every depth-truncated network; a
     sequence of layer indices reports the networks truncated after those
-    layers only, in its order. Pieces differ past ``KNOT_REL_TOL``.
+    layers only, in its order. Pieces differ past ``KNOT_REL_TOL``. Raises
+    ``ValidationError`` where a layer leaves a piece that is not finite.
     """
     if path.dim != net.input_dim:
         raise ValidationError("path dimension must match the network input")
     layers = range(len(net.layers))
     asked = () if prefixes is False else layers if prefixes is True else [layers[i] for i in prefixes]
     seg, found = _Segments(path.vertices[:-1], path.vertices[1:]), {}
-    for li in _propagate([raw_layers(net)], seg):
-        if li in asked:
-            found[li] = int(_piece_changes(seg).sum()) + sum(_bends(seg))
+    with np.errstate(over="ignore", invalid="ignore"):  # tested for after each layer
+        for li in _propagate([raw_layers(net)], seg):
+            if not (np.isfinite(seg.P).all() and np.isfinite(seg.Q).all()):
+                raise ValidationError("non-finite affine data")
+            if li in asked:
+                found[li] = int(_piece_changes(seg).sum()) + sum(_bends(seg))
     hits = _piece_changes(seg).nonzero()[0]
     offsets = [0.0, *accumulate(seg.length.tolist())]
     params = np.array(offsets)[seg.owner[hits]] + seg.hi[hits]

@@ -7,6 +7,7 @@ object exactly, and equal objects serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -17,6 +18,14 @@ from .paths import PolygonalPath
 
 def _affine_map_to_json(m: AffineMap) -> dict:
     return {"matrix": m.matrix.tolist(), "offset": m.offset.tolist()}
+
+
+def _numbers(*lists) -> None:
+    """Refuses a value in ``lists`` that is not a JSON number (a bool or a
+    string, say)."""
+    if not {int, float}.issuperset(map(type, chain(*lists))):
+        bad = next(x for x in chain(*lists) if type(x) not in (int, float))
+        raise TypeError(f"expected a JSON number, got {bad!r}")
 
 
 def _affine_map_from_json(obj) -> AffineMap:
@@ -44,23 +53,28 @@ def _pwlu2d_from_json(spec: dict) -> PWLU2D:
 
 
 # Every layer type by its JSON tag, the class name in lower case: its fields
-# from a layer, and the layer from its fields.
-_LAYER_TYPES = {cls.__name__.lower(): (to_json, from_json) for cls, to_json, from_json in (
-    (Affine, lambda l: _affine_map_to_json(l.map), lambda spec: Affine(_affine_map_from_json(spec))),
+# from a layer, the layer from its fields, and the lists of their numbers.
+_LAYER_TYPES = {cls.__name__.lower(): entry for cls, *entry in (
+    (Affine, lambda l: _affine_map_to_json(l.map), lambda spec: Affine(_affine_map_from_json(spec)),
+     lambda spec: (*spec["matrix"], spec["offset"])),
     (Pointwise, lambda l: {"units": [{"breakpoints": list(u.breakpoints), "slopes": list(u.slopes),
                                       "anchor_value": u.anchor_value} for u in l.units]},
      lambda spec: Pointwise(tuple(ScalarCPWL(tuple(u["breakpoints"]), tuple(u["slopes"]),
-                                             float(u["anchor_value"])) for u in spec["units"]))),
+                                             float(u["anchor_value"])) for u in spec["units"])),
+     lambda spec: [v for u in spec["units"] for v in (u["breakpoints"], u["slopes"], [u["anchor_value"]])]),
     (Maxout, lambda l: {"rank": l.rank, "weights": l.weights.tolist(), "offsets": l.offsets.tolist()},
      lambda spec: Maxout(_integer(spec, "rank"), np.array(spec["weights"], dtype=float),
-                         np.array(spec["offsets"], dtype=float))),
+                         np.array(spec["offsets"], dtype=float)),
+     lambda spec: (*chain(*spec["weights"]), *spec["offsets"])),
     (GroupSort, lambda l: {"group_size": l.group_size},
-     lambda spec: GroupSort(_integer(spec, "group_size"))),
-    (PWLU2D, _pwlu2d_to_json, _pwlu2d_from_json))}
+     lambda spec: GroupSort(_integer(spec, "group_size")), lambda spec: ()),
+    (PWLU2D, _pwlu2d_to_json, _pwlu2d_from_json,
+     lambda spec: [v for u in spec.get("units", [spec])
+                   for v in (*u["values"], *u["readin"]["matrix"], u["readin"]["offset"])]))}
 
 
 def _layer_type(tag, where: str) -> tuple:
-    """(to_json, from_json) of the layer type ``tag``."""
+    """(to_json, from_json, numbers) of the layer type ``tag``."""
     if not isinstance(tag, str) or tag not in _LAYER_TYPES:
         raise ValidationError(f"{where}: unknown layer type {tag!r}")
     return _LAYER_TYPES[tag]
@@ -90,8 +104,9 @@ def network_from_json(obj) -> NetworkSpec:
     layers = []
     for i, spec in enumerate(obj["layers"]):
         tag = spec.get("type") if isinstance(spec, dict) else None
-        from_json = _layer_type(tag, f"layer {i}")[1]
+        _, from_json, numbers = _layer_type(tag, f"layer {i}")
         try:
+            _numbers(*numbers(spec))
             layers.append(from_json(spec))
         except (KeyError, TypeError, IndexError, ValueError) as e:
             # Missing fields, wrong types, malformed numbers, invalid layers.
@@ -107,6 +122,7 @@ def path_from_json(obj) -> PolygonalPath:
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise ValidationError("path document needs a vertices list")
     try:
+        _numbers(*obj["vertices"])
         return PolygonalPath(np.array(obj["vertices"], dtype=float))
     except (TypeError, ValueError) as e:
         raise ValidationError(f"malformed path vertices ({e})") from e

@@ -402,6 +402,27 @@ def _draw_nets(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, a
     return nets
 
 
+def sampled_architecture(family: str, d: int, width: Optional[int] = None, depth: int = 1, *,
+                         kappa: Optional[int] = None, rank: Optional[int] = None,
+                         group_size: int = 2) -> ArchitectureDescriptor:
+    """The descriptor of the nets ``sample_network`` draws for ``family``:
+    ``depth`` activation layers of ``width`` units (default 1) on ``d``
+    inputs, units of 2 regions, or ``kappa`` (deepspline), ``rank`` (maxout)
+    or ``group_size`` (groupsort). The sampler keeps a groupsort net's
+    readout affine, so it adds one layer, and its width defaults to d."""
+    if family not in SAMPLED_FAMILIES:
+        raise ValidationError(f"unknown family {family!r}; choose from {', '.join(SAMPLED_FAMILIES)}")
+    per_unit = {"deepspline": kappa, "maxout": rank, "groupsort": group_size}.get(family, 2)
+    if per_unit is None:
+        raise ValidationError(f"family {family!r} needs {'kappa' if family == 'deepspline' else 'rank'}")
+    if depth < 1:
+        raise ValidationError("depth must be at least 1")
+    if family == "groupsort":
+        width, depth = d if width is None else width, depth + 1
+    dims = (d,) + (1 if width is None else width,) * depth
+    return ArchitectureDescriptor(dims, tuple((per_unit,) * w for w in dims[1:]), family=family)
+
+
 def sample_network(arch: ArchitectureDescriptor, init: InitSpec,
                    seed: Optional[int] = None, *, kappa: Optional[int] = None,
                    rank: Optional[int] = None, group_size: int = 2) -> NetworkSpec:
@@ -612,18 +633,7 @@ def estimate_unit_density(fan_in: int, init: InitSpec, trials: int = 1000,
     """lambda0-hat: mean exact knot density of a single random component
     (one unit on ``fan_in`` inputs) along the default probe, with the
     bound of ``mc_knot_density``."""
-    if family in ("relu", "leaky", "abs"):
-        arch = ArchitectureDescriptor((fan_in, 1), ((2,),), family=family)
-    elif family == "maxout":
-        arch = ArchitectureDescriptor((fan_in, 1), ((rank,),), family="maxout")
-    elif family == "groupsort":
-        # The readout of a sampled groupsort net stays affine, so one sorting
-        # layer needs dims (fan_in, fan_in, fan_in).
-        arch = ArchitectureDescriptor((fan_in, fan_in, fan_in),
-                                      ((2,) * fan_in, (2,) * fan_in),
-                                      family="groupsort")
-    else:
-        raise ValidationError(f"no unit density for family {family!r}")
+    arch = sampled_architecture(family, fan_in, rank=rank, group_size=group_size)
     return mc_knot_density(arch, init, trials=trials, rank=rank, group_size=group_size)
 
 

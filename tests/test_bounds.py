@@ -3,14 +3,17 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cpwl.bounds import (AlphaReport, ArchitectureDescriptor, BoundReport,
+from cpwl import bounds
+from cpwl.bounds import (EXACT_ASSIGNMENT_WIDTH, FAMILIES, AlphaReport,
+                         ArchitectureDescriptor, BoundReport, _best_assignment,
                          alpha_lower_constructive, alpha_lower_paper,
                          alpha_report, architecture_bound, beta,
                          beta_simplified, beta_uniform, compositional_upper,
                          compositional_upper_factors, corollary_envelope,
-                         projection_to_convex_cap)
+                         layer_factors, projection_to_convex_cap)
 from cpwl.core import ValidationError
 
 
@@ -215,6 +218,27 @@ def test_alpha_assignments_reproduce_their_scores():
     assert constructive_total == rep.constructive_value
 
 
+def test_greedy_assignment_beyond_the_exhaustive_width(monkeypatch):
+    # Past EXACT_ASSIGNMENT_WIDTH units the balance is greedy: it scores what
+    # it reports, fills every channel when asked, and stays at or below the
+    # optimum, found here by the exhaustive search with its width raised.
+    n = EXACT_ASSIGNMENT_WIDTH + 1
+    for weights in ([5] + [1] * (n - 1), [k % 4 + 1 for k in range(n)], [3] * n):
+        for base, surjective in ((0, True), (1, True), (1, False)):
+            score, assign, exact = _best_assignment(weights, 2, base, surjective)
+            assert not exact and len(assign) == n
+            sums = [sum(w for w, r in zip(weights, assign) if r == c) for c in range(2)]
+            assert score == math.prod(base + s for s in sums)
+            if surjective:
+                assert set(assign) == {0, 1}
+            with monkeypatch.context() as m:
+                m.setattr(bounds, "EXACT_ASSIGNMENT_WIDTH", n)
+                best, _, exhaustive = _best_assignment(weights, 2, base, surjective)
+            assert exhaustive and score <= best
+    rep = alpha_report(ArchitectureDescriptor((2, n, 2), ((2,) * n, (2, 2))))
+    assert not rep.exact
+
+
 def test_alpha_paper_can_exceed_compositional_upper():
     # The two bounds answer different questions; on this architecture the
     # additive-channel score overshoots the provable ceiling while the
@@ -294,6 +318,17 @@ def test_groupsort_activation_envelope():
         architecture_bound("groupsort_activation", d=5, group_size=2)
 
 
+def test_groupsort_activation_envelope_for_odd_d():
+    # For odd d the lower end (g/2)^(d/2) is irrational: a float.
+    for d, g, value in ((3, 3, 6), (5, 5, 120), (9, 3, 216)):
+        rep = architecture_bound("groupsort_activation", d=d, group_size=g)
+        assert rep.value == value
+        assert isinstance(rep.extras["envelope_lower"], float)
+        assert rep.extras["envelope_lower"] == (g / 2) ** (d / 2)
+        assert rep.extras["envelope_upper"] == g ** d
+        assert rep.extras["envelope_lower"] <= rep.value <= rep.extras["envelope_upper"]
+
+
 def test_relu_net_factors():
     rep = architecture_bound("relu_net", dims=(2, 8, 8, 1))
     assert rep.extras["factors"] == [37, 37, 2]
@@ -327,6 +362,39 @@ def test_family_errors():
         architecture_bound("no_such_family", d=2)
     with pytest.raises(ValidationError):
         architecture_bound("deepspline_net", dims=(2, 3, 1), kappa=0)
+
+
+def test_family_parameters_are_checked():
+    good = {"ridge": {"d": 2, "n_units": 3}, "max_pooling": {"d": 2, "out_dim": 2, "pool_size": 3},
+            "ghh": {"d": 2, "n_units": 2}, "sort": {"d": 3},
+            "groupsort_activation": {"d": 4, "group_size": 2}, "pwlu_unit": {"grid_m": 4},
+            "pwlu_layer": {"d": 1, "n_units": 1, "grid_m": 4}, "relu_net": {"dims": (2, 8, 1)},
+            "deepspline_net": {"dims": (2, 3, 1), "kappa": 3},
+            "maxout_net": {"dims": (2, 3, 1), "rank": 2},
+            "groupsort_net": {"dims": (2, 4, 1), "group_size": 2}}
+    assert set(good) == set(FAMILIES) and len(FAMILIES) == 11
+    for family, params in good.items():
+        # numpy integers are integers; the value is a Python int either way
+        as_numpy = {k: np.array(v) if k == "dims" else np.int64(v) for k, v in params.items()}
+        rep = architecture_bound(family, **as_numpy)
+        assert type(rep.value) is int and rep.value == architecture_bound(family, **params).value
+        for name in params:
+            low = 2 if name == "grid_m" else 1
+            missing = {k: v for k, v in params.items() if k != name}
+            for bad in (missing, {**params, name + "_x": 1},
+                        *({**params, name: v} for v in (True, 2.0, "2", None, low - 1))):
+                with pytest.raises(ValidationError):
+                    architecture_bound(family, **bad)
+    for dims in ((2,), (2, 0, 1), (2, True, 1), (2.0, 3, 1), 5, "21"):
+        with pytest.raises(ValidationError):
+            architecture_bound("relu_net", dims=dims)
+
+
+def test_layer_factors_is_the_per_layer_product():
+    arch = ArchitectureDescriptor((3, 1, 4), ((2,), (2, 2, 2, 2)))
+    assert layer_factors(arch.dims, arch.kappas) == compositional_upper_factors(arch) == [2, 5]
+    # An empty row is an affine layer: factor 1.
+    assert layer_factors((2, 3, 3), [[], [4, 4, 4]]) == [1, beta(2, (4, 4, 4))]
 
 
 def test_bound_report_is_plain_data():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from cpwl.cli import main
 from cpwl.core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
                        Pointwise, PWLU2D, ValidationError, abs_unit,
                        relu_unit)
-from cpwl.paths import PolygonalPath
+from cpwl.geometry import enumerate_regions
+from cpwl.paths import PolygonalPath, count_knots
 from cpwl.serial import (dumps_canonical, load_network, load_path,
                          network_from_json, network_to_json, path_from_json,
                          path_to_json, save_network, save_path)
@@ -110,6 +112,20 @@ def test_malformed_network_documents():
         lambda d: d["layers"][3].update(group_size=2.7),
         lambda d: d["layers"][3].update(group_size=True),
         lambda d: d["layers"][6].update(grid_m="4"),
+        # Every number must be a JSON number: not a numeric string or a bool.
+        lambda d: d["layers"][0]["matrix"][0].__setitem__(1, "2"),
+        lambda d: d["layers"][0]["offset"].__setitem__(0, "1e0"),
+        lambda d: d["layers"][0]["matrix"][1].__setitem__(0, True),
+        lambda d: d["layers"][2]["offset"].__setitem__(3, False),
+        lambda d: d["layers"][1]["units"][0].update(breakpoints=["0"]),
+        lambda d: d["layers"][1]["units"][2].update(slopes=[0.0, True]),
+        lambda d: d["layers"][1]["units"][1].update(anchor_value="0"),
+        lambda d: d["layers"][1]["units"][3].update(anchor_value=False),
+        lambda d: d["layers"][4]["weights"][2][1].__setitem__(0, "0.5"),
+        lambda d: d["layers"][4]["offsets"][0].__setitem__(1, True),
+        lambda d: d["layers"][6]["values"][3].__setitem__(3, "1"),
+        lambda d: d["layers"][6]["values"][0].__setitem__(0, True),
+        lambda d: d["layers"][6]["readin"]["matrix"][0].__setitem__(0, True),
     ]:
         doc = json.loads(dumps_canonical(good))
         mutate(doc)
@@ -152,7 +168,8 @@ def test_path_json_round_trip():
     assert np.allclose(back.vertices, path.vertices)
     for doc in ({"points": []}, {"vertices": [[0.0, 1.0], [2.0]]},
                 {"vertices": [["a", "b"], [1.0, 2.0]]}, {"vertices": [[0.0], [0.0]]},
-                {"vertices": {"x": 1}}):
+                {"vertices": {"x": 1}}, {"vertices": [[0.0, "1"], [1.0, 2.0]]},
+                {"vertices": [["0.5", 1.0], [1.0, 2.0]]}, {"vertices": [[0.0, True], [1.0, 2.0]]}):
         with pytest.raises(ValidationError):
             path_from_json(doc)
 
@@ -199,6 +216,40 @@ def test_bound_uniform_envelope(capsys):
     out = capsys.readouterr().out
     assert "AUDIT: paper-lower 512 > thm-upper 125" in out
     assert "constructive lower meets the upper bound: 125" in out
+
+
+def test_bound_family_refuses_bad_parameters(capsys):
+    # Each once ended in a traceback (exit 1) or printed a bound of 0, 4 or 1.
+    for flags in (["sort", "--d", "-1"], ["groupsort", "--dims", "2,4,1", "--group-size", "0"],
+                  ["groupsort_activation", "--d", "4", "--group-size", "0"],
+                  ["pwlu_unit", "--grid-m", "1"], ["pwlu_layer", "--d", "2", "--n-units", "2", "--grid-m", "0"],
+                  ["max_pooling", "--d", "2", "--out-dim", "2", "--pool-size", "0"],
+                  ["ghh", "--d", "0", "--n-units", "2"], ["relu", "--dims", "2,0,1"],
+                  ["ridge", "--d", "2"], ["ridge_net", "--d", "2", "--n-units", "3"]):
+        assert main(["bound", "--family"] + flags) == 2, flags
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "region upper bound" not in captured.out
+
+
+def test_readme_command_block_runs(tmp_path, capsys):
+    # Every bound, audit and construct line of the README's command block
+    # exits 0 and prints what its "# ->" comment says.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    ran, checked = 0, 0
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = command.split()
+        if argv[:1] != ["cpwl"] or argv[1] not in ("bound", "audit", "construct"):
+            continue
+        argv = argv[1:] + (["--out", str(tmp_path)] if argv[1] == "construct" else [])
+        assert main(argv) == 0, line
+        out = capsys.readouterr().out
+        if comment.strip().startswith("->"):
+            assert comment.strip()[2:].strip() in out, line
+            checked += 1
+        ran += 1
+    assert ran >= 8 and checked >= 2
 
 
 def test_bound_requires_some_request():
@@ -434,6 +485,35 @@ def test_malformed_numbers_exit_2(tmp_path, capsys):
                  ["knots", "--net", str(good), "--path", str(tmp_path / "ragged.json")]):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_count_box_needs_positive_extent(tmp_path, capsys):
+    main(["construct", "--gp", "--d", "2", "--ns", "3,3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    for box in ("1,1", "-1,1,2,2"):
+        assert main(["count", "--net", str(tmp_path / "gp_net.json"), "--box", box]) == 2
+        assert capsys.readouterr().err == "error: domain box must have positive extent\n"
+
+
+def test_overflowing_affine_data_is_refused_without_a_warning(tmp_path, capsys):
+    # Affine(1e200 I) -> relu -> Affine(1e200 [1, 1]): the pieces overflow. On
+    # this path the function has two kinks; knots once printed 0 and exit 0.
+    net = NetworkSpec(2, (Affine(AffineMap(1e200 * np.eye(2), np.zeros(2))),
+                          Pointwise((relu_unit(),) * 2),
+                          Affine(AffineMap(1e200 * np.ones((1, 2)), np.zeros(1)))))
+    save_network(net, str(tmp_path / "net.json"))
+    save_path(PolygonalPath(np.array([[-3.0, -2.0], [3.0, 2.5]])), str(tmp_path / "path.json"))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite affine data"):
+            enumerate_regions(net, (-3.0, 3.0))
+        with pytest.raises(ValidationError, match="non-finite affine data"):
+            count_knots(net, load_path(str(tmp_path / "path.json")))
+        for argv in (["count", "--net", str(tmp_path / "net.json"), "--box", "-3,3"],
+                     ["knots", "--net", str(tmp_path / "net.json"), "--path", str(tmp_path / "path.json")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: non-finite affine data\n"
 
 
 def test_budget_exhaustion_exit_code(tmp_path, capsys):

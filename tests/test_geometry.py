@@ -676,6 +676,44 @@ def test_two_separating_hyperplanes_need_no_lp(lp_calls):
     assert lp_calls[0] == 0
 
 
+def _zero_relu_cell(d, rows, offsets, signs):
+    """The cell where relu units on ``rows @ x + offsets`` have ``signs``,
+    from a net whose readout is zero (every cell has one piece), on the box
+    ±3 in d inputs; the rows are given on the first 3 inputs."""
+    M = np.hstack([np.array(rows, float), np.zeros((len(rows), d - 3))])
+    net = NetworkSpec(d, (Affine(AffineMap(M, np.array(offsets, float))),
+                          Pointwise((relu_unit(),) * len(M)),
+                          Affine(AffineMap(np.zeros((1, len(M))), np.zeros(1)))))
+    rs = enumerate_regions(net, (-3.0, 3.0))
+    return rs, next(r for r in rs.regions if (np.sign(M @ r.witness + offsets) == signs).all())
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_facet_clipped_by_the_other_cells_rows_matches_lp_reference(d, monkeypatch):
+    # Cells of two subdivisions of one box across x = 0: q = {x > 0, z < 1,
+    # y > -z}, whose facet there (its span along y starts last) is clipped by
+    # p's first row and then judged by its second. Against p = {x < 0, z > 0,
+    # y + 2z < 0} the clipped facet is rejected, though q's whole facet
+    # reaches into y + 2z < 0; against p = {x < 0, z > -1, y < 0.5} it is
+    # kept, though the part the clip cuts off lies wholly in y > 1.
+    calls = [0]
+    thick = geometry._facet_is_thick
+
+    def counted(*args):
+        calls[0] += 1  # the clip-and-recurse branch calls it again
+        return thick(*args)
+    monkeypatch.setattr(geometry, "_facet_is_thick", counted)
+    rs, q = _zero_relu_cell(d, [[1, 0, 0], [0, 0, 1], [0, 1, 1]], [0, -1, 0], [1, -1, 1])
+    for rows, offsets, signs, adjacent in (
+            ([[1, 0, 0], [0, 0, 1], [0, 1, 2]], [0, 0, 0], [-1, 1, -1], False),
+            ([[1, 0, 0], [0, 0, 1], [0, 1, 0]], [0, 1, -0.5], [-1, 1, -1], True)):
+        p = _zero_relu_cell(d, rows, offsets, signs)[1]
+        assert piece_fingerprint(p.piece) == piece_fingerprint(q.piece)
+        calls[0] = 0
+        assert _adjacent(p, q, rs) == _exhaustive_adjacent(p, q, rs) == adjacent
+        assert calls[0] >= 2
+
+
 def test_shared_piece_nets_count_as_the_lp_path():
     # Seed-1 relu nets on the box ±3 whose cells share pieces, as behind an
     # output relu: (cells, distinct, connected) as the witness-LP adjacency

@@ -161,12 +161,12 @@ def test_fingerprint_exposes_labels():
 def test_labels_partition_rows_as_unique_on_axis_0(monkeypatch):
     # Labels come from np.unique on a byte view of the quantized int64 rows:
     # the same partition as np.unique(axis=0), whatever the numbering.
-    monkeypatch.setattr(oracle, "_quantize", lambda rows, rel_tol: rows)
+    monkeypatch.setattr(oracle, "_quantize", lambda rows: rows)
     rng = np.random.default_rng(16)
     for n, k, span in ((1, 1, 3), (500, 1, 4), (2000, 3, 3), (800, 7, 2 ** 62), (300, 2, 1)):
         Q = rng.integers(-span, span, size=(n, k), dtype=np.int64)
         Q[rng.integers(0, n, n // 3)] = Q[rng.integers(0, n, n // 3)]  # duplicate rows
-        labels, n_labels = oracle._labels(Q[:, :, None], Q[:, :0], 0.0)
+        labels, n_labels = oracle._labels(Q[:, :, None], Q[:, :0])
         uniq, ref = np.unique(Q, axis=0, return_inverse=True)
         assert labels.shape == (n,) and n_labels == len(uniq)
         assert len(set(zip(labels.tolist(), ref.ravel().tolist()))) == n_labels

@@ -21,7 +21,7 @@ from cpwl.stochastic import (MC_CSV_COLUMNS, CompositionalBound, InitSpec,
                              mc_knot_density, mc_knot_density_by_depth,
                              mc_table_csv, mc_table_row,
                              relu_crossing_density_oracle, sample_network,
-                             unit_density_bound)
+                             sampled_architecture, unit_density_bound)
 from cpwl.switching import unit_tables
 
 
@@ -222,6 +222,24 @@ def test_sample_rejects_unknown_family():
     with pytest.raises(ValidationError):
         sample_network(ArchitectureDescriptor((2, 2), ((2, 2),), family="generic"),
                        InitSpec())
+
+
+def test_sampled_architecture():
+    # depth layers of width units (1 by default); a groupsort net's affine
+    # readout adds a layer, of width d by default.
+    for family, kw, dims, per_unit in (
+            ("relu", {}, (4, 1), 2), ("abs", {"width": 3, "depth": 2}, (4, 3, 3), 2),
+            ("maxout", {"rank": 3}, (4, 1), 3), ("deepspline", {"kappa": 5, "depth": 2}, (4, 1, 1), 5),
+            ("groupsort", {}, (4, 4, 4), 2), ("groupsort", {"width": 6, "group_size": 3}, (4, 6, 6), 3)):
+        arch = sampled_architecture(family, 4, **kw)
+        assert (arch.family, arch.dims) == (family, dims)
+        assert arch.kappas == tuple((per_unit,) * w for w in dims[1:])
+    for family, kw in (("sigmoid", {}), ("deepspline", {}), ("maxout", {}), ("relu", {"depth": 0}),
+                       ("relu", {"width": 0}), ("relu", {"d": 0})):
+        with pytest.raises(ValidationError):
+            sampled_architecture(family, **{"d": 2, **kw})
+    with pytest.raises(ValidationError):
+        estimate_unit_density(2, InitSpec(), trials=100, family="deepspline")
 
 
 # ---------------------------------------------------------------------------
