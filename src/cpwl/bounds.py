@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ValidationError
+from .core import ValidationError, pwlu_unit_pieces
 
 # Widths up to this size get exhaustive channel-assignment search (subject to
 # a branching-work cap); larger layers fall back to a greedy balance (still a
@@ -345,9 +345,10 @@ FAMILIES = {
     "sort": (("d",), math.factorial),
     # (g!)^(d/g), with the rational envelope ((g/2)^(d/2), g^d) in extras
     "groupsort_activation": (("d", "group_size"), _groupsort_activation),
-    "pwlu_unit": (("grid_m",), lambda m: 2 * (m - 1) ** 2),
-    # sum_k C(N, k) (2 (M - 1)^2 - 1)^k
-    "pwlu_layer": (("d", "n_units", "grid_m"), lambda d, n, m: beta_uniform(d, n, 2 * (m - 1) ** 2)),
+    # the pieces of one clamped unit, 2 (M - 1)^2 + 4M
+    "pwlu_unit": (("grid_m",), pwlu_unit_pieces),
+    # sum_k C(N, k) (2 (M - 1)^2 + 4M - 1)^k
+    "pwlu_layer": (("d", "n_units", "grid_m"), lambda d, n, m: beta_uniform(d, n, pwlu_unit_pieces(m))),
     # layer_factors of units of 2, kappa, rank or g! regions; a groupsort layer
     # whose width g does not divide is affine (an empty row, factor 1)
     "relu_net": (("dims",), lambda dims: _net(dims, lambda w: [2] * w)),

@@ -294,17 +294,17 @@ def cmd_mc(args) -> int:
     init = sto.InitSpec(weight_dist=args.weight_dist, sigma_w=args.sigma_w,
                         bias_dist=args.bias_dist, sigma_b=args.sigma_b,
                         fan_in_mode=args.fan_in_mode, seed=args.seed)
-    kw = {"kappa": args.kappa, "rank": args.rank, "group_size": args.group_size}
-    arch = sto.sampled_architecture(args.family, args.d, args.width, args.depth, **kw)
+    arch = sto.sampled_architecture(args.family, args.d, args.width, args.depth, kappa=args.kappa,
+                                    rank=args.rank, group_size=args.group_size)
     width, per_unit = arch.dims[1], arch.kappas[0][0]
     rows = []
     if args.by_depth:
-        ests = sto.mc_knot_density_by_depth(arch, init, trials=args.trials, **kw)
+        ests = sto.mc_knot_density_by_depth(arch, init, trials=args.trials)
         for depth, est in enumerate(ests, start=1):
             rows.append(sto.mc_table_row(args.family, width, depth,
                                          per_unit, init, est))
     else:
-        est = sto.mc_knot_density(arch, init, trials=args.trials, **kw)
+        est = sto.mc_knot_density(arch, init, trials=args.trials)
         rows.append(sto.mc_table_row(args.family, width, args.depth,
                                      per_unit, init, est))
     csv = sto.mc_table_csv(rows)

@@ -404,6 +404,12 @@ class PWLU2D:
         return a, b, c
 
 
+def pwlu_unit_pieces(grid_m: int) -> int:
+    """The affine pieces of one ``PWLU2D`` unit on the plane: 2 (M - 1)^2
+    grid triangles, 4 (M - 1) clamped edge strips and 4 constant corners."""
+    return 2 * (grid_m - 1) ** 2 + 4 * grid_m
+
+
 Layer = Union[Affine, Pointwise, Maxout, GroupSort, PWLU2D]
 
 

@@ -20,6 +20,8 @@ including stretches that ride along a switching boundary, are discarded.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Optional, Sequence
@@ -165,7 +167,7 @@ def _switch(seg: _Segments, li: int, layer) -> None:
     seg.P = A[..., 0]
 
 
-def _affine(seg: _Segments, li: int, M: np.ndarray, b: np.ndarray) -> None:
+def _affine(seg: _Segments, M: np.ndarray, b: np.ndarray) -> None:
     # Fixed-order elementwise sums: a row's bits do not depend on the batch.
     if len(M) > 1:
         M, b = M[seg.owner], b[seg.owner]
@@ -181,7 +183,7 @@ def _propagate(nets: Sequence[Sequence[tuple]], seg: _Segments):
     once that layer is applied."""
     for li, layer in enumerate(stack(nets)):
         if layer.kind is Affine:
-            _affine(seg, li, *layer.params)
+            _affine(seg, *layer.params)
         else:
             _switch(seg, li, layer)
         yield li
@@ -226,6 +228,13 @@ def segment_knot_counts(nets: Sequence[Sequence[tuple]], starts: np.ndarray,
     return counts
 
 
+def _image_lengths(seg: _Segments) -> list[float]:
+    """Arc length of the image of each propagated segment."""
+    w = np.linalg.norm(seg.P, axis=1) * (seg.hi - seg.lo)
+    bounds = seg.bounds()
+    return [float(np.sum(w[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def segment_image_lengths(nets: Sequence[Sequence[tuple]], starts: np.ndarray,
                           ends: np.ndarray) -> list[float]:
     """Arc length of the image of each straight segment under its own net
@@ -233,9 +242,23 @@ def segment_image_lengths(nets: Sequence[Sequence[tuple]], starts: np.ndarray,
     seg = _Segments(starts, ends)
     for _ in _propagate(nets, seg):
         pass
-    w = np.linalg.norm(seg.P, axis=1) * (seg.hi - seg.lo)
-    bounds = seg.bounds()
-    return [float(np.sum(w[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
+    return _image_lengths(seg)
+
+
+def _path_segments(net: NetworkSpec, path: PolygonalPath, asked=()) -> tuple[_Segments, dict]:
+    """The segments of ``path`` propagated through ``net``, and the knot count
+    of the net truncated after each layer index in ``asked``. Raises
+    ``ValidationError`` where a layer leaves a piece that is not finite."""
+    if path.dim != net.input_dim:
+        raise ValidationError("path dimension must match the network input")
+    seg, found = _Segments(path.vertices[:-1], path.vertices[1:]), {}
+    with np.errstate(over="ignore", invalid="ignore"):  # tested for after each layer
+        for li in _propagate([raw_layers(net)], seg):
+            if not (np.isfinite(seg.P).all() and np.isfinite(seg.Q).all()):
+                raise ValidationError("non-finite affine data")
+            if li in asked:
+                found[li] = int(_piece_changes(seg).sum()) + sum(_bends(seg))
+    return seg, found
 
 
 def count_knots(net: NetworkSpec, path: PolygonalPath,
@@ -250,17 +273,9 @@ def count_knots(net: NetworkSpec, path: PolygonalPath,
     layers only, in its order. Pieces differ past ``KNOT_REL_TOL``. Raises
     ``ValidationError`` where a layer leaves a piece that is not finite.
     """
-    if path.dim != net.input_dim:
-        raise ValidationError("path dimension must match the network input")
     layers = range(len(net.layers))
     asked = () if prefixes is False else layers if prefixes is True else [layers[i] for i in prefixes]
-    seg, found = _Segments(path.vertices[:-1], path.vertices[1:]), {}
-    with np.errstate(over="ignore", invalid="ignore"):  # tested for after each layer
-        for li in _propagate([raw_layers(net)], seg):
-            if not (np.isfinite(seg.P).all() and np.isfinite(seg.Q).all()):
-                raise ValidationError("non-finite affine data")
-            if li in asked:
-                found[li] = int(_piece_changes(seg).sum()) + sum(_bends(seg))
+    seg, found = _path_segments(net, path, asked)
     hits = _piece_changes(seg).nonzero()[0]
     offsets = [0.0, *accumulate(seg.length.tolist())]
     params = np.array(offsets)[seg.owner[hits]] + seg.hi[hits]
@@ -279,10 +294,9 @@ def count_knots(net: NetworkSpec, path: PolygonalPath,
 
 def image_path(net: NetworkSpec, path: PolygonalPath) -> PolygonalPath:
     """The image polyline: the network maps each segment to a polyline with
-    vertices at the restriction's cut parameters."""
-    seg = _Segments(path.vertices[:-1], path.vertices[1:])
-    for _ in _propagate([raw_layers(net)], seg):
-        pass
+    vertices at the restriction's cut parameters. Raises ``ValidationError``
+    as ``count_knots`` does."""
+    seg, _ = _path_segments(net, path)
     verts = []
     bounds = seg.bounds()
     for a, b in zip(bounds[:-1], bounds[1:]):
@@ -296,12 +310,10 @@ def image_path(net: NetworkSpec, path: PolygonalPath) -> PolygonalPath:
 
 
 def image_length(net: NetworkSpec, path: PolygonalPath) -> float:
-    """Arc length of the image polyline (0 when the image is a point)."""
-    total = 0.0
-    for length in segment_image_lengths([raw_layers(net)], path.vertices[:-1],
-                                        path.vertices[1:]):
-        total += length
-    return total
+    """Arc length of the image polyline (0 when the image is a point).
+    Raises ``ValidationError`` as ``count_knots`` does."""
+    # Summed left to right, as mc_image_length sums each trial's segments.
+    return functools.reduce(operator.add, _image_lengths(_path_segments(net, path)[0]), 0.0)
 
 
 # ---------------------------------------------------------------------------

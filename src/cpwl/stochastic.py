@@ -272,19 +272,14 @@ def _fixed_unit(family: str) -> ScalarCPWL:
             "leaky": lambda: leaky_relu_unit(LEAKY_SLOPE)}[family]()
 
 
-def _kappas(arch: ArchitectureDescriptor, kappa: Optional[int], l: int) -> list:
-    """The piece count of each unit of layer l of a spline net."""
-    return [kappa] * arch.dims[l + 1] if kappa is not None else list(arch.kappas[l])
-
-
-def _spline_normals(rng: np.random.Generator, kaps: list, sigma_b: float) -> np.ndarray:
+def _spline_normals(rng: np.random.Generator, kaps: tuple, sigma_b: float) -> np.ndarray:
     """A spline layer's units in one draw: per unit of kap > 1 pieces, in
     order, kap - 1 normals for its breakpoints, kap for its slopes and one
     for its value at its first breakpoint (see ``_spline_layer``)."""
     return rng.standard_normal(2 * sum(k for k in kaps if k > 1))
 
 
-def _spline_units(rng: np.random.Generator, kaps: list, sigma_b: float) -> tuple:
+def _spline_units(rng: np.random.Generator, kaps: tuple, sigma_b: float) -> tuple:
     """A spline layer's units drawn one by one, laid out as by
     ``_spline_normals`` but with a unit's breakpoints drawn again until,
     sorted, they are more than 1e-9 apart: the redraw of a net that
@@ -308,7 +303,7 @@ def _spread(x: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.maximum(np.abs(x[..., :-1]), np.abs(x[..., 1:])))
 
 
-def _spline_layer(z: np.ndarray, kaps: list, sigma_b: float):
+def _spline_layer(z: np.ndarray, kaps: tuple, sigma_b: float):
     """n draws of a spline layer from their ``_spline_normals`` z (n, total),
     all at once and as ``ScalarCPWL`` and ``unit_tables`` make them: the
     ``unit_tables`` (n, units, m) and (n, units, m + 1, 2), m = max(kaps) - 1,
@@ -339,22 +334,21 @@ def _spline_layer(z: np.ndarray, kaps: list, sigma_b: float):
 
 
 def _draw_layers(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, at,
-                 kappa: Optional[int], rank: Optional[int], group_size: int,
                  spline) -> list:
     """The random layers of one net as raw layers (see ``switching``), layer
     l drawn in order from the stream ``at(keys[l])``; a spline layer's units
-    as ``spline(rng, kaps, sigma_b)`` draws them."""
+    as ``spline(rng, kaps, sigma_b)`` draws them, kaps = ``arch.kappas[l]``."""
     fam = arch.family
     if fam not in SAMPLED_FAMILIES:
         raise ValidationError(f"unsupported family {fam!r}")
     dims = arch.dims
     layers: list = []
-    for l in range(len(dims) - 1):
+    for l, kaps in enumerate(arch.kappas):
         rng = at(keys[l])
         fan_in, width = dims[l], dims[l + 1]
         sw = init.sigma_w_for(fan_in)
         if fam == "maxout":
-            K = rank if rank is not None else max(arch.kappas[l])
+            K = max(kaps)
             W = _draw_weights(rng, (width * K, fan_in), init.weight_dist, sw
                               ).reshape(width, K, fan_in)
             o = _draw_bias(rng, width * K, init.bias_dist, init.sigma_b
@@ -364,36 +358,32 @@ def _draw_layers(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray,
         M = _draw_weights(rng, (width, fan_in), init.weight_dist, sw)
         b = _draw_bias(rng, width, init.bias_dist, init.sigma_b)
         layers.append((Affine, M, b))
-        last = l == len(dims) - 2
-        if fam == "groupsort":
-            if not last and width % group_size == 0:
-                layers.append((GroupSort, group_size))
+        if fam == "groupsort":  # groups of kaps[0]; the readout stays affine
+            if l < len(dims) - 2 and width % kaps[0] == 0:
+                layers.append((GroupSort, kaps[0]))
             continue
         if fam != "deepspline":
             layers.append((Pointwise, (_fixed_unit(fam),) * width))
             continue
-        layers.append((Pointwise, spline(rng, _kappas(arch, kappa, l), init.sigma_b)))
+        layers.append((Pointwise, spline(rng, kaps, init.sigma_b)))
     return layers
 
 
-def _draw_nets(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, at,
-               kappa: Optional[int], rank: Optional[int], group_size: int) -> list:
+def _draw_nets(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, at) -> list:
     """The nets that ``sample_network`` draws with layer keys ``keys``
     (n, layers, 2), as raw layers, layer l of net t drawn from the stream
     ``at(keys[t, l])``, a spline layer as its tables. Each spline layer is
     drawn in one call and made for all n nets at once by ``_spline_layer``;
     a net that it flags is drawn again, unit by unit."""
-    nets = [_draw_layers(arch, init, k, at, kappa, rank, group_size, _spline_normals)
-            for k in keys]
+    nets = [_draw_layers(arch, init, k, at, _spline_normals) for k in keys]
     if arch.family != "deepspline":
         return nets
     made = {}
-    for l in range(1, len(nets[0]), 2):  # the units after each affine map
-        kaps = _kappas(arch, kappa, l // 2)
+    for l, kaps in zip(range(1, len(nets[0]), 2), arch.kappas):  # the units after each affine map
         made[l] = _spline_layer(np.array([net[l][1] for net in nets]), kaps, init.sigma_b)
     for t, net in enumerate(nets):
         if not all(ok[t] for *_, ok in made.values()):
-            net[:] = _draw_layers(arch, init, keys[t], at, kappa, rank, group_size, _spline_units)
+            net[:] = _draw_layers(arch, init, keys[t], at, _spline_units)
             for l, (bps, *_) in made.items():
                 net[l] = (Pointwise, *unit_tables(net[l][1], bps.shape[2]))
             continue
@@ -424,20 +414,21 @@ def sampled_architecture(family: str, d: int, width: Optional[int] = None, depth
 
 
 def sample_network(arch: ArchitectureDescriptor, init: InitSpec,
-                   seed: Optional[int] = None, *, kappa: Optional[int] = None,
-                   rank: Optional[int] = None, group_size: int = 2) -> NetworkSpec:
-    """Random network for the descriptor's family; deterministic given seed.
+                   seed: Optional[int] = None) -> NetworkSpec:
+    """Random network for the descriptor's family, whose ``kappas`` are the
+    only source of per-unit counts; deterministic given seed.
 
     relu/leaky/abs: every non-input width (including a scalar output) gets an
-    affine layer followed by its activation. deepspline: units with kappa-1
-    random breakpoints and random slopes. maxout: rank-``rank`` maxout layers
-    (the affine map lives inside the layer). groupsort: affine + groupsort
-    blocks on divisible widths; the final readout stays affine-only. The
-    layers are drawn from their streams unit by unit (``_spline_units``).
+    affine layer followed by its activation. deepspline: unit i of layer l
+    has ``kappas[l][i]`` pieces (random breakpoints and slopes; one piece is
+    the identity). maxout: layer l has rank ``max(kappas[l])``. groupsort:
+    affine + groupsort blocks of groups of ``kappas[l][0]`` on divisible
+    widths; the readout stays affine. The layers are drawn from their
+    streams unit by unit (``_spline_units``).
     """
     seed = init.seed if seed is None else seed
     keys = _spawn_keys(_seed_words(seed), np.arange(len(arch.dims) - 1)[:, None])
-    net = _draw_layers(arch, init, keys, _rekeyer(), kappa, rank, group_size, _spline_units)
+    net = _draw_layers(arch, init, keys, _rekeyer(), _spline_units)
     return NetworkSpec(arch.dims[0], tuple(LAYER_OF_RAW[kind](*args) for kind, *args in net))
 
 
@@ -526,26 +517,26 @@ def default_probe(init: InitSpec, d: int, rng: np.random.Generator) -> Polygonal
     return PolygonalPath.segment(p0[0], p1[0])
 
 
-def _trial_blocks(arch, init, trials, kappa, rank, group_size, tag=None, shape=()):
+def _trial_blocks(arch, init, trials, tag=None, shape=()):
     """Each block of trials: their networks as raw layers, and each trial's
     standard normals of ``shape`` drawn from its stream (seed; t, tag)."""
     keys, tagged = _trial_keys(init.seed, trials, len(arch.dims) - 1, tag)
     at = _rekeyer()
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
-        nets = _draw_nets(arch, init, keys[block], at, kappa, rank, group_size)
+        nets = _draw_nets(arch, init, keys[block], at)
         normals = None if tag is None else np.array([at(tagged[t]).standard_normal(shape)
                                                      for t in block])
         yield nets, normals
 
 
-def _probe_densities(arch, init, trials, kappa, rank, group_size, after) -> np.ndarray:
+def _probe_densities(arch, init, trials, after) -> np.ndarray:
     """(trials, k) knot densities along each trial's default probe of its
     network truncated after the layers ``after(layers)`` picks from the raw
     layers of the first trial."""
     d = arch.dims[0]
     out = []
-    for nets, u in _trial_blocks(arch, init, trials, kappa, rank, group_size, _PROBE, d):
+    for nets, u in _trial_blocks(arch, init, trials, _PROBE, d):
         p0, p1 = _probe_ends(init, u)
         counts = segment_knot_counts(nets, p0, p1, after(nets[0]))
         # The length as PolygonalPath.length computes it.
@@ -554,68 +545,59 @@ def _probe_densities(arch, init, trials, kappa, rank, group_size, after) -> np.n
 
 
 def mc_knot_density(arch: ArchitectureDescriptor, init: InitSpec, trials: int = 1000,
-                    bound: Optional[float] = None, *, kappa: Optional[int] = None,
-                    rank: Optional[int] = None, group_size: int = 2) -> McEstimate:
-    """Mean exact knot density of random networks along ``default_probe``
-    paths. ``bound`` defaults to the per-unit closed form times the layer
-    width for single-activation-layer networks (for groupsort, the bound of
-    its one sorting layer), and must be supplied for deep ones.
+                    bound: Optional[float] = None) -> McEstimate:
+    """Mean exact knot density of random networks, drawn by
+    ``sample_network`` from ``arch`` alone, along ``default_probe`` paths.
+    ``bound`` defaults to the per-unit closed form times the layer width for
+    single-activation-layer networks (for groupsort, the bound of its one
+    sorting layer), and must be supplied for deep ones.
     """
     if trials < 100:
         raise ValidationError("density estimation needs at least 100 trials")
-    vals = _probe_densities(arch, init, trials, kappa, rank, group_size,
-                            lambda layers: [len(layers) - 1])
+    vals = _probe_densities(arch, init, trials, lambda layers: [len(layers) - 1])
     if bound is None:
-        bound = _auto_bound(arch, init, rank, group_size)
+        bound = _auto_bound(arch, init)
     return McEstimate.from_values(vals[:, 0], bound)
 
 
-def _auto_bound(arch, init, rank, group_size) -> Optional[float]:
-    """The closed-form bound of a net with one activation layer, else None.
-    A sampled groupsort net keeps its readout affine, so its one sorting
-    layer needs dims (d, w, w), and the sampler adds it only where the
-    group size divides w."""
-    fam, dims = arch.family, arch.dims
+def _auto_bound(arch, init) -> Optional[float]:
+    """The closed-form bound of a net with one activation layer, else None,
+    of the rank or group size in ``arch``. A sampled groupsort net keeps its
+    readout affine, so its one sorting layer needs dims (d, w, w), and the
+    sampler adds it only where the group size divides w."""
+    fam, dims, g = arch.family, arch.dims, arch.kappas[0][0]
     if fam == "groupsort":
-        return (unit_density_bound("groupsort", init, d=dims[0], group_size=group_size)
-                if len(dims) == 3 and dims[1] % group_size == 0 else None)
+        return (unit_density_bound(fam, init, d=dims[0], group_size=g)
+                if len(dims) == 3 and dims[1] % g == 0 else None)
     if fam not in ("relu", "leaky", "abs", "maxout") or len(dims) != 2:
         return None
-    if fam == "maxout":
-        K = rank if rank is not None else max(arch.kappas[0])
-        return dims[1] * unit_density_bound("maxout", init, rank=K)
-    return dims[1] * unit_density_bound(fam, init)
+    return dims[1] * unit_density_bound(fam, init, rank=max(arch.kappas[0]))
 
 
 def mc_knot_density_by_depth(arch: ArchitectureDescriptor, init: InitSpec,
-                             trials: int = 2000, *, kappa: Optional[int] = None,
-                             rank: Optional[int] = None, group_size: int = 2
-                             ) -> list[McEstimate]:
-    """Knot densities of every depth prefix of the sampled networks, one
-    propagation per trial (prefix l reuses the work of prefix l+1). Returns
-    one estimate per activation layer depth 1..L, with per-trial values
-    aligned across depths so paired comparisons are valid."""
+                             trials: int = 2000) -> list[McEstimate]:
+    """Knot densities of every depth prefix of the networks sampled from
+    ``arch``, one propagation per trial (prefix l reuses the work of prefix
+    l+1). Returns one estimate per activation layer depth 1..L, with
+    per-trial values aligned across depths so paired comparisons are valid."""
     if trials < 100:
         raise ValidationError("density estimation needs at least 100 trials")
-    cols = _probe_densities(arch, init, trials, kappa, rank, group_size,
+    cols = _probe_densities(arch, init, trials,
                             lambda layers: [i for i, (kind, *_) in enumerate(layers)
                                             if kind is not Affine])
     return [McEstimate.from_values(cols[:, j]) for j in range(cols.shape[1])]
 
 
 def estimate_directional_expansion(arch: ArchitectureDescriptor, init: InitSpec,
-                                   trials: int = 1000, *,
-                                   kappa: Optional[int] = None,
-                                   rank: Optional[int] = None,
-                                   group_size: int = 2) -> McEstimate:
-    """D0-hat: mean directional-derivative norm ||D_u F_l(x)|| over random
-    networks, standard-normal inputs x, uniform directions u, and all depth
-    prefixes l (each trial contributes its average over prefixes)."""
+                                   trials: int = 1000) -> McEstimate:
+    """D0-hat: mean directional-derivative norm ||D_u F_l(x)|| over networks
+    sampled from ``arch``, standard-normal inputs x, uniform directions u,
+    and all depth prefixes l (each trial contributes its average over
+    prefixes)."""
     if trials < 100:
         raise ValidationError("expansion estimation needs at least 100 trials")
     vals = []
-    for nets, xu in _trial_blocks(arch, init, trials, kappa, rank, group_size,
-                                  _EXPANSION, (2, arch.dims[0])):
+    for nets, xu in _trial_blocks(arch, init, trials, _EXPANSION, (2, arch.dims[0])):
         Z, dZ = xu.transpose(1, 0, 2).copy()  # each trial's x, then its u
         dZ /= row_norms(dZ)[:, None]
         norms = []
@@ -634,27 +616,24 @@ def estimate_unit_density(fan_in: int, init: InitSpec, trials: int = 1000,
     (one unit on ``fan_in`` inputs) along the default probe, with the
     bound of ``mc_knot_density``."""
     arch = sampled_architecture(family, fan_in, rank=rank, group_size=group_size)
-    return mc_knot_density(arch, init, trials=trials, rank=rank, group_size=group_size)
+    return mc_knot_density(arch, init, trials=trials)
 
 
 def mc_image_length(arch: ArchitectureDescriptor, init: InitSpec,
                     path: PolygonalPath, trials: int = 1000,
-                    bound: Optional[float] = None, *,
-                    kappa: Optional[int] = None, rank: Optional[int] = None,
-                    group_size: int = 2) -> McEstimate:
-    """Mean arc length of the image of ``path`` under random networks."""
+                    bound: Optional[float] = None) -> McEstimate:
+    """Mean arc length of the image of ``path`` under networks sampled from
+    ``arch``."""
     if trials < 2:
         raise ValidationError("an estimate needs at least 2 trials")
     p0, p1 = path.vertices[:-1], path.vertices[1:]
     vals = []
-    for nets, _ in _trial_blocks(arch, init, trials, kappa, rank, group_size):
+    for nets, _ in _trial_blocks(arch, init, trials):
         lengths = segment_image_lengths([net for net in nets for _ in p0],
                                         np.tile(p0, (len(nets), 1)), np.tile(p1, (len(nets), 1)))
-        for t in range(len(nets)):
-            total = 0.0  # summed as image_length sums its segments
-            for length in lengths[t * len(p0):(t + 1) * len(p0)]:
-                total += length
-            vals.append(total)
+        n = len(p0)  # a trial's segments summed in order, as image_length sums them
+        vals += [functools.reduce(operator.add, lengths[t * n:(t + 1) * n], 0.0)
+                 for t in range(len(nets))]
     return McEstimate.from_values(vals, bound)
 
 

@@ -39,7 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Affine, AffineMap, GroupSort, Maxout, NetworkSpec, Pointwise, PWLU2D
+from .core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec, Pointwise, PWLU2D,
+                   pwlu_unit_pieces)
 
 _RAW = {Affine: lambda l: (l.map.matrix, l.map.offset),
         Pointwise: lambda l: (l.units,),
@@ -244,8 +245,7 @@ _UNIT_PIECES = {Affine: lambda w, M, b: [],
                 Pointwise: lambda w, units: [f.region_count for f in units],
                 Maxout: lambda w, W, o: [W.shape[1]] * w,
                 GroupSort: lambda w, g: [math.factorial(g)] * (w // g),
-                # Grid triangles plus the clamped edge strips and constant corners.
-                PWLU2D: lambda w, V, M, off: [2 * (V.shape[-1] - 1) ** 2 + 4 * V.shape[-1]] * w}
+                PWLU2D: lambda w, V, M, off: [pwlu_unit_pieces(V.shape[-1])] * w}
 
 
 def unit_pieces(net: NetworkSpec) -> list[list]:

@@ -14,7 +14,8 @@ from cpwl.bounds import (EXACT_ASSIGNMENT_WIDTH, FAMILIES, AlphaReport,
                          beta_simplified, beta_uniform, compositional_upper,
                          compositional_upper_factors, corollary_envelope,
                          layer_factors, projection_to_convex_cap)
-from cpwl.core import ValidationError
+from cpwl.core import AffineMap, NetworkSpec, PWLU2D, ValidationError
+from cpwl.geometry import exact_cell_count, network_arrangement_upper
 
 
 def beta_bruteforce(d, ns):
@@ -301,8 +302,20 @@ def test_family_anchor_values():
     assert architecture_bound("sort", d=4).value == 24
     assert architecture_bound("max_pooling", d=2, out_dim=2, pool_size=3).value == 9
     assert architecture_bound("ghh", d=2, n_units=2).value == 9
-    assert architecture_bound("pwlu_unit", grid_m=4).value == 18
-    assert architecture_bound("pwlu_layer", d=1, n_units=1, grid_m=4).value == 18
+    assert architecture_bound("pwlu_unit", grid_m=4).value == 34
+    assert architecture_bound("pwlu_layer", d=1, n_units=1, grid_m=4).value == 34
+
+
+@pytest.mark.parametrize("grid_m, cells", [(3, 20), (4, 34), (5, 52)])
+def test_pwlu_bounds_cover_the_clamped_unit(grid_m, cells):
+    # PWLU2D clamps its inputs to the grid, so off the grid one unit adds
+    # 4 (M - 1) edge strips and 4 constant corners to its grid triangles.
+    unit = NetworkSpec(2, (PWLU2D(grid_m, np.random.default_rng(0).normal(size=(1, grid_m, grid_m)),
+                                  (AffineMap(np.eye(2), np.zeros(2)),)),))
+    assert exact_cell_count(unit, (-3.0, 3.0))[0] == cells
+    assert architecture_bound("pwlu_unit", grid_m=grid_m).value >= cells
+    assert architecture_bound("pwlu_layer", d=1, n_units=1, grid_m=grid_m).value >= cells
+    assert network_arrangement_upper(unit) == architecture_bound("pwlu_unit", grid_m=grid_m).value
 
 
 def test_groupsort_activation_envelope():

@@ -16,7 +16,7 @@ from cpwl.core import (Affine, AffineMap, GroupSort, Maxout, NetworkSpec,
                        Pointwise, PWLU2D, ValidationError, abs_unit,
                        relu_unit)
 from cpwl.geometry import enumerate_regions
-from cpwl.paths import PolygonalPath, count_knots
+from cpwl.paths import PolygonalPath, count_knots, image_length, image_path
 from cpwl.serial import (dumps_canonical, load_network, load_path,
                          network_from_json, network_to_json, path_from_json,
                          path_to_json, save_network, save_path)
@@ -232,24 +232,33 @@ def test_bound_family_refuses_bad_parameters(capsys):
 
 
 def test_readme_command_block_runs(tmp_path, capsys):
-    # Every bound, audit and construct line of the README's command block
-    # exits 0 and prints what its "# ->" comment says.
+    # Every bound, audit, construct and mc line of the README's command block
+    # exits 0 and prints what its "# ->" comment says; every bounded mc row
+    # passes. construct and mc write to tmp_path.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    ran, checked = 0, 0
+    ran, checked, mc, bounded = 0, 0, 0, 0
     for line in block.splitlines():
         command, _, comment = line.partition("#")
         argv = command.split()
-        if argv[:1] != ["cpwl"] or argv[1] not in ("bound", "audit", "construct"):
+        if argv[:1] != ["cpwl"] or argv[1] not in ("bound", "audit", "construct", "mc"):
             continue
-        argv = argv[1:] + (["--out", str(tmp_path)] if argv[1] == "construct" else [])
+        argv = argv[1:]
+        if "--out" in argv:
+            del argv[argv.index("--out"):argv.index("--out") + 2]
+        if argv[0] in ("construct", "mc"):
+            argv += ["--out", str(tmp_path)]
         assert main(argv) == 0, line
         out = capsys.readouterr().out
         if comment.strip().startswith("->"):
             assert comment.strip()[2:].strip() in out, line
             checked += 1
+        if argv[0] == "mc":
+            rows = [row for row in out.splitlines() if " bound=" in row]
+            assert all(row.endswith(" pass=true") for row in rows), line
+            mc, bounded = mc + 1, bounded + len(rows)
         ran += 1
-    assert ran >= 8 and checked >= 2
+    assert ran >= 10 and checked >= 2 and mc == 2 and bounded >= 1
 
 
 def test_bound_requires_some_request():
@@ -508,8 +517,9 @@ def test_overflowing_affine_data_is_refused_without_a_warning(tmp_path, capsys):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="non-finite affine data"):
             enumerate_regions(net, (-3.0, 3.0))
-        with pytest.raises(ValidationError, match="non-finite affine data"):
-            count_knots(net, load_path(str(tmp_path / "path.json")))
+        for fn in (count_knots, image_length, image_path):
+            with pytest.raises(ValidationError, match="non-finite affine data"):
+                fn(net, load_path(str(tmp_path / "path.json")))
         for argv in (["count", "--net", str(tmp_path / "net.json"), "--box", "-3,3"],
                      ["knots", "--net", str(tmp_path / "net.json"), "--path", str(tmp_path / "path.json")]):
             assert main(argv) == 2

@@ -173,11 +173,12 @@ def _parity_cases():
     fan_in = InitSpec(fan_in_mode="2/fan-in")
     plain = InitSpec()
 
-    def sampled(dims, family, init, **kw):
-        arch = ArchitectureDescriptor(dims, tuple((2,) * w for w in dims[1:]), family=family)
+    def sampled(dims, family, init, per_unit=2):
+        arch = ArchitectureDescriptor(dims, tuple((per_unit,) * w for w in dims[1:]),
+                                      family=family)
         out = []
         for t in range(20):
-            net = sample_network(arch, init, seed=1000 + t, **kw)
+            net = sample_network(arch, init, seed=1000 + t)
             out.append((net, default_probe(init, dims[0], np.random.default_rng([7, t]))))
         return out
 
@@ -198,9 +199,9 @@ def _parity_cases():
 
     return [
         ("abs-depth8", sampled((2,) + (4,) * 8, "abs", fan_in)),
-        ("deepspline-k3", sampled((2, 4, 4, 4), "deepspline", plain, kappa=3)),
-        ("maxout-rank2", sampled((2, 4, 4, 4), "maxout", plain, rank=2)),
-        ("maxout-rank3", sampled((3, 4, 2), "maxout", plain, rank=3)),
+        ("deepspline-k3", sampled((2, 4, 4, 4), "deepspline", plain, 3)),
+        ("maxout-rank2", sampled((2, 4, 4, 4), "maxout", plain, 2)),
+        ("maxout-rank3", sampled((3, 4, 2), "maxout", plain, 3)),
         ("groupsort", sampled((4, 4, 4), "groupsort", plain)),
         ("pwlu2d", [pwlu(t) for t in range(20)]),
         ("bent-path", [bent(t) for t in range(20)]),
@@ -252,8 +253,9 @@ def _propagated(nets, starts, ends):
     return out, np.bincount(seg.owner)
 
 
-_INVARIANCE_NETS = {"abs": ((2, 4, 4, 4, 1), {}), "maxout": ((2, 4, 4, 1), {"rank": 3}),
-                    "deepspline": ((2, 4, 4, 1), {"kappa": 3})}
+# family -> (dims, per-unit count)
+_INVARIANCE_NETS = {"abs": ((2, 4, 4, 4, 1), 2), "maxout": ((2, 4, 4, 1), 3),
+                    "deepspline": ((2, 4, 4, 1), 3)}
 
 
 @pytest.mark.parametrize("family", sorted(_INVARIANCE_NETS))
@@ -263,9 +265,9 @@ def test_segments_run_alone_or_in_any_batch_alike(family, shared):
     # the only segment of a batch, and in batches of 7 and 32 segments whose
     # interval counts differ, each segment gets the same bytes: intervals and
     # profiles after every layer, knot counts after every layer, image length.
-    dims, kw = _INVARIANCE_NETS[family]
-    arch = ArchitectureDescriptor(dims, tuple((3,) * w for w in dims[1:]), family=family)
-    nets = [sample_network(arch, InitSpec(sigma_b=0.7), seed=40 + t, **kw)
+    dims, per_unit = _INVARIANCE_NETS[family]
+    arch = ArchitectureDescriptor(dims, tuple((per_unit,) * w for w in dims[1:]), family=family)
+    nets = [sample_network(arch, InitSpec(sigma_b=0.7), seed=40 + t)
             for t in range(1 if shared else 32)]
     nets = nets * 32 if shared else nets
     raw = [raw_layers(net) for net in nets]
@@ -306,7 +308,7 @@ def test_affine_step_is_a_fixed_order_float_sum(shared, d_in):
     nets = 1 if shared else 6
     M, b = rng.standard_normal((nets, 3, d_in)), rng.standard_normal((nets, 3))
     P, Q = seg.P.tolist(), seg.Q.tolist()
-    paths._affine(seg, 0, M, b)
+    paths._affine(seg, M, b)
     for i, t in enumerate(seg.owner.tolist()):
         m, c = M[0 if shared else t].tolist(), b[0 if shared else t].tolist()
         for j in range(3):

@@ -156,13 +156,13 @@ def test_sample_groupsort_keeps_readout_affine():
 
 def test_sample_groupsort_skips_indivisible_widths():
     arch = ArchitectureDescriptor((4, 3, 4), ((2,) * 3, (2,) * 4), family="groupsort")
-    net = sample_network(arch, InitSpec(), group_size=2)
+    net = sample_network(arch, InitSpec())
     assert not any(isinstance(l, GroupSort) for l in net.layers)
 
 
 def test_sample_maxout_layers():
     arch = ArchitectureDescriptor((2, 3, 1), ((3,) * 3, (3,)), family="maxout")
-    net = sample_network(arch, InitSpec(), rank=3)
+    net = sample_network(arch, InitSpec())
     assert all(isinstance(l, Maxout) for l in net.layers)
     assert net.layers[0].rank == 3
     assert net.layers[0].weights.shape == (3, 3, 2)
@@ -170,17 +170,36 @@ def test_sample_maxout_layers():
 
 def test_sample_deepspline_units():
     arch = ArchitectureDescriptor((2, 3, 1), ((4,) * 3, (4,)), family="deepspline")
-    net = sample_network(arch, InitSpec(), kappa=4)
+    net = sample_network(arch, InitSpec())
     for layer in net.layers:
         if isinstance(layer, Pointwise):
             for u in layer.units:
                 assert u.region_count == 4
-    ident = sample_network(arch, InitSpec(), kappa=1)
+    ones = ArchitectureDescriptor((2, 3, 1), ((1,) * 3, (1,)), family="deepspline")
+    ident = sample_network(ones, InitSpec())
     for layer in ident.layers:
         if isinstance(layer, Pointwise):
             for u in layer.units:
                 assert u.breakpoints == ()
                 assert u.slopes == (1.0,)
+
+
+def test_sample_network_draws_the_descriptor_counts():
+    # The descriptor is the sampler's only source of per-unit counts: each
+    # spline unit has its own kappa, a maxout layer has the rank of its
+    # largest kappa, and a groupsort layer sorts groups of its first kappa.
+    mixed = ArchitectureDescriptor((2, 4, 3), ((1, 3, 2, 5), (4, 1, 2)), family="deepspline")
+    net = sample_network(mixed, InitSpec(seed=3))
+    pointwise = [l for l in net.layers if isinstance(l, Pointwise)]
+    assert [[u.region_count for u in l.units] for l in pointwise] == [[1, 3, 2, 5], [4, 1, 2]]
+    for kappa in (2, 4):
+        net = sample_network(sampled_architecture("deepspline", 2, 3, 2, kappa=kappa), InitSpec())
+        assert {u.region_count for l in net.layers if isinstance(l, Pointwise)
+                for u in l.units} == {kappa}
+    net = sample_network(sampled_architecture("maxout", 2, 3, 2, rank=3), InitSpec())
+    assert [l.rank for l in net.layers] == [3, 3]
+    net = sample_network(sampled_architecture("groupsort", 4, 6, 2, group_size=3), InitSpec())
+    assert [l.group_size for l in net.layers if isinstance(l, GroupSort)] == [3, 3]
 
 
 def test_sample_orthogonal_weights_are_orthonormal():
@@ -550,16 +569,15 @@ def test_spline_redraws_match_unit_by_unit_draws(sigma_b, step, cases):
     def at(key):
         return _CoarseNormals(rekeyed(key), step)
 
-    nets = stochastic._draw_nets(arch, init, keys, at, None, None, 2)
-    ref = [stochastic._draw_layers(arch, init, k, at, None, None, 2, stochastic._spline_units)
-           for k in keys]
+    nets = stochastic._draw_nets(arch, init, keys, at)
+    ref = [stochastic._draw_layers(arch, init, k, at, stochastic._spline_units) for k in keys]
     for net, units in zip(nets, ref):
         for l in (1, 3, 5):
             tables = unit_tables(units[l][1], 2)
             assert net[l][1].tobytes() == tables[0].tobytes()
             assert net[l][2].tobytes() == tables[1].tobytes()
-    z = np.array([stochastic._draw_layers(arch, init, k, at, None, None, 2,
-                                          stochastic._spline_normals)[1][1] for k in keys])
+    z = np.array([stochastic._draw_layers(arch, init, k, at, stochastic._spline_normals)[1][1]
+                  for k in keys])
     z = z.reshape(len(keys), 3, 6)
     b, s = np.sort(sigma_b * z[..., :2], axis=2), z[..., 2:5]
     gap, near = np.diff(b)[..., 0], 1e-12 * np.maximum(1.0, np.abs(b).max(axis=2))
@@ -578,7 +596,7 @@ def test_spline_redraws_match_unit_by_unit_draws(sigma_b, step, cases):
 # mc_table.csv files of `cpwl mc --family deepspline` with widths 1 and 4,
 # plain and --by-depth, under normal, uniform and orthogonal init, per kappa;
 # and of the values of a mixed-kappa net (units of one piece included)
-# through mc_knot_density(kappa=None).
+# through mc_knot_density.
 PINNED_DEEPSPLINE_MC = {2: "1bedb50924ab813c", 3: "d4f5f7a918f1f29e",
                         5: "861095018557a9f1", None: "6ccd50c79de2799a"}
 
@@ -634,7 +652,7 @@ def test_auto_bound_covers_one_groupsort_stage():
     # bound the library supplies; dims (4, 4) hold none.
     init = InitSpec(seed=5)
     one = ArchitectureDescriptor((4, 4, 4), ((2,) * 4, (2,) * 4), family="groupsort")
-    est = mc_knot_density(one, init, trials=100, group_size=2)
+    est = mc_knot_density(one, init, trials=100)
     assert est.bound == unit_density_bound("groupsort", init, d=4, group_size=2)
     affine = ArchitectureDescriptor((4, 4), ((2,) * 4,), family="groupsort")
     assert mc_knot_density(affine, init, trials=100).bound is None
@@ -645,12 +663,13 @@ def test_auto_bound_needs_a_sorting_layer():
     # sorting layer: the net is affine, has no knots and gets no bound.
     init = InitSpec(seed=5)
     arch = ArchitectureDescriptor((4, 3, 3), ((2,) * 3, (2,) * 3), family="groupsort")
-    net = sample_network(arch, init, group_size=2)
+    net = sample_network(arch, init)
     assert not any(isinstance(layer, GroupSort) for layer in net.layers)
-    est = mc_knot_density(arch, init, trials=100, group_size=2)
+    est = mc_knot_density(arch, init, trials=100)
     assert est.mean == 0.0 and est.bound is None
     # Group size 3 divides the width: one sorting layer, and its bound.
-    assert mc_knot_density(arch, init, trials=100, group_size=3).bound == \
+    threes = ArchitectureDescriptor((4, 3, 3), ((3,) * 3, (3,) * 3), family="groupsort")
+    assert mc_knot_density(threes, init, trials=100).bound == \
         unit_density_bound("groupsort", init, d=4, group_size=3)
 
 
@@ -659,8 +678,7 @@ def test_groupsort_density_respects_its_bound():
     # for a single sorting layer applies.
     arch = ArchitectureDescriptor((4, 4, 4), ((2,) * 4, (2,) * 4), family="groupsort")
     bound = unit_density_bound("groupsort", InitSpec(seed=5), d=4, group_size=2)
-    est = mc_knot_density(arch, InitSpec(seed=5), trials=200, group_size=2,
-                          bound=bound)
+    est = mc_knot_density(arch, InitSpec(seed=5), trials=200, bound=bound)
     assert est.bound == pytest.approx(2.0 * math.sqrt(2.0) / math.pi)
     assert est.mean <= est.bound + est.three_se
 
