@@ -617,6 +617,30 @@ def test_deepspline_mc_tables_pinned(kappa, tmp_path, capsys):
     assert h.hexdigest()[:16] == PINNED_DEEPSPLINE_MC[kappa]
 
 
+# Recorded before each Monte Carlo block was drawn into stacked layers: the
+# sha256 of the mc_table.csv files of `cpwl mc` for every other sampled
+# family, with the widths, depths, inits and seeds of the deepspline pins.
+PINNED_MC = {"relu": "da17a17b9c919221", "leaky": "642b4bed241ca83c", "abs": "fa2157e34055415b",
+             "maxout": "e542fdfc45cb33cb", "groupsort": "c219af3908f63dc8"}
+
+
+@pytest.mark.parametrize("family, flags", [("relu", []), ("leaky", []), ("abs", []),
+                                           ("maxout", ["--rank", "3"]),
+                                           ("groupsort", ["--group-size", "2"])])
+def test_mc_tables_pinned(family, flags, tmp_path, capsys):
+    inits = (["--sigma-b", "0.5"], ["--weight-dist", "uniform", "--bias-dist", "uniform"],
+             ["--weight-dist", "orthogonal", "--fan-in-mode", "2/fan-in"])
+    h = hashlib.sha256()
+    for width in (1, 4):
+        for by_depth in ([], ["--by-depth"]):
+            for seed, init in enumerate(inits):
+                assert main(["mc", "--family", family, *flags, "--d", "2", "--width", str(width),
+                             "--depth", "2", "--trials", "100", "--seed", str(seed),
+                             "--out", str(tmp_path), *init, *by_depth]) == 0
+                h.update((tmp_path / "mc_table.csv").read_bytes())
+    assert h.hexdigest()[:16] == PINNED_MC[family]
+
+
 def test_mixed_kappa_deepspline_density_pinned():
     arch = ArchitectureDescriptor((3, 4, 3, 1), ((1, 3, 2, 5), (4, 1, 2), (3,)),
                                   family="deepspline")
