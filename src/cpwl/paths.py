@@ -4,9 +4,9 @@ A network restricted to a straight segment is a CPWL function of the arc
 parameter. Segments are propagated together, layer by layer, as subdivisions
 of their parameter intervals: the intervals ``[lo, hi]`` of all segments, the
 segment owning each, and the affine profiles ``z(s) = Q + P*s`` of the
-intervals as (n, width) arrays ``P`` and ``Q``. All segments share one
-network, or each has its own and parameters are gathered by owner. Each layer
-runs once on the whole arrays. A non-affine layer's switching rows
+intervals as (n, width) arrays ``P`` and ``Q``. The segments share one net,
+or each has its own, in stacked layers (``switching``) gathered by owner.
+Each layer runs once on the whole arrays. A non-affine layer's switching rows
 (``switching``, with d = 1) give the exact cut points ``-c / N`` of all
 intervals and units, one sort merges them into the subdivision, and its piece
 selection picks the active piece of every interval at its midpoint. An affine
@@ -52,8 +52,7 @@ class PolygonalPath:
             v = v[:, None]
         if v.ndim != 2 or v.shape[0] < 2:
             raise ValidationError("a path needs at least two vertices")
-        seg = np.linalg.norm(np.diff(v, axis=0), axis=1)
-        if np.any(seg == 0.0):
+        if np.any(row_norms(np.diff(v, axis=0)) == 0.0):  # _Segments divides by it
             raise ValidationError("consecutive path vertices must be distinct")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -69,6 +68,7 @@ class PolygonalPath:
 
     @property
     def segment_lengths(self) -> np.ndarray:
+        # Not row_norms: the Monte Carlo densities divide by these bits.
         return np.linalg.norm(np.diff(self.vertices, axis=0), axis=1)
 
     @property
@@ -90,9 +90,9 @@ class KnotReport:
 # ---------------------------------------------------------------------------
 # Batched propagation
 #
-# Networks enter the engine as raw layers (see ``switching``), stacked
-# position by position with a leading axis of 1 (one net shared by every
-# segment) or of the segment count (net t for segment t).
+# Networks enter the engine as stacked layers (see ``switching``), each array
+# with a leading axis of 1 (one net shared by every segment) or of the
+# segment count (net t for segment t).
 # ---------------------------------------------------------------------------
 
 class _Segments:
@@ -178,10 +178,10 @@ def _affine(seg: _Segments, M: np.ndarray, b: np.ndarray) -> None:
     seg.P, seg.Q = P, Q + b
 
 
-def _propagate(nets: Sequence[Sequence[tuple]], seg: _Segments):
-    """Run the segments through the stacked nets, yielding each layer index
+def _propagate(layers: Sequence, seg: _Segments):
+    """Run the segments through the stacked layers, yielding each layer index
     once that layer is applied."""
-    for li, layer in enumerate(stack(nets)):
+    for li, layer in enumerate(layers):
         if layer.kind is Affine:
             _affine(seg, *layer.params)
         else:
@@ -192,8 +192,11 @@ def _propagate(nets: Sequence[Sequence[tuple]], seg: _Segments):
 def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rows where ``a`` and ``b`` differ by more than ``KNOT_REL_TOL`` times
     the larger of their largest entries and 1."""
-    def size(x):
-        return np.maximum.reduce(np.abs(x), axis=1, initial=0.0)
+    def size(x):  # row maxima of |x|, column by column (same bits, fewer passes)
+        x, m = np.abs(x), np.zeros(len(x))
+        for k in range(x.shape[1]):
+            np.maximum(m, x[:, k], out=m)
+        return m
     return size(a - b) > KNOT_REL_TOL * np.maximum(1.0, np.maximum(size(a), size(b)))
 
 
@@ -212,16 +215,16 @@ def _bends(seg: _Segments) -> list[bool]:
     return _differ(seg.P[k - 1], seg.P[k]).tolist()
 
 
-def segment_knot_counts(nets: Sequence[Sequence[tuple]], starts: np.ndarray,
-                        ends: np.ndarray, after: Sequence[int]) -> np.ndarray:
+def segment_knot_counts(layers: Sequence, starts: np.ndarray, ends: np.ndarray,
+                        after: Sequence[int]) -> np.ndarray:
     """Knots of each net along its own straight segment, from ``starts[t]``
-    to ``ends[t]`` under net t (given as raw layers, one layer structure for
-    all): a (len(after), T) array of the knot counts of the nets truncated
-    after each layer index in ``after``."""
+    to ``ends[t]`` under net t of the stacked ``layers`` (one net for all, or
+    one per segment): a (len(after), T) array of the knot counts of the nets
+    truncated after each layer index in ``after``."""
     seg = _Segments(starts, ends)
     after = np.asarray(after)
     counts = np.zeros((len(after), len(starts)), dtype=int)
-    for li in _propagate(nets, seg):
+    for li in _propagate(layers, seg):
         for k in (after == li).nonzero()[0]:
             counts[k] = np.bincount(seg.owner[1:][_piece_changes(seg)],
                                     minlength=len(starts))
@@ -230,17 +233,17 @@ def segment_knot_counts(nets: Sequence[Sequence[tuple]], starts: np.ndarray,
 
 def _image_lengths(seg: _Segments) -> list[float]:
     """Arc length of the image of each propagated segment."""
-    w = np.linalg.norm(seg.P, axis=1) * (seg.hi - seg.lo)
+    w = row_norms(seg.P) * (seg.hi - seg.lo)
     bounds = seg.bounds()
     return [float(np.sum(w[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def segment_image_lengths(nets: Sequence[Sequence[tuple]], starts: np.ndarray,
+def segment_image_lengths(layers: Sequence, starts: np.ndarray,
                           ends: np.ndarray) -> list[float]:
     """Arc length of the image of each straight segment under its own net
-    (raw layers, as for ``segment_knot_counts``)."""
+    (stacked layers, as for ``segment_knot_counts``)."""
     seg = _Segments(starts, ends)
-    for _ in _propagate(nets, seg):
+    for _ in _propagate(layers, seg):
         pass
     return _image_lengths(seg)
 
@@ -253,7 +256,7 @@ def _path_segments(net: NetworkSpec, path: PolygonalPath, asked=()) -> tuple[_Se
         raise ValidationError("path dimension must match the network input")
     seg, found = _Segments(path.vertices[:-1], path.vertices[1:]), {}
     with np.errstate(over="ignore", invalid="ignore"):  # tested for after each layer
-        for li in _propagate([raw_layers(net)], seg):
+        for li in _propagate(stack([raw_layers(net)]), seg):
             if not (np.isfinite(seg.P).all() and np.isfinite(seg.Q).all()):
                 raise ValidationError("non-finite affine data")
             if li in asked:

@@ -15,9 +15,9 @@ lays them out, and the tables of a block's spline layers are made from those
 arrays at once. A net whose draw unit by unit would differ (sorted
 breakpoints within 1e-9 are drawn again) or whose pieces ``ScalarCPWL`` would
 merge is drawn again unit by unit, from the start of its streams. The Monte
-Carlo estimators draw the trials of a block as raw arrays and propagate all
-of their probes through one batch of the knot engine; the block size does
-not change any result.
+Carlo estimators draw each block of trials straight into stacked layers
+(``switching``) and propagate all of their probes through one batch of the
+knot engine; the block size does not change any result.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from .core import (MERGE_TOL, Affine, GroupSort, Maxout, NetworkSpec, Pointwise,
 # which bench/spans.py wraps.
 from .paths import (PolygonalPath, count_knots,  # noqa: F401
                     segment_image_lengths, segment_knot_counts)
-from .switching import LAYER_OF_RAW, stack, unit_tables
+from .switching import LAYER_OF_RAW, _KINDS, unit_tables
 
 SAMPLED_FAMILIES = ("relu", "leaky", "abs", "deepspline", "maxout", "groupsort")
 LEAKY_SLOPE = 0.1
@@ -243,27 +243,17 @@ def _trial_keys(seed: int, trials: int, n_layers: int, tag: Optional[int]):
     return layer_keys.reshape(trials, n_layers, 2), tagged
 
 
-def _draw_weights(rng: np.random.Generator, shape: tuple, dist: str,
-                  sigma: float) -> np.ndarray:
-    if dist == "normal":
-        return sigma * rng.standard_normal(shape)
-    if dist == "uniform":
-        r = math.sqrt(3.0) * sigma
-        return rng.uniform(-r, r, size=shape)
-    # Haar orthogonal (rows orthonormal if out <= in, columns if out >= in).
-    rows, cols = shape[-2], shape[-1]
-    n = max(rows, cols)
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
-    return q[:rows, :cols].copy()
-
-
-def _draw_bias(rng: np.random.Generator, n: int, dist: str, sigma: float) -> np.ndarray:
-    if dist == "normal":
-        return sigma * rng.standard_normal(n)
+def _made(raw: np.ndarray, dist: str, sigma: float, shape: tuple) -> np.ndarray:
+    """(n, *shape) draws of ``dist`` with standard deviation ``sigma`` from
+    n rows of raw draws: standard normals, or uniforms on [0, 1) as
+    ``Generator.uniform`` makes its draws; or Haar orthogonal (rows, cols)
+    matrices cut from (m, m) ones, m * m standard normals each."""
+    if dist == "orthogonal":
+        m = math.isqrt(raw.shape[1])
+        q, r = np.linalg.qr(raw.reshape(-1, m, m))
+        return (q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None])[:, :shape[0], :shape[1]]
     r = math.sqrt(3.0) * sigma
-    return rng.uniform(-r, r, size=n)
+    return (sigma * raw if dist == "normal" else -r + 2.0 * r * raw).reshape(-1, *shape)
 
 
 @functools.cache
@@ -272,18 +262,11 @@ def _fixed_unit(family: str) -> ScalarCPWL:
             "leaky": lambda: leaky_relu_unit(LEAKY_SLOPE)}[family]()
 
 
-def _spline_normals(rng: np.random.Generator, kaps: tuple, sigma_b: float) -> np.ndarray:
-    """A spline layer's units in one draw: per unit of kap > 1 pieces, in
-    order, kap - 1 normals for its breakpoints, kap for its slopes and one
-    for its value at its first breakpoint (see ``_spline_layer``)."""
-    return rng.standard_normal(2 * sum(k for k in kaps if k > 1))
-
-
 def _spline_units(rng: np.random.Generator, kaps: tuple, sigma_b: float) -> tuple:
-    """A spline layer's units drawn one by one, laid out as by
-    ``_spline_normals`` but with a unit's breakpoints drawn again until,
-    sorted, they are more than 1e-9 apart: the redraw of a net that
-    ``_spline_layer`` flags."""
+    """A spline layer's units drawn one by one, laid out as ``_spline_layer``
+    reads them but with a unit's breakpoints drawn again until, sorted, they
+    are more than 1e-9 apart: the redraw of a net that ``_spline_layer``
+    flags."""
     units = []
     for kap in kaps:
         if kap <= 1:
@@ -304,8 +287,10 @@ def _spread(x: np.ndarray) -> np.ndarray:
 
 
 def _spline_layer(z: np.ndarray, kaps: tuple, sigma_b: float):
-    """n draws of a spline layer from their ``_spline_normals`` z (n, total),
-    all at once and as ``ScalarCPWL`` and ``unit_tables`` make them: the
+    """n draws of a spline layer from their standard normals z (n, total),
+    per unit of kap > 1 pieces kap - 1 for its breakpoints, kap for its slopes
+    and one for its first value, all at once as ``ScalarCPWL`` and
+    ``unit_tables`` make them: the
     ``unit_tables`` (n, units, m) and (n, units, m + 1, 2), m = max(kaps) - 1,
     and (n,) whether each draw stands: not where ``_spline_units`` would draw
     a breakpoint again (sorted breakpoints within 1e-9), nor where
@@ -333,63 +318,69 @@ def _spline_layer(z: np.ndarray, kaps: tuple, sigma_b: float):
     return bps, lines, ok
 
 
-def _draw_layers(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, at,
-                 spline) -> list:
-    """The random layers of one net as raw layers (see ``switching``), layer
-    l drawn in order from the stream ``at(keys[l])``; a spline layer's units
-    as ``spline(rng, kaps, sigma_b)`` draws them, kaps = ``arch.kappas[l]``."""
-    fam = arch.family
+def _draw_block(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, at,
+                units: Optional[list] = None) -> list:
+    """The nets drawn with layer keys ``keys`` (n, layers, 2) as the stacked
+    layers of the block (``switching``): layer l of net t draws its weights,
+    biases (one call per run of like draws) and spline normals from the
+    stream ``at(keys[t, l])`` into row t of preallocated arrays, of which
+    each layer is made for all n nets at once; a fixed-unit pointwise layer
+    is one shared table row. A net that ``_spline_layer`` flags is drawn
+    again, unit by unit (``_spline_units``), into its own rows; given the
+    list ``units``, every spline net is, and each pointwise layer's units
+    are appended to it."""
+    fam, dims, n, sink = arch.family, arch.dims, len(keys), [] if units is None else units
     if fam not in SAMPLED_FAMILIES:
         raise ValidationError(f"unsupported family {fam!r}")
-    dims = arch.dims
-    layers: list = []
+    wn, bn, spline = init.weight_dist != "uniform", init.bias_dist == "normal", fam == "deepspline"
+    draws, tables = [], {}  # per layer: rows, weight draws, raw draws, runs, spline normals
     for l, kaps in enumerate(arch.kappas):
-        rng = at(keys[l])
-        fan_in, width = dims[l], dims[l + 1]
-        sw = init.sigma_w_for(fan_in)
+        rows, cols = dims[l + 1] * (max(kaps) if fam == "maxout" else 1), dims[l]
+        nw = max(rows, cols) ** 2 if init.weight_dist == "orthogonal" else rows * cols
+        runs = [(0, nw + rows, wn)] if wn == bn else [(0, nw, wn), (nw, nw + rows, bn)]
+        ns = 2 * sum(k for k in kaps if k > 1) if spline else 0
+        draws.append((rows, nw, np.empty((n, nw + rows)), runs, np.empty((n, ns))))
+
+    def draw(t, by_units):
+        for l, (rows, nw, raw, runs, z) in enumerate(draws):
+            rng = at(keys[t, l])
+            for lo, hi, normal in runs:
+                (rng.standard_normal if normal else rng.random)(out=raw[t, lo:hi])
+            if spline and not by_units:
+                rng.standard_normal(out=z[t])
+            elif spline:
+                drawn = _spline_units(rng, arch.kappas[l], init.sigma_b)
+                tables[l][0][t], tables[l][1][t] = unit_tables(drawn, tables[l][0].shape[2])
+                sink.append(drawn)
+
+    for t in range(n):
+        draw(t, False)
+    ok = np.full(n, units is None or not spline)  # with units, every spline net is drawn again
+    for l, (*_, z) in enumerate(draws if spline else ()):
+        *tables[l], stands = _spline_layer(z, arch.kappas[l], init.sigma_b)
+        ok &= stands
+    for t in np.flatnonzero(~ok).tolist():
+        draw(t, True)
+    layers = []
+    for l, ((rows, nw, raw, *_), kaps) in enumerate(zip(draws, arch.kappas)):
+        A = _made(raw[:, :nw], init.weight_dist, init.sigma_w_for(dims[l]), (rows, dims[l]))
+        b = _made(raw[:, nw:], init.bias_dist, init.sigma_b, (rows,))
         if fam == "maxout":
-            K = max(kaps)
-            W = _draw_weights(rng, (width * K, fan_in), init.weight_dist, sw
-                              ).reshape(width, K, fan_in)
-            o = _draw_bias(rng, width * K, init.bias_dist, init.sigma_b
-                           ).reshape(width, K)
-            layers.append((Maxout, W, o))
+            layers.append(_KINDS[Maxout](A.reshape(n, dims[l + 1], -1, dims[l]),
+                                          b.reshape(n, dims[l + 1], -1)))
             continue
-        M = _draw_weights(rng, (width, fan_in), init.weight_dist, sw)
-        b = _draw_bias(rng, width, init.bias_dist, init.sigma_b)
-        layers.append((Affine, M, b))
+        layers.append(_KINDS[Affine](A, b))
         if fam == "groupsort":  # groups of kaps[0]; the readout stays affine
-            if l < len(dims) - 2 and width % kaps[0] == 0:
-                layers.append((GroupSort, kaps[0]))
-            continue
-        if fam != "deepspline":
-            layers.append((Pointwise, (_fixed_unit(fam),) * width))
-            continue
-        layers.append((Pointwise, spline(rng, kaps, init.sigma_b)))
+            if l < len(dims) - 2 and rows % kaps[0] == 0:
+                layers.append(_KINDS[GroupSort](kaps[0]))
+        elif spline:
+            layers.append(_KINDS[Pointwise](*tables[l]))
+        else:
+            unit = _fixed_unit(fam)
+            layers.append(_KINDS[Pointwise](*(a[None] for a in
+                                              unit_tables((unit,), len(unit.breakpoints)))))
+            sink.append((unit,) * rows)
     return layers
-
-
-def _draw_nets(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, at) -> list:
-    """The nets that ``sample_network`` draws with layer keys ``keys``
-    (n, layers, 2), as raw layers, layer l of net t drawn from the stream
-    ``at(keys[t, l])``, a spline layer as its tables. Each spline layer is
-    drawn in one call and made for all n nets at once by ``_spline_layer``;
-    a net that it flags is drawn again, unit by unit."""
-    nets = [_draw_layers(arch, init, k, at, _spline_normals) for k in keys]
-    if arch.family != "deepspline":
-        return nets
-    made = {}
-    for l, kaps in zip(range(1, len(nets[0]), 2), arch.kappas):  # the units after each affine map
-        made[l] = _spline_layer(np.array([net[l][1] for net in nets]), kaps, init.sigma_b)
-    for t, net in enumerate(nets):
-        if not all(ok[t] for *_, ok in made.values()):
-            net[:] = _draw_layers(arch, init, keys[t], at, _spline_units)
-            for l, (bps, *_) in made.items():
-                net[l] = (Pointwise, *unit_tables(net[l][1], bps.shape[2]))
-            continue
-        for l, (bps, lines, _) in made.items():
-            net[l] = (Pointwise, bps[t], lines[t])
-    return nets
 
 
 def sampled_architecture(family: str, d: int, width: Optional[int] = None, depth: int = 1, *,
@@ -423,13 +414,16 @@ def sample_network(arch: ArchitectureDescriptor, init: InitSpec,
     has ``kappas[l][i]`` pieces (random breakpoints and slopes; one piece is
     the identity). maxout: layer l has rank ``max(kappas[l])``. groupsort:
     affine + groupsort blocks of groups of ``kappas[l][0]`` on divisible
-    widths; the readout stays affine. The layers are drawn from their
-    streams unit by unit (``_spline_units``).
+    widths; the readout stays affine. It is the Monte Carlo block draw of
+    one trial, unit by unit (``_spline_units``).
     """
     seed = init.seed if seed is None else seed
     keys = _spawn_keys(_seed_words(seed), np.arange(len(arch.dims) - 1)[:, None])
-    net = _draw_layers(arch, init, keys, _rekeyer(), _spline_units)
-    return NetworkSpec(arch.dims[0], tuple(LAYER_OF_RAW[kind](*args) for kind, *args in net))
+    units: list = []
+    block = _draw_block(arch, init, keys[None], _rekeyer(), units)
+    return NetworkSpec(arch.dims[0], tuple(
+        Pointwise(units.pop(0)) if layer.kind is Pointwise else LAYER_OF_RAW[layer.kind](
+            *(p[0] if isinstance(p, np.ndarray) else p for p in layer.params)) for layer in block))
 
 
 # ---------------------------------------------------------------------------
@@ -518,27 +512,27 @@ def default_probe(init: InitSpec, d: int, rng: np.random.Generator) -> Polygonal
 
 
 def _trial_blocks(arch, init, trials, tag=None, shape=()):
-    """Each block of trials: their networks as raw layers, and each trial's
-    standard normals of ``shape`` drawn from its stream (seed; t, tag)."""
+    """Each block of trials: their networks as stacked layers, and one array
+    of each trial's standard normals of ``shape`` from its stream (seed; t, tag)."""
     keys, tagged = _trial_keys(init.seed, trials, len(arch.dims) - 1, tag)
     at = _rekeyer()
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
-        nets = _draw_nets(arch, init, keys[block], at)
-        normals = None if tag is None else np.array([at(tagged[t]).standard_normal(shape)
-                                                     for t in block])
-        yield nets, normals
+        normals = None if tag is None else np.empty((len(block), *shape))
+        for t, row in zip(block, () if tag is None else normals):
+            at(tagged[t]).standard_normal(out=row)
+        yield _draw_block(arch, init, keys[block], at), normals
 
 
 def _probe_densities(arch, init, trials, after) -> np.ndarray:
     """(trials, k) knot densities along each trial's default probe of its
-    network truncated after the layers ``after(layers)`` picks from the raw
-    layers of the first trial."""
+    network truncated after the layers ``after(layers)`` picks from the
+    stacked layers of a block."""
     d = arch.dims[0]
     out = []
-    for nets, u in _trial_blocks(arch, init, trials, _PROBE, d):
+    for layers, u in _trial_blocks(arch, init, trials, _PROBE, (d,)):
         p0, p1 = _probe_ends(init, u)
-        counts = segment_knot_counts(nets, p0, p1, after(nets[0]))
+        counts = segment_knot_counts(layers, p0, p1, after(layers))
         # The length as PolygonalPath.length computes it.
         out.append((counts / np.linalg.norm(p1 - p0, axis=1)).T)
     return np.concatenate(out)
@@ -583,8 +577,8 @@ def mc_knot_density_by_depth(arch: ArchitectureDescriptor, init: InitSpec,
     if trials < 100:
         raise ValidationError("density estimation needs at least 100 trials")
     cols = _probe_densities(arch, init, trials,
-                            lambda layers: [i for i, (kind, *_) in enumerate(layers)
-                                            if kind is not Affine])
+                            lambda layers: [i for i, layer in enumerate(layers)
+                                            if layer.kind is not Affine])
     return [McEstimate.from_values(cols[:, j]) for j in range(cols.shape[1])]
 
 
@@ -597,11 +591,11 @@ def estimate_directional_expansion(arch: ArchitectureDescriptor, init: InitSpec,
     if trials < 100:
         raise ValidationError("expansion estimation needs at least 100 trials")
     vals = []
-    for nets, xu in _trial_blocks(arch, init, trials, _EXPANSION, (2, arch.dims[0])):
+    for layers, xu in _trial_blocks(arch, init, trials, _EXPANSION, (2, arch.dims[0])):
         Z, dZ = xu.transpose(1, 0, 2).copy()  # each trial's x, then its u
         dZ /= row_norms(dZ)[:, None]
         norms = []
-        for layer in stack(nets):
+        for layer in layers:
             A, Z = layer.compose(dZ[..., None], Z, Z, dZ)
             dZ = A[..., 0]
             norms.append(row_norms(dZ))
@@ -626,14 +620,14 @@ def mc_image_length(arch: ArchitectureDescriptor, init: InitSpec,
     ``arch``."""
     if trials < 2:
         raise ValidationError("an estimate needs at least 2 trials")
-    p0, p1 = path.vertices[:-1], path.vertices[1:]
+    p0, p1, n = path.vertices[:-1], path.vertices[1:], len(path.vertices) - 1
     vals = []
-    for nets, _ in _trial_blocks(arch, init, trials):
-        lengths = segment_image_lengths([net for net in nets for _ in p0],
-                                        np.tile(p0, (len(nets), 1)), np.tile(p1, (len(nets), 1)))
-        n = len(p0)  # a trial's segments summed in order, as image_length sums them
-        vals += [functools.reduce(operator.add, lengths[t * n:(t + 1) * n], 0.0)
-                 for t in range(len(nets))]
+    for layers, _ in _trial_blocks(arch, init, trials):
+        owner = np.repeat(np.arange(len(layers[0].params[0])), n)  # segment t * n + j: net t
+        j = np.arange(len(owner)) % n
+        lengths = segment_image_lengths([layer.per(owner) for layer in layers], p0[j], p1[j])
+        vals += [functools.reduce(operator.add, lengths[t:t + n], 0.0)  # in order, as image_length
+                 for t in range(0, len(owner), n)]
     return McEstimate.from_values(vals, bound)
 
 

@@ -24,12 +24,12 @@ Each definition works in the arithmetic of its arrays: floats, or the
 Fraction object arrays of the rational engine (``exact_cell_count``). So
 its literals are ints, which leave floats bit for bit as they are, where a
 float literal would turn a Fraction it meets into a float.
-Raw layers are tuples ``(Affine, M, b)``, ``(Pointwise, units)`` or
-``(Pointwise, bps, lines)`` (the units' ``unit_tables``), ``(Maxout, W, o)``,
-``(GroupSort, g)`` and ``(PWLU2D, V, M, off)`` (values, stacked read-in
-matrices and offsets); ``stack`` stacks those of a batch of
+Raw layers are tuples ``(Affine, M, b)``, ``(Pointwise, units)``,
+``(Maxout, W, o)``, ``(GroupSort, g)`` and ``(PWLU2D, V, M, off)`` (values,
+stacked read-in matrices and offsets). ``stack`` stacks those of a batch of
 nets with one layer structure, each array with a leading axis of 1 (one net
-for every profile) or of the net count (net t for profile t).
+for every profile) or of the net count (net t for profile t); the Monte
+Carlo drivers draw their stacked layers straight into such arrays.
 """
 from __future__ import annotations
 
@@ -110,19 +110,14 @@ def unit_tables(units: Sequence, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 class _Pointwise(_Layer):
     """The ``unit_tables`` of every net, (nets, units, m) and (nets, units,
-    m + 1, 2); one row of one unit when every unit of every net is the same
-    object, so that its tables broadcast. A net's layer may come as its
-    tables ``(bps, lines)`` instead of its units, all of one m."""
+    m + 1, 2), or of one unit that every unit of every net shares, (1, 1, m)
+    and (1, 1, m + 1, 2), broadcast."""
 
     kind = Pointwise
 
     @classmethod
     def stack(cls, layers):
-        if len(layers[0]) == 2:
-            return super().stack(layers)
         layers = [units for units, in layers]
-        if all(f is layers[0][0] for units in layers for f in units):
-            layers = [layers[0][:1]]
         m = max(len(f.breakpoints) for units in layers for f in units)
         bps, lines = zip(*(unit_tables(units, m) for units in layers))
         return cls(np.array(bps), np.array(lines))

@@ -15,7 +15,7 @@ from cpwl.paths import (PATH_VERTEX, InequalityReport, PolygonalPath,
                         count_knots, image_length, image_path,
                         segment_image_lengths, segment_knot_counts)
 from cpwl.stochastic import InitSpec, default_probe, sample_network
-from cpwl.switching import raw_layers
+from cpwl.switching import raw_layers, stack
 
 
 def relu_net():
@@ -276,13 +276,13 @@ def test_segments_run_alone_or_in_any_batch_alike(family, shared):
     alone = []
     for t in range(32):
         path = PolygonalPath.segment(starts[t], ends[t])
-        layers, _ = _propagated(raw[t:t + 1], starts[t:t + 1], ends[t:t + 1])
+        layers, _ = _propagated(stack(raw[t:t + 1]), starts[t:t + 1], ends[t:t + 1])
         alone.append((list(count_knots(nets[t], path, prefixes=True).prefix_counts),
                       image_length(nets[t], path), [per_seg[0] for per_seg in layers]))
     for size in (1, 7, 32):
         for first in range(0, 32, size):
             ts = slice(first, first + size)
-            batch = raw[:1] if shared else raw[ts]
+            batch = stack(raw[:1] if shared else raw[ts])
             layers, n_intervals = _propagated(batch, starts[ts], ends[ts])
             if size > 1:
                 assert len(set(n_intervals.tolist())) > 1
@@ -420,6 +420,20 @@ def test_image_length_of_relu_folds():
 def test_image_length_counts_retraced_arcs():
     # The sawtooth sweeps [0, 1] four times.
     assert image_length(saw_net(4), PolygonalPath.segment([0.0], [1.0])) == pytest.approx(4.0)
+
+
+def test_image_whose_squares_overflow_is_finite():
+    # Under Affine(1e200 I2) the image of (-3, -2) -> (3, 2.5) is 7.5e200
+    # long: finite, though the squares of its coordinates overflow. Tier-1
+    # turns a RuntimeWarning into an error.
+    net = NetworkSpec(2, (Affine(AffineMap(1e200 * np.eye(2), np.zeros(2))),))
+    path = PolygonalPath(np.array([[-3.0, -2.0], [3.0, 2.5]]))
+    assert count_knots(net, path).count == 0
+    assert image_length(net, path) == pytest.approx(7.5e200, rel=1e-15)
+    img = image_path(net, path)
+    assert np.allclose(img.vertices, 1e200 * path.vertices, rtol=1e-15, atol=0.0)
+    with pytest.raises(ValidationError, match="distinct"):
+        PolygonalPath(np.array([[1e200, 0.0], [1e200, 0.0]]))
 
 
 def test_image_path_of_constant_map_degenerates():

@@ -22,7 +22,7 @@ from cpwl.stochastic import (MC_CSV_COLUMNS, CompositionalBound, InitSpec,
                              mc_table_csv, mc_table_row,
                              relu_crossing_density_oracle, sample_network,
                              sampled_architecture, unit_density_bound)
-from cpwl.switching import unit_tables
+from cpwl.switching import stack, unit_tables
 
 
 def relu_arch(d, width):
@@ -323,7 +323,7 @@ def test_rekeyed_generator_matches_fresh_generator():
         rng = at(stochastic._spawn_keys(stochastic._seed_words(seed), [spawn_key])[0])
         for draw in (lambda g: g.integers(0, 2 ** 32, size=3, dtype=np.uint32),
                      lambda g: g.standard_normal((3, 5)), lambda g: g.uniform(-2.0, 2.0, 7),
-                     lambda g: stochastic._draw_weights(g, (3, 5), "orthogonal", 1.0)):
+                     lambda g: stochastic._made(g.standard_normal((1, 25)), "orthogonal", 1.0, (3, 5))):
             assert draw(rng).tobytes() == draw(fresh).tobytes()
 
 
@@ -488,7 +488,7 @@ def test_directional_expansion_pinned(family, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _units_of(row, kaps, sigma_b):
-    """The units ScalarCPWL makes of one row of ``_spline_normals``."""
+    """The units ScalarCPWL makes of one row of a spline layer's normals."""
     units, k = [], 0
     for kap in kaps:
         if kap <= 1:
@@ -547,9 +547,13 @@ class _CoarseNormals:
     def __init__(self, rng, step):
         self.rng, self.step = rng, step
 
-    def standard_normal(self, size=None):
-        z = self.rng.standard_normal(size)
-        return np.round(4.0 * z) / 4.0 + self.step * (np.floor(1e3 * z) % 3)
+    def standard_normal(self, size=None, out=None):
+        z = self.rng.standard_normal(size if out is None else out.shape)
+        z = np.round(4.0 * z) / 4.0 + self.step * (np.floor(1e3 * z) % 3)
+        if out is None:
+            return z
+        out[...] = z
+        return out
 
 
 @pytest.mark.parametrize("sigma_b, step, cases", [
@@ -569,15 +573,22 @@ def test_spline_redraws_match_unit_by_unit_draws(sigma_b, step, cases):
     def at(key):
         return _CoarseNormals(rekeyed(key), step)
 
-    nets = stochastic._draw_nets(arch, init, keys, at)
-    ref = [stochastic._draw_layers(arch, init, k, at, stochastic._spline_units) for k in keys]
-    for net, units in zip(nets, ref):
+    layers = stochastic._draw_block(arch, init, keys, at)
+    ref = []  # each net drawn alone, unit by unit, as raw layers
+    for k in keys:
+        units = []
+        block = stochastic._draw_block(arch, init, k[None], at, units)
+        units = iter(units)
+        ref.append([(Pointwise, next(units)) if layer.kind is Pointwise else
+                    (layer.kind, *(p[0] for p in layer.params)) for layer in block])
+    for t, units in enumerate(ref):
         for l in (1, 3, 5):
             tables = unit_tables(units[l][1], 2)
-            assert net[l][1].tobytes() == tables[0].tobytes()
-            assert net[l][2].tobytes() == tables[1].tobytes()
-    z = np.array([stochastic._draw_layers(arch, init, k, at, stochastic._spline_normals)[1][1]
-                  for k in keys])
+            assert layers[l].params[0][t].tobytes() == tables[0].tobytes()
+            assert layers[l].params[1][t].tobytes() == tables[1].tobytes()
+
+    # Layer 0's spline normals, drawn after its 6 weights and 3 biases.
+    z = np.array([at(k[0]).standard_normal(27)[9:] for k in keys])
     z = z.reshape(len(keys), 3, 6)
     b, s = np.sort(sigma_b * z[..., :2], axis=2), z[..., 2:5]
     gap, near = np.diff(b)[..., 0], 1e-12 * np.maximum(1.0, np.abs(b).max(axis=2))
@@ -587,8 +598,8 @@ def test_spline_redraws_match_unit_by_unit_draws(sigma_b, step, cases):
                      "gap merge": bool(((gap > 1e-9) & (gap <= near)).any()),
                      "slope merge": bool(jump.any())}
     p0, p1 = stochastic._probe_ends(init, np.random.default_rng(8).standard_normal((96, 2)))
-    counts = segment_knot_counts(nets, p0, p1, [1, 3, 5])
-    assert np.array_equal(counts, segment_knot_counts(ref, p0, p1, [1, 3, 5]))
+    counts = segment_knot_counts(layers, p0, p1, [1, 3, 5])
+    assert np.array_equal(counts, segment_knot_counts(stack(ref), p0, p1, [1, 3, 5]))
     assert counts.sum() > 0
 
 
