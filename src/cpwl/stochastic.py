@@ -326,9 +326,9 @@ def _draw_block(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, 
     stream ``at(keys[t, l])`` into row t of preallocated arrays, of which
     each layer is made for all n nets at once; a fixed-unit pointwise layer
     is one shared table row. A net that ``_spline_layer`` flags is drawn
-    again, unit by unit (``_spline_units``), into its own rows; given the
-    list ``units``, every spline net is, and each pointwise layer's units
-    are appended to it."""
+    again, unit by unit (``_spline_units``), into its own rows. Given the
+    list ``units``, every net is drawn unit by unit, and each pointwise
+    layer's units are appended to it."""
     fam, dims, n, sink = arch.family, arch.dims, len(keys), [] if units is None else units
     if fam not in SAMPLED_FAMILIES:
         raise ValidationError(f"unsupported family {fam!r}")
@@ -340,6 +340,9 @@ def _draw_block(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, 
         runs = [(0, nw + rows, wn)] if wn == bn else [(0, nw, wn), (nw, nw + rows, bn)]
         ns = 2 * sum(k for k in kaps if k > 1) if spline else 0
         draws.append((rows, nw, np.empty((n, nw + rows)), runs, np.empty((n, ns))))
+        if spline and units is not None:  # tables to draw unit by unit into
+            m = max(max(kaps), 1) - 1
+            tables[l] = np.empty((n, rows, m)), np.empty((n, rows, m + 1, 2))
 
     def draw(t, by_units):
         for l, (rows, nw, raw, runs, z) in enumerate(draws):
@@ -354,9 +357,9 @@ def _draw_block(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, 
                 sink.append(drawn)
 
     for t in range(n):
-        draw(t, False)
-    ok = np.full(n, units is None or not spline)  # with units, every spline net is drawn again
-    for l, (*_, z) in enumerate(draws if spline else ()):
+        draw(t, units is not None)
+    ok = np.ones(n, dtype=bool)
+    for l, (*_, z) in enumerate(draws if spline and units is None else ()):
         *tables[l], stands = _spline_layer(z, arch.kappas[l], init.sigma_b)
         ok &= stands
     for t in np.flatnonzero(~ok).tolist():
