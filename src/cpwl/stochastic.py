@@ -243,7 +243,7 @@ def _trial_keys(seed: int, trials: int, n_layers: int, tag: Optional[int]):
     return layer_keys.reshape(trials, n_layers, 2), tagged
 
 
-def _made(raw: np.ndarray, dist: str, sigma: float, shape: tuple) -> np.ndarray:
+def _from_raw(raw: np.ndarray, dist: str, sigma: float, shape: tuple) -> np.ndarray:
     """(n, *shape) draws of ``dist`` with standard deviation ``sigma`` from
     n rows of raw draws: standard normals, or uniforms on [0, 1) as
     ``Generator.uniform`` makes its draws; or Haar orthogonal (rows, cols)
@@ -257,9 +257,15 @@ def _made(raw: np.ndarray, dist: str, sigma: float, shape: tuple) -> np.ndarray:
 
 
 @functools.cache
-def _fixed_unit(family: str) -> ScalarCPWL:
-    return {"relu": relu_unit, "abs": abs_unit,
+def _fixed_unit(family: str) -> tuple:
+    """The unit of a fixed-unit family, and its ``unit_tables`` as the one
+    read-only row, (1, 1, m) and (1, 1, m + 1, 2), that every unit shares."""
+    unit = {"relu": relu_unit, "abs": abs_unit,
             "leaky": lambda: leaky_relu_unit(LEAKY_SLOPE)}[family]()
+    shared = tuple(a[None] for a in unit_tables((unit,), len(unit.breakpoints)))
+    for a in shared:
+        a.setflags(write=False)
+    return unit, shared
 
 
 def _spline_units(rng: np.random.Generator, kaps: tuple, sigma_b: float) -> tuple:
@@ -366,8 +372,8 @@ def _draw_block(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, 
         draw(t, True)
     layers = []
     for l, ((rows, nw, raw, *_), kaps) in enumerate(zip(draws, arch.kappas)):
-        A = _made(raw[:, :nw], init.weight_dist, init.sigma_w_for(dims[l]), (rows, dims[l]))
-        b = _made(raw[:, nw:], init.bias_dist, init.sigma_b, (rows,))
+        A = _from_raw(raw[:, :nw], init.weight_dist, init.sigma_w_for(dims[l]), (rows, dims[l]))
+        b = _from_raw(raw[:, nw:], init.bias_dist, init.sigma_b, (rows,))
         if fam == "maxout":
             layers.append(_KINDS[Maxout](A.reshape(n, dims[l + 1], -1, dims[l]),
                                           b.reshape(n, dims[l + 1], -1)))
@@ -379,9 +385,8 @@ def _draw_block(arch: ArchitectureDescriptor, init: InitSpec, keys: np.ndarray, 
         elif spline:
             layers.append(_KINDS[Pointwise](*tables[l]))
         else:
-            unit = _fixed_unit(fam)
-            layers.append(_KINDS[Pointwise](*(a[None] for a in
-                                              unit_tables((unit,), len(unit.breakpoints)))))
+            unit, shared = _fixed_unit(fam)
+            layers.append(_KINDS[Pointwise](*shared))
             sink.append((unit,) * rows)
     return layers
 

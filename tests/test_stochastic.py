@@ -323,7 +323,8 @@ def test_rekeyed_generator_matches_fresh_generator():
         rng = at(stochastic._spawn_keys(stochastic._seed_words(seed), [spawn_key])[0])
         for draw in (lambda g: g.integers(0, 2 ** 32, size=3, dtype=np.uint32),
                      lambda g: g.standard_normal((3, 5)), lambda g: g.uniform(-2.0, 2.0, 7),
-                     lambda g: stochastic._made(g.standard_normal((1, 25)), "orthogonal", 1.0, (3, 5))):
+                     lambda g: stochastic._from_raw(g.standard_normal((1, 25)), "orthogonal", 1.0,
+                                                     (3, 5))):
             assert draw(rng).tobytes() == draw(fresh).tobytes()
 
 
