@@ -68,8 +68,16 @@ class PolygonalPath:
 
     @property
     def segment_lengths(self) -> np.ndarray:
-        # Not row_norms: the Monte Carlo densities divide by these bits.
-        return np.linalg.norm(np.diff(self.vertices, axis=0), axis=1)
+        # Not row_norms: the Monte Carlo densities divide by these bits. A
+        # finite row whose square overflows gets s ||v / s||, s its largest |entry|.
+        v = np.diff(self.vertices, axis=0)
+        with np.errstate(over="ignore"):
+            lengths = np.linalg.norm(v, axis=1)
+            over = np.flatnonzero(np.isinf(lengths) & np.isfinite(v).all(axis=1))
+            if len(over):
+                s = np.abs(v[over]).max(axis=1)
+                lengths[over] = s * np.linalg.norm(v[over] / s[:, None], axis=1)
+        return lengths
 
     @property
     def length(self) -> float:

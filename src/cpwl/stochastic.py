@@ -17,7 +17,9 @@ breakpoints within 1e-9 are drawn again) or whose pieces ``ScalarCPWL`` would
 merge is drawn again unit by unit, from the start of its streams. The Monte
 Carlo estimators draw each block of trials straight into stacked layers
 (``switching``) and propagate all of their probes through one batch of the
-knot engine; the block size does not change any result.
+knot engine. A block holds as many trials as make about ``BLOCK_KNOTS``
+pieces of path in all (``_block_trials``), so a one-unit net's trials run as
+one block; the block size does not change any result.
 """
 from __future__ import annotations
 
@@ -41,9 +43,11 @@ from .switching import LAYER_OF_RAW, _KINDS, unit_tables
 
 SAMPLED_FAMILIES = ("relu", "leaky", "abs", "deepspline", "maxout", "groupsort")
 LEAKY_SLOPE = 0.1
-# Trials drawn and propagated together by the Monte Carlo drivers; it bounds
-# the engine's arrays for any trial count.
-TRIAL_BLOCK = 32
+# Pieces of path the trials of one Monte Carlo block make in all, if each
+# trial's probe is cut once per breakpoint of each unit: a count linear in
+# depth x width x pieces, as the expected knots are. It bounds the engine's
+# arrays for any trial count.
+BLOCK_KNOTS = 2048
 
 
 @dataclass(frozen=True)
@@ -519,13 +523,19 @@ def default_probe(init: InitSpec, d: int, rng: np.random.Generator) -> Polygonal
     return PolygonalPath.segment(p0[0], p1[0])
 
 
+def _block_trials(arch) -> int:
+    """Trials in a block of ``arch``'s nets: ``BLOCK_KNOTS`` over the pieces
+    one probe can be cut into, 1 + sum (kappa - 1) over the units."""
+    return max(1, BLOCK_KNOTS // (1 + sum(k - 1 for row in arch.kappas for k in row)))
+
+
 def _trial_blocks(arch, init, trials, tag=None, shape=()):
     """Each block of trials: their networks as stacked layers, and one array
     of each trial's standard normals of ``shape`` from its stream (seed; t, tag)."""
     keys, tagged = _trial_keys(init.seed, trials, len(arch.dims) - 1, tag)
-    at = _rekeyer()
-    for first in range(0, trials, TRIAL_BLOCK):
-        block = range(first, min(first + TRIAL_BLOCK, trials))
+    at, step = _rekeyer(), _block_trials(arch)
+    for first in range(0, trials, step):
+        block = range(first, min(first + step, trials))
         normals = None if tag is None else np.empty((len(block), *shape))
         for t, row in zip(block, () if tag is None else normals):
             at(tagged[t]).standard_normal(out=row)

@@ -436,6 +436,23 @@ def test_image_whose_squares_overflow_is_finite():
         PolygonalPath(np.array([[1e200, 0.0], [1e200, 0.0]]))
 
 
+def test_path_whose_squares_overflow_has_finite_length():
+    # The 1e200-scaled path (-3, -2) -> (3, 2.5) is 7.5e200 long, and an
+    # identity read-in and two relus put 2 knots on it. Tier-1 turns a
+    # RuntimeWarning into an error.
+    eye = Affine(AffineMap(np.eye(2), np.zeros(2)))
+    net = NetworkSpec(2, (eye, Pointwise((relu_unit(), relu_unit()))))
+    ends = np.array([[-3.0, -2.0], [3.0, 2.5]])
+    rep = count_knots(net, PolygonalPath(1e200 * ends))
+    assert rep.count == 2
+    assert rep.length == pytest.approx(7.5e200, rel=1e-15)
+    assert rep.density == 2 / rep.length
+    scale = NetworkSpec(2, (Affine(AffineMap(1e200 * np.eye(2), np.zeros(2))),))
+    rep = check_composition_bound(scale, net, PolygonalPath(ends))
+    assert rep.detail["kt2_on_image"] == 2
+    assert rep.detail["rhs_density"] == pytest.approx(2 / 7.5, rel=1e-12)
+
+
 def test_image_path_of_constant_map_degenerates():
     zero = NetworkSpec(1, (Affine(AffineMap(np.zeros((1, 1)), np.zeros(1))),))
     assert image_length(zero, PolygonalPath.segment([0.0], [1.0])) == 0.0

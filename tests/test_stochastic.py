@@ -424,7 +424,7 @@ def _bytes(values):
 
 @pytest.mark.parametrize("family", sorted(_BATCH_ARCHS))
 def test_batched_trials_match_per_trial_loop(family, monkeypatch):
-    default_block = stochastic.TRIAL_BLOCK
+    rules = {"rule": stochastic._block_trials, 1: lambda arch: 1, 7: lambda arch: 7}
     per_unit = {"deepspline": 3, "maxout": 3}.get(family, 2)
     path = PolygonalPath(np.array([[0.5, -1.0], [-1.0, 0.25], [2.0, 0.5]]))
     for dims in _BATCH_ARCHS[family]:
@@ -442,8 +442,8 @@ def test_batched_trials_match_per_trial_loop(family, monkeypatch):
                 density.append(rep.density)
                 by_depth.append([c / rep.length for c in rep.prefix_counts])
             images = [image_length(net, img_path) for net, _ in trials[:20]]
-            for block in (default_block, 1, 7):
-                monkeypatch.setattr(stochastic, "TRIAL_BLOCK", block)
+            for block, rule in rules.items():
+                monkeypatch.setattr(stochastic, "_block_trials", rule)
                 key = (family, dims, dist, block)
                 got = mc_knot_density(arch, init, trials=100, bound=1.0).values
                 assert _bytes(got) == _bytes(density), key
@@ -470,8 +470,9 @@ PINNED_EXPANSION = {
 @pytest.mark.parametrize("family", sorted(PINNED_EXPANSION))
 def test_directional_expansion_pinned(family, monkeypatch):
     per_unit = {"deepspline": 3, "maxout": 3}.get(family, 2)
-    for block in (stochastic.TRIAL_BLOCK, 1, 7):
-        monkeypatch.setattr(stochastic, "TRIAL_BLOCK", block)
+    rules = {"rule": stochastic._block_trials, 1: lambda arch: 1, 7: lambda arch: 7}
+    for block, rule in rules.items():
+        monkeypatch.setattr(stochastic, "_block_trials", rule)
         h = hashlib.sha256()
         for dims in _BATCH_ARCHS[family]:
             arch = ArchitectureDescriptor(dims, tuple((per_unit,) * w for w in dims[1:]),
@@ -482,6 +483,18 @@ def test_directional_expansion_pinned(family, monkeypatch):
                                 else "normal", sigma_b=0.7, seed=seed)
                 h.update(_bytes(estimate_directional_expansion(arch, init, trials=100).values))
         assert h.hexdigest()[:16] == PINNED_EXPANSION[family], block
+
+
+def test_block_size_follows_the_knots_a_trial_can_make(monkeypatch):
+    # A one-unit relu net's 100 trials run as one block; the depth-8 abs net
+    # of width 8 (1 + 64 pieces a probe) keeps blocks of at most 32 trials.
+    calls = []
+    count = stochastic.segment_knot_counts
+    monkeypatch.setattr(stochastic, "segment_knot_counts",
+                        lambda *a: calls.append(len(a[1])) or count(*a))
+    mc_knot_density(sampled_architecture("relu", 4), InitSpec(seed=3), trials=100)
+    assert calls == [100]
+    assert stochastic._block_trials(sampled_architecture("abs", 2, 8, 8)) <= 32
 
 
 # ---------------------------------------------------------------------------
