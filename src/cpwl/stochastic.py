@@ -43,10 +43,8 @@ from .switching import LAYER_OF_RAW, _KINDS, unit_tables
 
 SAMPLED_FAMILIES = ("relu", "leaky", "abs", "deepspline", "maxout", "groupsort")
 LEAKY_SLOPE = 0.1
-# Pieces of path the trials of one Monte Carlo block make in all, if each
-# trial's probe is cut once per breakpoint of each unit: a count linear in
-# depth x width x pieces, as the expected knots are. It bounds the engine's
-# arrays for any trial count.
+# Pieces that the probes of one Monte Carlo block may be cut into, 1 + sum
+# (kappa - 1) a trial (``_block_trials``); it bounds the engine's arrays.
 BLOCK_KNOTS = 2048
 
 
@@ -524,8 +522,8 @@ def default_probe(init: InitSpec, d: int, rng: np.random.Generator) -> Polygonal
 
 
 def _block_trials(arch) -> int:
-    """Trials in a block of ``arch``'s nets: ``BLOCK_KNOTS`` over the pieces
-    one probe can be cut into, 1 + sum (kappa - 1) over the units."""
+    """Trials in a block of ``arch``'s nets, by a count of their knots that
+    is linear in depth x width x pieces, as the expected count is."""
     return max(1, BLOCK_KNOTS // (1 + sum(k - 1 for row in arch.kappas for k in row)))
 
 
